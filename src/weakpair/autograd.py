@@ -1,15 +1,17 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 The op set is the minimal closure needed by the losses in this package:
-affine maps, elementwise add/multiply, tanh, exp, log, sigmoid, row-wise
-L2 normalization, row-cosine matrices, row softmax, sum/mean reductions,
-and detach (stop-gradient).
+affine maps, elementwise add/multiply, tanh, exp, log, sigmoid, row gathers
+(take_rows), row-wise L2 normalization, row-cosine matrices, row softmax,
+sum/mean reductions, and detach (stop-gradient).
 
 Graphs are eager: a node's value is computed when the op is recorded, so
 callers can inspect intermediate values (e.g. for hard-negative mining)
 while the graph is still being built.  Backward walks the node list in
 reverse insertion order, which is a valid topological order because every
 op can only consume previously created nodes.
+Graphs hold no back-references (nodes and vjps refer only to their inputs),
+so reference counting frees a finished graph without the cyclic collector.
 """
 
 from __future__ import annotations
@@ -29,18 +31,23 @@ class GraphError(ValueError):
     """Contract violation while building or differentiating a graph."""
 
 
+def _reduce_to(grad: Array, shape: tuple[int, ...]) -> Array:
+    if shape == () and grad.shape != ():
+        return np.asarray(grad.sum())
+    return grad
+
+
 class Node:
     """One leaf or op record: kind, input nodes, and the computed value."""
 
-    __slots__ = ("graph", "id", "op", "inputs", "value", "trainable",
-                 "needs_grad", "_vjp", "name")
+    __slots__ = ("id", "op", "inputs", "value", "trainable", "needs_grad",
+                 "_vjp", "name")
 
-    def __init__(self, graph: "Graph", op: str, inputs: tuple["Node", ...],
+    def __init__(self, id: int, op: str, inputs: tuple["Node", ...],
                  value: Array, trainable: bool, needs_grad: bool,
                  vjp: Callable[[Array], tuple[Array | None, ...]] | None,
                  name: str | None = None):
-        self.graph = graph
-        self.id = len(graph.nodes)
+        self.id = id
         self.op = op
         self.inputs = inputs
         self.value = value
@@ -48,37 +55,10 @@ class Node:
         self.needs_grad = needs_grad
         self._vjp = vjp
         self.name = name
-        graph.nodes.append(self)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
-
-    # Arithmetic sugar; plain numbers become constants of the same graph.
-    def __add__(self, other):
-        return self.graph.add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return self.graph.mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self.graph.mul(self, -1.0)
-
-    def __sub__(self, other):
-        return self.graph.add(self, self.graph.mul(other, -1.0))
-
-    def __rsub__(self, other):
-        return self.graph.add(self.graph.mul(self, -1.0), other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Node):
-            raise GraphError("divide by a node via exp(-log(x)); only "
-                             "plain-number divisors are sugared")
-        return self.graph.mul(self, 1.0 / float(other))
 
     def __repr__(self) -> str:
         label = self.name or self.op
@@ -106,14 +86,22 @@ class Graph:
         arr = np.asarray(value, dtype=self.dtype)
         if not np.all(np.isfinite(arr)):
             raise GraphError(f"non-finite leaf {name or ''!r}")
-        return Node(self, "leaf", (), arr, trainable, trainable, None, name)
+        return self._append("leaf", (), arr, trainable, trainable, None, name)
 
     def constant(self, value, name: str | None = None) -> Node:
         return self.leaf(value, trainable=False, name=name)
 
+    def _append(self, *fields) -> Node:
+        node = Node(len(self.nodes), *fields)
+        self.nodes.append(node)
+        return node
+
+    def _owns(self, node: Node) -> bool:
+        return node.id < len(self.nodes) and self.nodes[node.id] is node
+
     def _wrap(self, value) -> Node:
         if isinstance(value, Node):
-            if value.graph is not self:
+            if not self._owns(value):
                 raise GraphError("node belongs to a different graph")
             return value
         return self.constant(value)
@@ -121,7 +109,7 @@ class Graph:
     def _record(self, op: str, inputs: tuple[Node, ...], value: Array,
                 vjp) -> Node:
         needs = any(inp.needs_grad for inp in inputs)
-        return Node(self, op, inputs, value, False, needs, vjp)
+        return self._append(op, inputs, value, False, needs, vjp)
 
     # -- elementwise ops -------------------------------------------------
 
@@ -131,18 +119,12 @@ class Graph:
         if a.shape != b.shape and a.shape != () and b.shape != ():
             raise GraphError(f"shape mismatch {a.shape} vs {b.shape}")
 
-    @staticmethod
-    def _reduce_to(grad: Array, shape: tuple[int, ...]) -> Array:
-        if shape == () and grad.shape != ():
-            return np.asarray(grad.sum())
-        return grad
-
     def add(self, a, b) -> Node:
         a, b = self._wrap(a), self._wrap(b)
         self._match(a, b)
 
         def vjp(g):
-            return (self._reduce_to(g, a.shape), self._reduce_to(g, b.shape))
+            return (_reduce_to(g, a.shape), _reduce_to(g, b.shape))
 
         return self._record("add", (a, b), a.value + b.value, vjp)
 
@@ -151,8 +133,8 @@ class Graph:
         self._match(a, b)
 
         def vjp(g):
-            return (self._reduce_to(g * b.value, a.shape),
-                    self._reduce_to(g * a.value, b.shape))
+            return (_reduce_to(g * b.value, a.shape),
+                    _reduce_to(g * a.value, b.shape))
 
         return self._record("mul", (a, b), a.value * b.value, vjp)
 
@@ -203,6 +185,24 @@ class Graph:
             return (g @ w.value.T, x.value.T @ g, g.sum(axis=0))
 
         return self._record("affine", (x, w, b), y + b.value, vjp)
+
+    def take_rows(self, sources, rows) -> Node:
+        """Listed rows of the row-stacked sources; repeats scatter-add in backward."""
+        sources = tuple(self._wrap(s) for s in sources)
+        if len({s.shape[1:] for s in sources}) != 1 or sources[0].value.ndim != 2:
+            raise GraphError(f"take_rows needs same-width matrices: {[s.shape for s in sources]}")
+        stacked = np.concatenate([s.value for s in sources])
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 1 or np.any((rows < 0) | (rows >= len(stacked))):
+            raise GraphError(f"take_rows indices outside {len(stacked)} rows")
+        bounds = np.cumsum([s.shape[0] for s in sources])[:-1]
+
+        def vjp(g):
+            grad = np.zeros_like(stacked)
+            np.add.at(grad, rows, g)
+            return tuple(np.split(grad, bounds))
+
+        return self._record("take_rows", sources, stacked[rows], vjp)
 
     def l2_normalize(self, x) -> Node:
         """Rows scaled to unit Euclidean norm; zero rows pass through flagged."""
@@ -298,7 +298,7 @@ class Graph:
         so the result is bit-identical to differentiating a graph where the
         detached value is a constant.
         """
-        if loss.graph is not self:
+        if not self._owns(loss):
             raise GraphError("loss node belongs to a different graph")
         if loss.shape != ():
             raise GraphError("backward requires a scalar loss node")

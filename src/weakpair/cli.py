@@ -122,8 +122,9 @@ def train_config_from(resolved: dict[str, dict]) -> TrainConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    # repr of a numpy float reads "np.float64(0.05)" under numpy 2.
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
@@ -211,12 +212,13 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def _evaluate_checkpoint(args, include_metrics: bool, train_data=None) -> EvalResult:
+    """Evaluate --checkpoint on --data and write the curves into --out."""
     resolved = load_config(args.config, args.set)
     ckpt = load_checkpoint(args.checkpoint)
     dataset = datamod.read(args.data)
-    if args.train_data is not None:
-        train_ids = set(datamod.read(args.train_data).identities())
+    if train_data is not None:
+        train_ids = set(datamod.read(train_data).identities())
         overlap = train_ids & set(dataset.identities())
         if overlap:
             print(f"warning: {len(overlap)} identities appear in both the "
@@ -226,8 +228,13 @@ def cmd_eval(args) -> int:
     result = evaluate_model(dict_to_params(ckpt.params), dataset,
                             ckpt.config.mapping,
                             eval_seed=resolved["eval"]["eval_seed"])
-    write_eval_outputs(result, out_dir)
+    write_eval_outputs(result, out_dir, include_metrics)
     write_resolved(resolved, out_dir)
+    return result
+
+
+def cmd_eval(args) -> int:
+    result = _evaluate_checkpoint(args, include_metrics=True, train_data=args.train_data)
     recalls = " ".join(f"R@{k}={v:.4f}" for k, v in sorted(result.recalls.items()))
     print(f"{recalls} mAP={result.mean_ap:.4f} PR-AUC={result.pr.auc:.4f}")
     return EXIT_OK
@@ -324,17 +331,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    resolved = load_config(args.config, args.set)
-    ckpt = load_checkpoint(args.checkpoint)
-    dataset = datamod.read(args.data)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result = evaluate_model(dict_to_params(ckpt.params), dataset,
-                            ckpt.config.mapping,
-                            eval_seed=resolved["eval"]["eval_seed"])
-    write_eval_outputs(result, out_dir, include_metrics=False)
-    write_resolved(resolved, out_dir)
-    print(f"diagnostic curves written to {out_dir}")
+    _evaluate_checkpoint(args, include_metrics=False)
+    print(f"diagnostic curves written to {Path(args.out)}")
     return EXIT_OK
 
 

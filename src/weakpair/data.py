@@ -187,6 +187,8 @@ def read(path: str | Path) -> DatasetManifest:
             text_vec = np.array([float(x) for x in fields[3].split(",")])
         except ValueError as exc:
             raise DatasetFormatError(f"{path}: record {index}: {exc}") from exc
+        if not (np.all(np.isfinite(image)) and np.all(np.isfinite(text_vec))):
+            raise DatasetFormatError(f"{path}: record {index}: non-finite vector entry")
         if image.shape[0] != cfg.raw_dim_image or text_vec.shape[0] != cfg.raw_dim_text:
             raise DatasetFormatError(f"{path}: record {index}: vector length mismatch")
         if (identity, view) in seen:

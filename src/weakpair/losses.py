@@ -8,14 +8,17 @@ itc_loss       temperature-scaled softmax cross-entropy over in-batch
 consistency_uncertainty
                per-anchor consistency s_w = (cos(f_I, f_Iw) + cos(f_T, f_Tw)) / 2
                and its uncertainty u_w under a selectable monotone mapping.
+weak_itc_loss  contrastive loss of the two weak pairings, (I, T_w) and (I_w, T).
 uitc_loss      weak-pair contrastive loss regularized by uncertainty:
                L / (gamma * u_w) + gamma * u_w, with u_w detached so the
                model cannot game the weighting path, and gamma = exp(log_gamma)
                kept positive structurally.
 itm_loss       binary match/non-match classification of the strong pair plus
                its two directional hard negatives.
-gitm_loss      group-wise matching: each weak branch averages its
-               weak-positive term with K mined negatives, weights 1/(1+K).
+gitm_batch_loss
+               group-wise matching: each weak branch averages its
+               weak-positive term with K mined negatives, weights 1/(1+K),
+               over all groups in one head evaluation per branch.
 total_loss     itc + itm + alpha * uitc + beta * (gitm_txt + gitm_img).
 """
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Array, Graph, Node
+from .autograd import Graph, Node
 from .encoders import match_probability
 from .mining import PairGroup
 
@@ -125,13 +128,20 @@ def consistency_uncertainty(g: Graph, f_img: Node, f_txt: Node,
     if mapping == "exponential":
         u_w = g.exp(g.mul(s_w, -1.0))
     elif mapping == "linear":
-        u_w = 1.5 - s_w
+        u_w = g.add(g.mul(s_w, -1.0), 1.5)
     elif mapping == "power":
-        diff = 1.5 - s_w
+        diff = g.add(g.mul(s_w, -1.0), 1.5)
         u_w = g.mul(diff, diff)
     else:
         raise ValueError(f"unknown uncertainty mapping {mapping!r}")
     return UncertaintyScore(s_w=s_w, u_w=u_w)
+
+
+def weak_itc_loss(g: Graph, f_img: Node, f_txt: Node, f_img_w: Node,
+                  f_txt_w: Node, log_tau: Node) -> Node:
+    """Mean of itc over (anchor image, weak text) and (weak image, anchor text)."""
+    return g.mul(g.add(itc_loss(g, f_img, f_txt_w, log_tau),
+                       itc_loss(g, f_img_w, f_txt, log_tau)), 0.5)
 
 
 def uitc_loss(g: Graph, itc_weak: Node, u_w: Node, log_gamma: Node) -> Node:
@@ -172,35 +182,20 @@ def itm_term(g: Graph, p_hat: Node, labels, clamps: ClampCounter | None = None) 
     return g.mul(ll, -1.0)
 
 
-def _selector(rows: list[int], n: int) -> Array:
-    sel = np.zeros((len(rows), n))
-    for r, j in enumerate(rows):
-        if j >= 0:
-            sel[r, j] = 1.0
-    return sel
+def _rows(g: Graph, rows: list[int], strong: Node, weak: Node) -> Node:
+    """Rows of [strong; weak] (n + j is weak row j); no weak row, no weak source."""
+    if max(rows, default=0) < strong.shape[0]:
+        return g.take_rows((strong,), rows)
+    return g.take_rows((strong, weak), rows)
 
 
-def _gather(g: Graph, picks: list[tuple[str, int]], strong: Node, weak: Node) -> Node:
-    """Stack embedding rows drawn from the batch ("batch") or weak ("weak") set."""
-    n = strong.shape[0]
-    sel_strong = _selector([j if src == "batch" else -1 for src, j in picks], n)
-    sel_weak = _selector([j if src == "weak" else -1 for src, j in picks], n)
-    if not sel_weak.any():
-        return g.affine(g.constant(sel_strong), strong)
-    if not sel_strong.any():
-        return g.affine(g.constant(sel_weak), weak)
-    return g.add(g.affine(g.constant(sel_strong), strong),
-                 g.affine(g.constant(sel_weak), weak))
-
-
-def _pair_term(g: Graph, head, pairs: list[tuple[str, int, str, int, int]],
-               f_img: Node, f_txt: Node, f_img_w: Node, f_txt_w: Node,
-               clamps: ClampCounter | None) -> Node:
-    img_rows = _gather(g, [(src, j) for src, j, _, _, _ in pairs], f_img, f_img_w)
-    txt_rows = _gather(g, [(src, j) for _, _, src, j, _ in pairs], f_txt, f_txt_w)
-    labels = np.array([[float(lbl)] for *_, lbl in pairs])
-    p_hat = match_probability(g, head, img_rows, txt_rows)
-    return itm_term(g, p_hat, labels, clamps)
+def _pair_term(g: Graph, head, pairs: list[tuple[int, int, int]], f_img: Node,
+               f_txt: Node, f_img_w: Node, f_txt_w: Node, clamps: ClampCounter | None) -> Node:
+    """Matching loss per (image row, text row, label) triple, rows as in _rows."""
+    img, txt, labels = zip(*pairs)
+    p_hat = match_probability(g, head, _rows(g, img, f_img, f_img_w),
+                              _rows(g, txt, f_txt, f_txt_w))
+    return itm_term(g, p_hat, np.array(labels, dtype=np.float64)[:, None], clamps)
 
 
 def itm_loss(g: Graph, head, f_img: Node, f_txt: Node, groups: list[PairGroup],
@@ -209,49 +204,28 @@ def itm_loss(g: Graph, head, f_img: Node, f_txt: Node, groups: list[PairGroup],
     pairs = []
     for grp in groups:
         i = grp.anchor
-        pairs += [("batch", i, "batch", i, 1),
-                  ("batch", i, "batch", grp.itm_neg_text, 0),
-                  ("batch", grp.itm_neg_image, "batch", i, 0)]
+        pairs += [(i, i, 1), (i, grp.itm_neg_text, 0), (grp.itm_neg_image, i, 0)]
     return g.mean(_pair_term(g, head, pairs, f_img, f_txt, f_img, f_txt, clamps))
-
-
-def gitm_loss(g: Graph, head, f_img: Node, f_txt: Node, f_img_w: Node,
-              f_txt_w: Node, group: PairGroup,
-              clamps: ClampCounter | None = None) -> tuple[Node, Node]:
-    """One group's two branch losses, each a 1/(1+K)-weighted mean.
-
-    The text branch scores (anchor image, weak text) against the anchor
-    image's mined texts; the image branch mirrors it.
-    """
-    if not group.neg_texts or not group.neg_images:
-        raise ValueError("group has an empty negative set")
-    i = group.anchor
-    txt_pairs = [("batch", i, "weak", i, 1)]
-    txt_pairs += [("batch", i, "batch", j, 0) for j in group.neg_texts]
-    img_pairs = [("weak", i, "batch", i, 1)]
-    img_pairs += [("batch", j, "batch", i, 0) for j in group.neg_images]
-    branch_txt = g.mean(_pair_term(g, head, txt_pairs, f_img, f_txt, f_img_w, f_txt_w, clamps))
-    branch_img = g.mean(_pair_term(g, head, img_pairs, f_img, f_txt, f_img_w, f_txt_w, clamps))
-    return branch_txt, branch_img
 
 
 def gitm_batch_loss(g: Graph, head, f_img: Node, f_txt: Node, f_img_w: Node,
                     f_txt_w: Node, groups: list[PairGroup],
                     clamps: ClampCounter | None = None) -> tuple[Node, Node]:
-    """Both branch losses averaged over all groups in one head evaluation.
+    """Both group-wise branch losses, averaged over all groups.
 
-    Every group contributes 1+K equally weighted terms per branch, so the
-    flat mean equals the mean of per-group means.
+    The text branch scores (anchor image, weak text) against the anchor
+    image's K mined texts; the image branch mirrors it.  Every group
+    contributes 1+K equally weighted terms per branch, so the flat mean
+    equals the mean of the per-group 1/(1+K)-weighted means.
     """
+    n = f_img.shape[0]
     txt_pairs, img_pairs = [], []
     for grp in groups:
         if not grp.neg_texts or not grp.neg_images:
             raise ValueError("group has an empty negative set")
         i = grp.anchor
-        txt_pairs.append(("batch", i, "weak", i, 1))
-        txt_pairs += [("batch", i, "batch", j, 0) for j in grp.neg_texts]
-        img_pairs.append(("weak", i, "batch", i, 1))
-        img_pairs += [("batch", j, "batch", i, 0) for j in grp.neg_images]
+        txt_pairs += [(i, n + i, 1)] + [(i, j, 0) for j in grp.neg_texts]
+        img_pairs += [(n + i, i, 1)] + [(j, i, 0) for j in grp.neg_images]
     branch_txt = g.mean(_pair_term(g, head, txt_pairs, f_img, f_txt, f_img_w, f_txt_w, clamps))
     branch_img = g.mean(_pair_term(g, head, img_pairs, f_img, f_txt, f_img_w, f_txt_w, clamps))
     return branch_txt, branch_img

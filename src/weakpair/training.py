@@ -29,7 +29,7 @@ from .encoders import (EmbeddingBatch, ModelDims, encode, init_model,
                        leaf_group, params_to_dict)
 from .losses import (ClampCounter, LossReport, LossWeights, MAPPINGS,
                      consistency_uncertainty, gitm_batch_loss, itc_loss,
-                     itm_loss, total_loss, uitc_loss)
+                     itm_loss, total_loss, uitc_loss, weak_itc_loss)
 from .mining import (MiningConfig, MiningStarvationError, PairGroup,
                      build_groups, sample_weak)
 
@@ -229,8 +229,7 @@ def assemble_losses(g: Graph, leaves, enc, groups: list[PairGroup], mode: str,
     }
     s_values = u_values = u_mean = None
     if mode in ("uitc", "uitc_gitm"):
-        weak_itc = g.mul(g.add(itc_loss(g, f_img, f_txt_w, leaves["log_tau"]),
-                               itc_loss(g, f_img_w, f_txt, leaves["log_tau"])), 0.5)
+        weak_itc = weak_itc_loss(g, f_img, f_txt, f_img_w, f_txt_w, leaves["log_tau"])
         if u_override is None:
             unc = consistency_uncertainty(g, f_img, f_txt, f_img_w, f_txt_w, mapping)
             s_values, u_values = unc.s_w.value, unc.u_w.value
@@ -406,12 +405,36 @@ def _encode_arrays(arrays: dict[str, Array]) -> dict:
             for k, v in arrays.items()}
 
 
-def _decode_arrays(payload: dict) -> dict[str, Array]:
+def _decode_arrays(payload: dict, section: str) -> dict[str, Array]:
     out = {}
     for key, spec in payload.items():
-        arr = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
-        out[key] = arr
+        try:
+            out[key] = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
+        except ValueError as exc:
+            raise CheckpointFormatError(f"{section}[{key!r}]: {exc}") from exc
+        if not np.all(np.isfinite(out[key])):
+            raise CheckpointFormatError(f"{section}[{key!r}]: non-finite value")
     return out
+
+
+def _check_model_arrays(ckpt: Checkpoint) -> None:
+    """Each array section holds exactly the model's keys, at the model's shapes."""
+    # Widths clamped to >= 1 keep init_model defined; bad ones fail the checks below.
+    raw = [ckpt.params[k].shape[0] if k in ckpt.params and ckpt.params[k].ndim == 2 else 1
+           for k in ("img.w1", "txt.w1")]
+    cfg = ckpt.config
+    dims = ModelDims(*(max(d, 1) for d in (*raw, cfg.hidden_dim, cfg.embed_dim)))
+    expected = params_to_dict(init_model(0, dims))
+    for section, arrays in (("params", ckpt.params), ("opt_m", ckpt.opt_m),
+                            ("opt_v", ckpt.opt_v)):
+        if arrays.keys() != expected.keys():
+            raise CheckpointFormatError(
+                f"{section}: missing keys {sorted(expected.keys() - arrays.keys())}, "
+                f"unknown keys {sorted(arrays.keys() - expected.keys())}")
+        for key, ref in expected.items():
+            if arrays[key].shape != ref.shape:
+                raise CheckpointFormatError(
+                    f"{section}[{key!r}]: shape {arrays[key].shape}, expected {ref.shape}")
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -429,6 +452,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint; any defect raises CheckpointFormatError naming the key."""
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -442,16 +466,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         known = {f.name for f in fields(TrainConfig)}
         unknown = set(payload["config"]) - known
         if unknown:
-            raise CheckpointFormatError(f"{path}: unknown config keys {sorted(unknown)}")
+            raise CheckpointFormatError(f"unknown config keys {sorted(unknown)}")
         cfg = TrainConfig(**payload["config"])
-        return Checkpoint(
+        ckpt = Checkpoint(
             version=payload["format_version"],
             config=cfg,
-            params=_decode_arrays(payload["params"]),
-            opt_m=_decode_arrays(payload["opt_m"]),
-            opt_v=_decode_arrays(payload["opt_v"]),
+            params=_decode_arrays(payload["params"], "params"),
+            opt_m=_decode_arrays(payload["opt_m"], "opt_m"),
+            opt_v=_decode_arrays(payload["opt_v"], "opt_v"),
             opt_t=payload["opt_t"],
             step=payload["step"],
         )
-    except (KeyError, TypeError) as exc:
+        _check_model_arrays(ckpt)
+    except CheckpointFormatError as exc:
+        raise CheckpointFormatError(f"{path}: {exc}") from exc
+    except (KeyError, TypeError, AttributeError) as exc:
         raise CheckpointFormatError(f"{path}: truncated or malformed ({exc})") from exc
+    return ckpt

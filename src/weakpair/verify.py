@@ -17,11 +17,10 @@ import numpy as np
 from .autograd import Graph, grad_check
 from .encoders import (EmbeddingBatch, ModelDims, init_model, leaf_group,
                        params_to_dict)
-from .losses import LossWeights, itc_loss, itm_loss, gitm_batch_loss, uitc_loss
+from .losses import (LossWeights, gitm_batch_loss, itc_loss, itm_loss,
+                     uitc_loss, weak_itc_loss)
 from .mining import MiningConfig, build_groups
 from .training import StepData, assemble_losses, encode_step
-
-LOSS_NAMES = ("itc", "uitc", "itm", "gitm", "total")
 
 _CHECK_DIMS = ModelDims(raw_dim_image=4, raw_dim_text=3, hidden_dim=4, embed_dim=3)
 _CHECK_BATCH = 3
@@ -67,6 +66,7 @@ def _op_cases(rng: np.random.Generator):
     c33 = rng.normal(size=(3, 3))
     c3 = rng.normal(size=3)
     frozen = rng.normal(size=(3, 4))
+    c64 = rng.normal(size=(6, 4))
 
     def weighted(build, const):
         return lambda g, lv: g.sum(g.mul(build(g, lv), g.constant(const)))
@@ -94,6 +94,9 @@ def _op_cases(rng: np.random.Generator):
         # form where the detached operand is the constant it evaluates to.
         ("detach", {"x": a},
          weighted(lambda g, lv: g.mul(g.detach(g.constant(frozen)), lv["x"]), c34)),
+        # Repeated rows from both sources: backward must scatter-add.
+        ("take_rows", {"a": a, "b": b},
+         weighted(lambda g, lv: g.take_rows((lv["a"], lv["b"]), [4, 0, 4, 2, 5, 0]), c64)),
     ]
 
 
@@ -153,61 +156,54 @@ def random_instance(rng: np.random.Generator, dims: ModelDims = _CHECK_DIMS,
     return LossInstance(params, data, groups, assembled.u_mean)
 
 
-def _param_subset(params: dict[str, np.ndarray], *prefixes: str) -> dict[str, np.ndarray]:
-    return {k: v for k, v in params.items()
-            if any(k == p or k.startswith(p + ".") for p in prefixes)}
+def _total(g, full, enc, inst):
+    out = assemble_losses(g, full, enc, inst.groups, "uitc_gitm", inst.mapping,
+                          inst.weights, u_override=inst.u_mean)
+    return out.nodes["total"]
+
+
+# Loss name -> (parameter prefixes it is checked over, whether it reads the
+# weak embeddings, builder from (graph, all parameters, encodings, instance)).
+_LOSSES = {
+    "itc": (("img", "txt", "log_tau"), False,
+            lambda g, p, enc, inst: itc_loss(g, enc[0], enc[1], p["log_tau"])),
+    "uitc": (("img", "txt", "log_tau", "log_gamma"), True,
+             lambda g, p, enc, inst: uitc_loss(g, weak_itc_loss(g, *enc, p["log_tau"]),
+                                               g.constant(inst.u_mean), p["log_gamma"])),
+    "itm": (("img", "txt", "head"), False,
+            lambda g, p, enc, inst: itm_loss(g, leaf_group(p, "head"), enc[0], enc[1],
+                                             inst.groups)),
+    "gitm": (("img", "txt", "head"), True,
+             lambda g, p, enc, inst: g.add(*gitm_batch_loss(g, leaf_group(p, "head"),
+                                                            *enc, inst.groups))),
+    "total": (("img", "txt", "head", "log_tau", "log_gamma"), True, _total),
+}
+LOSS_NAMES = tuple(_LOSSES)
+
+
+def _loss_spec(name: str):
+    if name not in _LOSSES:
+        raise ValueError(f"unknown loss {name!r}")
+    return _LOSSES[name]
 
 
 def loss_builder(name: str, inst: LossInstance):
     """A grad_check-compatible (graph, leaves) -> scalar node builder."""
+    _, need_weak, build = _loss_spec(name)
 
-    def towers(g, lv, need_weak):
+    def fn(g, lv):
         # Parameters outside the checked subset stay at their frozen values.
         full = {k: (lv[k] if k in lv else g.constant(v, name=k))
                 for k, v in inst.params.items()}
-        return full, encode_step(g, full, inst.data, need_weak)
+        return build(g, full, encode_step(g, full, inst.data, need_weak), inst)
 
-    if name == "itc":
-        def fn(g, lv):
-            full, enc = towers(g, lv, need_weak=False)
-            return itc_loss(g, enc[0], enc[1], full["log_tau"])
-    elif name == "uitc":
-        def fn(g, lv):
-            full, enc = towers(g, lv, need_weak=True)
-            weak = g.mul(g.add(itc_loss(g, enc[0], enc[3], full["log_tau"]),
-                               itc_loss(g, enc[2], enc[1], full["log_tau"])), 0.5)
-            return uitc_loss(g, weak, g.constant(inst.u_mean), full["log_gamma"])
-    elif name == "itm":
-        def fn(g, lv):
-            full, enc = towers(g, lv, need_weak=False)
-            return itm_loss(g, leaf_group(full, "head"), enc[0], enc[1], inst.groups)
-    elif name == "gitm":
-        def fn(g, lv):
-            full, enc = towers(g, lv, need_weak=True)
-            txt, img = gitm_batch_loss(g, leaf_group(full, "head"), *enc, inst.groups)
-            return g.add(txt, img)
-    elif name == "total":
-        def fn(g, lv):
-            full, enc = towers(g, lv, need_weak=True)
-            out = assemble_losses(g, full, enc, inst.groups, "uitc_gitm",
-                                  inst.mapping, inst.weights,
-                                  u_override=inst.u_mean)
-            return out.nodes["total"]
-    else:
-        raise ValueError(f"unknown loss {name!r}")
     return fn
 
 
 def loss_params(name: str, inst: LossInstance) -> dict[str, np.ndarray]:
-    if name == "itc":
-        return _param_subset(inst.params, "img", "txt", "log_tau")
-    if name == "uitc":
-        return _param_subset(inst.params, "img", "txt", "log_tau", "log_gamma")
-    if name in ("itm", "gitm"):
-        return _param_subset(inst.params, "img", "txt", "head")
-    if name == "total":
-        return dict(inst.params)
-    raise ValueError(f"unknown loss {name!r}")
+    prefixes = _loss_spec(name)[0]
+    return {k: v for k, v in inst.params.items()
+            if any(k == p or k.startswith(p + ".") for p in prefixes)}
 
 
 def check_losses(points: int = 100, seed: int = 0, eps: float = 1e-5,

@@ -1,10 +1,14 @@
 """Kernel contracts: op semantics, backward correctness, stop-gradient."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from weakpair.autograd import Graph, GraphError, grad_check, relative_error
+from weakpair.verify import loss_builder, random_instance
 
 
 def unit_rows(rng, n, d):
@@ -181,7 +185,7 @@ class TestShapesAndSugar:
     def test_scalar_broadcast(self):
         g = Graph()
         x = g.leaf([[1.0, 2.0], [3.0, 4.0]], trainable=True)
-        out = 2.0 * x + 1.0
+        out = g.add(g.mul(x, 2.0), 1.0)
         np.testing.assert_array_equal(out.value, [[3.0, 5.0], [7.0, 9.0]])
         np.testing.assert_array_equal(g.backward(g.sum(out))[x], np.full((2, 2), 2.0))
 
@@ -190,16 +194,47 @@ class TestShapesAndSugar:
         with pytest.raises(GraphError):
             g.add(g.constant(np.ones(3)), g.constant(np.ones((3, 1))))
 
-    def test_node_division_by_node_rejected(self):
-        g = Graph()
-        x, y = g.constant(1.0), g.constant(2.0)
-        with pytest.raises(GraphError):
-            x / y
-
     def test_cross_graph_use_rejected(self):
         a, b = Graph(), Graph()
         with pytest.raises(GraphError):
             b.add(a.constant(1.0), b.constant(1.0))
+
+
+class TestTakeRows:
+    def test_matches_one_hot_matmul_exactly(self):
+        rng = np.random.default_rng(11)
+        a, b = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
+        rows = [4, 0, 4, 2, 0, 4, 1]
+        upstream = rng.normal(size=(len(rows), 4))
+        g = Graph()
+        la, lb = g.leaf(a, trainable=True), g.leaf(b, trainable=True)
+        out = g.take_rows((la, lb), rows)
+        grads = g.backward(g.sum(g.mul(out, g.constant(upstream))))
+        one_hot = np.eye(5)[rows]
+        np.testing.assert_array_equal(out.value, one_hot @ np.concatenate([a, b]))
+        reference = one_hot.T @ upstream
+        assert np.array_equal(grads[la], reference[:3])
+        assert np.array_equal(grads[lb], reference[3:])
+
+    def test_index_out_of_range_rejected(self):
+        g = Graph()
+        with pytest.raises(GraphError):
+            g.take_rows((g.constant(np.ones((2, 3))),), [2])
+
+
+def test_finished_graph_freed_by_reference_counting():
+    inst = random_instance(np.random.default_rng(3))
+    build = loss_builder("total", inst)
+    gc.disable()
+    try:
+        g = Graph()
+        leaves = {k: g.leaf(v, trainable=True, name=k) for k, v in inst.params.items()}
+        g.backward(build(g, leaves))
+        freed = weakref.ref(g)
+        del g, leaves
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_relative_error_floor():

@@ -1,6 +1,7 @@
 """End-to-end command behavior: outputs, determinism, exit codes."""
 
 import csv
+import json
 import time
 
 import pytest
@@ -129,6 +130,52 @@ class TestEval:
         assert curve[0] == ["recall", "precision"] and len(curve) == 101
         risk = read_csv(tmp_path / "ev" / "risk_coverage.csv")
         assert len(risk) == 21
+
+    def test_curve_cells_are_numbers(self, workspace, tmp_path):
+        assert main(["eval", "--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                     "--data", str(workspace / "data" / "test.tsv"),
+                     "--out", str(tmp_path / "ev")]) == EXIT_OK
+        for name in ("pr_curve.csv", "risk_coverage.csv", "margins_weak.csv",
+                     "margins_pos.csv"):
+            for row in read_csv(tmp_path / "ev" / name)[1:]:
+                for cell in row:
+                    float(cell)  # raises on text such as "np.float64(0.05)"
+
+    @pytest.mark.parametrize("case, named", [
+        ("missing_param", "head.w_out"),
+        ("nan_param", "img.b1"),
+        ("unreshapable_record", "txt.w2"),
+        ("transposed_shape", "txt.w2"),
+        ("nan_dataset_entry", "record 3"),
+    ])
+    def test_malformed_input_exits_io_naming_it(self, workspace, tmp_path, capsys,
+                                                case, named):
+        checkpoint = workspace / "run" / "checkpoint.json"
+        dataset = workspace / "data" / "test.tsv"
+        if case == "nan_dataset_entry":
+            lines = dataset.read_text().splitlines()
+            fields = lines[4].split("\t")
+            fields[2] = "nan," + fields[2].split(",", 1)[1]
+            lines[4] = "\t".join(fields)
+            dataset = tmp_path / "test.tsv"
+            dataset.write_text("\n".join(lines) + "\n")
+        else:
+            payload = json.loads(checkpoint.read_text())
+            params = payload["params"]
+            if case == "missing_param":
+                del params["head.w_out"]
+            elif case == "nan_param":
+                params["img.b1"]["data"][0] = float("nan")
+            elif case == "unreshapable_record":
+                params["txt.w2"]["shape"] = [3, 3]
+            else:
+                params["txt.w2"]["shape"] = params["txt.w2"]["shape"][::-1]
+            checkpoint = tmp_path / "checkpoint.json"
+            checkpoint.write_text(json.dumps(payload))
+        code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset),
+                     "--out", str(tmp_path / "ev")])
+        assert code == EXIT_IO
+        assert named in capsys.readouterr().err
 
     def test_missing_checkpoint_is_io_error(self, workspace, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "none.json"),

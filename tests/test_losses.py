@@ -8,7 +8,7 @@ import pytest
 from weakpair.autograd import Graph
 from weakpair.encoders import EmbeddingBatch, ModelDims, init_model
 from weakpair.losses import (ClampCounter, LossReport, LossWeights, MAPPINGS,
-                             U_BOUNDS, consistency_uncertainty, gitm_loss,
+                             U_BOUNDS, consistency_uncertainty, gitm_batch_loss,
                              itc_loss, itm_loss, itm_term, mapping_value,
                              matching_scores, total_loss, uitc_loss)
 from weakpair.mining import MiningConfig, build_groups
@@ -258,9 +258,9 @@ class TestGitmLoss:
         groups = build_groups(batch, MiningConfig("neg3v4", 1))
         g = Graph()
         head = zero_head_nodes(g)
-        txt, img = gitm_loss(g, head, g.constant(batch.image), g.constant(batch.text),
-                             g.constant(batch.weak_image), g.constant(batch.weak_text),
-                             groups[0])
+        txt, img = gitm_batch_loss(g, head, g.constant(batch.image), g.constant(batch.text),
+                                   g.constant(batch.weak_image), g.constant(batch.weak_text),
+                                   groups[:1])
         assert abs(float(txt.value) - math.log(2.0)) <= 1e-12
         assert abs(float(img.value) - math.log(2.0)) <= 1e-12
 
@@ -271,9 +271,9 @@ class TestGitmLoss:
             groups = build_groups(batch, MiningConfig(mode, k))
             g = Graph()
             head = zero_head_nodes(g)
-            txt, img = gitm_loss(g, head, g.constant(batch.image), g.constant(batch.text),
-                                 g.constant(batch.weak_image), g.constant(batch.weak_text),
-                                 groups[0])
+            txt, img = gitm_batch_loss(g, head, g.constant(batch.image), g.constant(batch.text),
+                                       g.constant(batch.weak_image), g.constant(batch.weak_text),
+                                       groups[:1])
             assert txt.inputs[0].shape == (1 + k, 1)
             assert img.inputs[0].shape == (1 + k, 1)
 
@@ -310,7 +310,6 @@ def test_uitc_rejects_nonpositive_uncertainty():
 def test_gitm_batched_equals_mean_of_group_losses():
     """The flat batched branch mean must equal the mean over per-group means."""
     import dataclasses
-    from weakpair.losses import gitm_batch_loss
     rng = np.random.default_rng(21)
     for trial in range(20):
         n = int(rng.integers(4, 8))
@@ -330,7 +329,7 @@ def test_gitm_batched_equals_mean_of_group_losses():
         txt_b, img_b = gitm_batch_loss(g, head, *args, groups)
         txts, imgs = [], []
         for group in groups:
-            t, i = gitm_loss(g, head, *args, group)
+            t, i = gitm_batch_loss(g, head, *args, [group])
             txts.append(float(t.value))
             imgs.append(float(i.value))
         assert abs(float(txt_b.value) - np.mean(txts)) <= 1e-12
