@@ -217,6 +217,13 @@ def _evaluate_checkpoint(args, include_metrics: bool, train_data=None) -> EvalRe
     resolved = load_config(args.config, args.set)
     ckpt = load_checkpoint(args.checkpoint)
     dataset = datamod.read(args.data)
+    for side, key, width in (("image", "img.w1", dataset.gen_config.raw_dim_image),
+                             ("text", "txt.w1", dataset.gen_config.raw_dim_text)):
+        takes = ckpt.params[key].shape[0]
+        if takes != width:
+            raise CheckpointFormatError(
+                f"{args.data}: {side} raw width {width}, but checkpoint "
+                f"{args.checkpoint} {key} takes {takes}")
     if train_data is not None:
         train_ids = set(datamod.read(train_data).identities())
         overlap = train_ids & set(dataset.identities())

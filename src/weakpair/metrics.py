@@ -1,9 +1,11 @@
 """Ranking evaluation and reliability diagnostics for retrieval runs.
 
 Queries are texts, galleries are images, and an item is relevant iff it
-shares the query's identity.  Rankings sort by descending score with ties
+shares the query's identity.  Rankings order by descending score with ties
 broken by lower gallery index, so every metric is a pure function of the
-scores and flags regardless of input order.
+scores and flags regardless of input order.  A query keeps only the ranks of
+its relevant items, counted rather than sorted: every metric here is a
+function of those ranks.
 
 Dataset-level reductions use math.fsum, which returns the correctly rounded
 sum independent of summation order; that is what lets brute-force oracles
@@ -29,11 +31,14 @@ MARGIN_HIST_BINS = 40  # fixed-width bins over [-2, 2]
 @dataclass
 class QueryRanking:
     query: int
-    order: np.ndarray       # gallery indices by descending score
-    relevant: np.ndarray    # relevance flags aligned with order
+    hit_ranks: np.ndarray   # ascending 1-based ranks of the relevant items
     uncertainty: float
     ap: float
-    first_hit: int          # 1-based rank of the first relevant item
+
+    @property
+    def first_hit(self) -> int:
+        """1-based rank of the first relevant item."""
+        return int(self.hit_ranks[0])
 
 
 @dataclass
@@ -47,7 +52,6 @@ class PRCurve:
     recalls: np.ndarray
     precisions: np.ndarray  # macro-averaged over queries
     auc: float
-    unreachable: int
 
 
 @dataclass
@@ -77,35 +81,47 @@ class MarginStats:
     pos_hist: np.ndarray
 
 
-def average_precision(flags) -> float:
-    """Non-interpolated AP: mean precision at each relevant rank."""
-    hits, precisions = 0, []
-    for rank, flag in enumerate(flags, start=1):
-        if flag:
-            hits += 1
-            precisions.append(hits / rank)
-    if not precisions:
+def _hit_precisions(hit_ranks: np.ndarray) -> np.ndarray:
+    """Precision m / r_m at the m-th relevant rank r_m, each one int/int division."""
+    return np.arange(1, hit_ranks.shape[0] + 1) / hit_ranks
+
+
+def _ap_from_ranks(hit_ranks: np.ndarray) -> float:
+    if hit_ranks.shape[0] == 0:
         raise ValueError("average precision undefined without relevant items")
-    return math.fsum(precisions) / len(precisions)
+    return math.fsum(_hit_precisions(hit_ranks).tolist()) / hit_ranks.shape[0]
+
+
+def average_precision(flags) -> float:
+    """Non-interpolated AP of ranked flags: mean precision at each relevant rank."""
+    return _ap_from_ranks(np.flatnonzero(np.asarray(flags, dtype=bool)) + 1)
 
 
 def rank_queries(scores: np.ndarray, relevance: np.ndarray,
                  uncertainties: np.ndarray) -> RankingResult:
-    """Rank the gallery for every query; zero-relevance queries are counted out."""
+    """Rank the relevant items of every query; zero-relevance queries are counted out.
+
+    Relevant item j ranks 1 + #{i: s_i > s_j} + #{i: s_i == s_j, i < j}, its
+    position in the descending order with ties to the lower index.  Counting
+    costs O(R n) per query for R relevant items and allocates no n x n array.
+    """
     n_queries, n_gallery = scores.shape
     indices = np.arange(n_gallery)
     queries, excluded = [], 0
     for q in range(n_queries):
-        if not relevance[q].any():
+        row = scores[q]
+        if not np.isfinite(row).all():
+            raise ValueError(f"query {q}: non-finite score")
+        hits = np.flatnonzero(relevance[q])
+        if hits.shape[0] == 0:
             excluded += 1
             continue
-        order = np.lexsort((indices, -scores[q]))
-        rel = relevance[q][order]
-        first_hit = int(np.argmax(rel)) + 1
+        key = row[hits, None]
+        ahead = (row > key) | ((row == key) & (indices < hits[:, None]))
+        hit_ranks = np.sort(1 + np.count_nonzero(ahead, axis=1))
         queries.append(QueryRanking(
-            query=q, order=order, relevant=rel,
-            uncertainty=float(uncertainties[q]),
-            ap=average_precision(rel), first_hit=first_hit))
+            query=q, hit_ranks=hit_ranks, uncertainty=float(uncertainties[q]),
+            ap=_ap_from_ranks(hit_ranks)))
     return RankingResult(queries, excluded)
 
 
@@ -125,18 +141,6 @@ def mean_average_precision(result: RankingResult) -> float:
     return math.fsum(q.ap for q in result.queries) / len(result.queries)
 
 
-def _precision_at_recall(rel: np.ndarray, level: float) -> tuple[float, bool]:
-    """Precision at the smallest prefix reaching the recall level."""
-    hits = np.cumsum(rel)
-    total = int(hits[-1])
-    reached = (hits / total) >= level
-    if not reached.any():
-        # Recall levels beyond 1 cannot occur; full gallery is the fallback.
-        return total / rel.shape[0], True
-    k = int(np.argmax(reached)) + 1
-    return float(hits[k - 1]) / k, False
-
-
 def pr_curve(result: RankingResult, grid=DEFAULT_RECALL_GRID) -> PRCurve:
     """Macro-averaged precision over a fixed recall grid, plus trapezoid AUC.
 
@@ -148,20 +152,20 @@ def pr_curve(result: RankingResult, grid=DEFAULT_RECALL_GRID) -> PRCurve:
     grid = list(grid)
     if not grid or any(not 0.0 < r <= 1.0 for r in grid):
         raise ValueError("recall grid must lie in (0, 1]")
-    unreachable = 0
-    macro = []
-    for level in grid:
-        precisions = []
-        for q in result.queries:
-            p, flagged = _precision_at_recall(q.relevant, level)
-            unreachable += flagged
-            precisions.append(p)
-        macro.append(math.fsum(precisions) / len(precisions))
+    # A level's precision is m / r_m for the first m with recall m / R >= level;
+    # R / R == 1.0 reaches every level in the grid.
+    levels = np.array(grid)
+    table = np.empty((len(result.queries), levels.shape[0]))
+    for row, q in enumerate(result.queries):
+        n_hits = q.hit_ranks.shape[0]
+        recalls = np.arange(1, n_hits + 1) / n_hits
+        table[row] = _hit_precisions(q.hit_ranks)[np.searchsorted(recalls, levels)]
+    macro = [math.fsum(column) / table.shape[0] for column in table.T.tolist()]
     xs = [0.0] + grid
     ys = [macro[0]] + macro
     auc = math.fsum((xs[i] - xs[i - 1]) * (ys[i] + ys[i - 1]) / 2
                     for i in range(1, len(xs)))
-    return PRCurve(np.array(grid), np.array(macro), auc, unreachable)
+    return PRCurve(levels, np.array(macro), auc)
 
 
 def risk_coverage(result: RankingResult,
@@ -176,7 +180,7 @@ def risk_coverage(result: RankingResult,
     n = len(result.queries)
     u = np.array([q.uncertainty for q in result.queries])
     order = np.lexsort((np.arange(n), u))
-    correct = np.array([q.relevant[0] for q in result.queries])[order]
+    correct = np.array([q.first_hit == 1 for q in result.queries])[order]
     coverages, risks = [], []
     for i in range(1, n_points + 1):
         retained = -((-i * n) // n_points)  # ceil(i * n / n_points)
@@ -188,8 +192,8 @@ def risk_coverage(result: RankingResult,
 
 def reliability_stats(result: RankingResult) -> ReliabilityStats:
     """Mean uncertainty grouped by top-1 correctness; None flags empty groups."""
-    correct = [q.uncertainty for q in result.queries if q.relevant[0]]
-    incorrect = [q.uncertainty for q in result.queries if not q.relevant[0]]
+    correct = [q.uncertainty for q in result.queries if q.first_hit == 1]
+    incorrect = [q.uncertainty for q in result.queries if q.first_hit != 1]
 
     def mean(values: list[float]) -> float | None:
         return math.fsum(values) / len(values) if values else None
@@ -245,11 +249,14 @@ def query_uncertainty(img_emb: np.ndarray, txt_emb: np.ndarray,
     identity; singleton identities are perfectly consistent by convention,
     which pins their uncertainty to the mapping's floor.
     """
-    n = identities.shape[0]
-    out = np.empty(n)
-    for q in range(n):
-        others = np.nonzero((identities == identities[q]) & (np.arange(n) != q))[0]
-        if others.shape[0] == 0:
+    ids = identities.tolist()
+    members: dict[int, list[int]] = {}
+    for index, identity in enumerate(ids):
+        members.setdefault(identity, []).append(index)
+    out = np.empty(len(ids))
+    for q, identity in enumerate(ids):
+        others = [o for o in members[identity] if o != q]
+        if not others:
             s = 1.0
         else:
             sims = [0.5 * (float(img_emb[q] @ img_emb[o]) + float(txt_emb[q] @ txt_emb[o]))

@@ -147,6 +147,7 @@ class TestEval:
         ("unreshapable_record", "txt.w2"),
         ("transposed_shape", "txt.w2"),
         ("nan_dataset_entry", "record 3"),
+        ("raw_width_mismatch", "image raw width 12, but checkpoint"),
     ])
     def test_malformed_input_exits_io_naming_it(self, workspace, tmp_path, capsys,
                                                 case, named):
@@ -159,6 +160,10 @@ class TestEval:
             lines[4] = "\t".join(fields)
             dataset = tmp_path / "test.tsv"
             dataset.write_text("\n".join(lines) + "\n")
+        elif case == "raw_width_mismatch":
+            assert main(["gen", "--out", str(tmp_path / "wide"), *SMALL_GEN,
+                         "--set", "gen.raw_dim_image=12"]) == EXIT_OK
+            dataset = tmp_path / "wide" / "test.tsv"
         else:
             payload = json.loads(checkpoint.read_text())
             params = payload["params"]

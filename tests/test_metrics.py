@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakpair.metrics import (DEFAULT_RECALL_GRID, average_precision,
                               margin_stats, margin_tuples,
@@ -296,5 +297,55 @@ def test_ranking_score_ties_prefer_lower_gallery_index():
     scores = np.array([[0.5, 0.5, 0.5]])
     relevance = np.array([[False, True, False]])
     result = rank_queries(scores, relevance, np.zeros(1))
-    np.testing.assert_array_equal(result.queries[0].order, [0, 1, 2])
+    np.testing.assert_array_equal(result.queries[0].hit_ranks, [2])
     assert result.queries[0].first_hit == 2
+
+
+# Three or four score values, signed zeros among them, so most scores tie.
+_tie_values = st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
+                       min_size=1, max_size=2).map(lambda extra: [0.0, -0.0] + extra)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_tie_heavy_rankings_match_lexsort_and_oracles(data):
+    values = data.draw(_tie_values)
+    n_q, gallery = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 30))
+    scores = np.array([data.draw(st.lists(st.sampled_from(values),
+                                          min_size=gallery, max_size=gallery))
+                       for _ in range(n_q)])
+    relevance = np.array([data.draw(st.lists(st.booleans(),
+                                             min_size=gallery, max_size=gallery))
+                          for _ in range(n_q)])
+    u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_q, max_size=n_q)))
+    result = rank_queries(scores, relevance, u)
+
+    ranked = []
+    for q in range(n_q):
+        order = np.lexsort((np.arange(gallery), -scores[q]))
+        if relevance[q].any():
+            ranked.append([bool(relevance[q][j]) for j in order])
+    assert result.excluded == n_q - len(ranked)
+    assert [q.query for q in result.queries] == list(np.flatnonzero(relevance.any(axis=1)))
+    for got, flags in zip(result.queries, ranked):
+        positions = [k for k, flag in enumerate(flags, start=1) if flag]
+        np.testing.assert_array_equal(got.hit_ranks, positions)
+        assert got.first_hit == oracle_first_hit(flags)
+        assert got.ap == oracle_ap(flags)
+    if not ranked:
+        return
+    curve = pr_curve(result)
+    for level, got in zip(curve.recalls, curve.precisions):
+        expect = math.fsum(oracle_precision_at_recall(f, level) for f in ranked)
+        assert got == expect / len(ranked)
+    kept_u = [q.uncertainty for q in result.queries]
+    np.testing.assert_array_equal(risk_coverage(result).risks,
+                                  oracle_risk_points(kept_u, [f[0] for f in ranked], 20))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_score_rejected_naming_the_query(bad):
+    scores = np.array([[0.5, 0.2], [0.1, bad], [0.3, 0.4]])
+    relevance = np.array([[True, False], [False, True], [True, True]])
+    with pytest.raises(ValueError, match="query 1"):
+        rank_queries(scores, relevance, np.zeros(3))
