@@ -1,0 +1,107 @@
+"""Write every deterministic output of this checkout under one directory.
+
+Run it on two checkouts (for example ``git archive`` exports of two commits)
+and compare the trees; a change that claims identical numerics must leave
+no difference:
+
+    python3 scripts/byte_identity.py /tmp/before     # in the first checkout
+    python3 scripts/byte_identity.py /tmp/after      # in the second
+    diff -r /tmp/before /tmp/after
+
+The run covers the default ``weakpair gen``, ``train``, ``eval`` and ``diag``;
+``weakpair gradcheck --out`` at its default 100 points; and acceptance
+criterion 07's runs (``tests/test_acceptance.py`` ``GEN``/``TRAIN``, seeds 1-5
+x baseline/uitc/uitc_gitm), each writing its checkpoint, ``train_log.csv``,
+the ``weakpair eval`` CSVs and the held-out mAP, plus the three medians.
+Console output (with paths relative to the output directory) and the
+``resolved.cfg`` files are written too; none holds a timing.  Takes a few
+minutes on one core.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import importlib.util
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from weakpair import cli, data  # noqa: E402
+from weakpair.encoders import dict_to_params  # noqa: E402
+from weakpair.metrics import evaluate_model  # noqa: E402
+from weakpair.training import save_checkpoint, train  # noqa: E402
+
+
+def weakpair(out: Path, *argv: str) -> None:
+    """One CLI command in process; its stdout goes to <out>/stdout.txt."""
+    out.mkdir(parents=True, exist_ok=True)
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = cli.main(list(argv))
+    (out / "stdout.txt").write_text(buffer.getvalue())
+    if code != 0:
+        raise SystemExit(f"weakpair {' '.join(argv)} exited {code}")
+
+
+def acceptance_module():
+    spec = importlib.util.spec_from_file_location(
+        "acceptance", ROOT / "tests" / "test_acceptance.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def main(out: Path) -> None:
+    """Writes under out, with paths relative to it so console lines match."""
+    out.mkdir(parents=True)
+    os.chdir(out)
+    out = Path(".")
+    run = out / "default"
+    weakpair(run / "data", "gen", "--out", str(run / "data"))
+    weakpair(run / "train", "train", "--data", str(run / "data" / "train.tsv"),
+             "--out", str(run / "train"))
+    for command in ("eval", "diag"):
+        weakpair(run / command, command, "--data", str(run / "data" / "test.tsv"),
+                 "--checkpoint", str(run / "train" / "checkpoint.json"),
+                 "--out", str(run / command))
+    weakpair(out / "gradcheck", "gradcheck", "--out", str(out / "gradcheck"))
+
+    acc = acceptance_module()
+    runs = out / "criterion07"
+    runs.mkdir(parents=True, exist_ok=True)
+    train_d, test_d = data.split(data.generate(acc.GEN), 5.0 / 6.0, seed=100)
+    data.write(test_d, runs / "test.tsv")
+    maps: dict[str, list[float]] = {}
+    for seed in acc.SEEDS:
+        for mode in ("baseline", "uitc", "uitc_gitm"):
+            cfg = dataclasses.replace(acc.TRAIN, seed=seed, ablation_mode=mode)
+            ckpt, log = train(cfg, train_d)
+            cell = runs / f"{mode}-seed{seed}"
+            cell.mkdir()
+            save_checkpoint(ckpt, cell / "checkpoint.json")
+            cli.write_csv(cell / "train_log.csv", *cli.train_log_rows(log))
+            result = evaluate_model(dict_to_params(ckpt.params), test_d, cfg.mapping,
+                                    eval_seed=acc.EVAL_SEED)
+            (cell / "map.txt").write_text(repr(result.mean_ap) + "\n")
+            maps.setdefault(mode, []).append(result.mean_ap)
+            weakpair(cell / "eval", "eval", "--data", str(runs / "test.tsv"),
+                     "--checkpoint", str(cell / "checkpoint.json"),
+                     "--out", str(cell / "eval"))
+    (runs / "medians.txt").write_text("".join(
+        f"{mode} {float(np.median(values))!r}\n" for mode, values in maps.items()))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: python3 scripts/byte_identity.py OUT_DIR")
+    target = Path(sys.argv[1])
+    if target.exists():
+        raise SystemExit(f"{target} exists; give a new directory")
+    main(target)

@@ -1,21 +1,32 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 The op set is the minimal closure needed by the losses in this package:
-affine maps, elementwise add/multiply, tanh, exp, log, sigmoid, row gathers
-(take_rows), row-wise L2 normalization, row-cosine matrices, row softmax,
-sum/mean reductions, and detach (stop-gradient).
+affine maps, elementwise add/multiply, tanh, exp, log, sigmoid, a
+pass-through clamp, row gathers (take_rows), row-wise L2 normalization,
+row-cosine matrices, row softmax, sum/mean reductions, and detach
+(stop-gradient).
 
-Graphs are eager: a node's value is computed when the op is recorded, so
-callers can inspect intermediate values (e.g. for hard-negative mining)
-while the graph is still being built.  Backward walks the node list in
-reverse insertion order, which is a valid topological order because every
-op can only consume previously created nodes.
-Graphs hold no back-references (nodes and vjps refer only to their inputs),
-so reference counting frees a finished graph without the cyclic collector.
+Each op's forward math is one module-level kernel written over trailing
+axes, shared by two front ends with the same op surface:
+
+Graph      records nodes and vjps for backward().  Graphs are eager: a node's
+           value is computed when the op is recorded, so callers can inspect
+           intermediate values (e.g. for hard-negative mining) while the
+           graph is still being built.  Backward walks the node list in
+           reverse insertion order, a valid topological order because every
+           op can only consume previously created nodes.  Graphs hold no
+           back-references (nodes and vjps refer only to their inputs), so
+           reference counting frees a finished graph without the cyclic
+           collector.
+Evaluator  computes values only, for many parameter points at once: a
+           stacked value carries a leading replica axis ahead of its own
+           shape.  grad_check evaluates every perturbed copy of the
+           parameters in one such pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -29,6 +40,68 @@ REL_ERR_FLOOR = 1e-8
 
 class GraphError(ValueError):
     """Contract violation while building or differentiating a graph."""
+
+
+# -- forward kernels ------------------------------------------------------------
+# Each works over the trailing axes of its arguments, so leading axes (the
+# Evaluator's replica axis) pass through untouched.  Graph and Evaluator take
+# every forward value from here.
+
+
+def _sigmoid(v: Array) -> Array:
+    # Stable in both tails: exp of a non-positive argument only.
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _clamp(v: Array, lo: float, hi: float) -> Array:
+    """v + (clip(v) - v): exactly v wherever nothing is clipped."""
+    return v + (np.clip(v, lo, hi) - v)
+
+
+def _affine(x: Array, w: Array, b: Array | None = None) -> Array:
+    y = np.matmul(x, w)
+    return y if b is None else y + b[..., None, :]
+
+
+def _take_rows(sources: list[Array], rows: Array) -> Array:
+    # np.take keeps the result C-contiguous, as each replica's own gather is;
+    # stacked[..., rows, :] would not be.
+    return np.take(np.concatenate(sources, axis=-2), rows, axis=-2)
+
+
+def _l2_normalize(v: Array) -> tuple[Array, Array, Array]:
+    """Last-axis rows over their norms, the norms (1 for zero rows), zero mask."""
+    norms = np.sqrt((v * v).sum(axis=-1, keepdims=True))
+    zero = norms == 0.0
+    safe = np.where(zero, 1.0, norms)
+    return v / safe, safe, zero
+
+
+def _cosine_matrix(a: Array, b: Array) -> Array:
+    return np.matmul(a, np.swapaxes(b, -1, -2))
+
+
+def _softmax_rows(v: Array) -> Array:
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _sum_rows(v: Array) -> Array:
+    return v.sum(axis=-1)
+
+
+def _sum(v: Array, ndim: int) -> Array:
+    """Sum over the trailing ndim axes, added in C order whatever the layout."""
+    lead = v.shape[:v.ndim - ndim]
+    return np.asarray(v.reshape(lead + (-1,)).sum(axis=-1))
+
+
+def _mean(v: Array, ndim: int) -> Array:
+    return _sum(v, ndim) / math.prod(v.shape[v.ndim - ndim:])
+
+
+# -- recorded graphs -----------------------------------------------------------
 
 
 def _reduce_to(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -68,14 +141,11 @@ class Node:
 class Graph:
     """Ordered op records plus the set of trainable leaves.
 
-    Single-threaded per instance; distinct graphs share no state.  The graph
-    dtype is float64 for all real work; grad_check builds throwaway
-    extended-precision graphs so its difference quotients are not limited by
-    float64 rounding of the loss value.
+    Values are float64.  Single-threaded per instance; distinct graphs share
+    no state.
     """
 
-    def __init__(self, dtype=np.float64):
-        self.dtype = dtype
+    def __init__(self):
         self.nodes: list[Node] = []
         # (node id, row indices) for every zero-norm row seen by l2_normalize.
         self.zero_norm_rows: list[tuple[int, tuple[int, ...]]] = []
@@ -83,7 +153,7 @@ class Graph:
     # -- leaves ----------------------------------------------------------
 
     def leaf(self, value, trainable: bool = False, name: str | None = None) -> Node:
-        arr = np.asarray(value, dtype=self.dtype)
+        arr = np.asarray(value, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise GraphError(f"non-finite leaf {name or ''!r}")
         return self._append("leaf", (), arr, trainable, trainable, None, name)
@@ -126,7 +196,7 @@ class Graph:
         def vjp(g):
             return (_reduce_to(g, a.shape), _reduce_to(g, b.shape))
 
-        return self._record("add", (a, b), a.value + b.value, vjp)
+        return self._record("add", (a, b), np.add(a.value, b.value), vjp)
 
     def mul(self, a, b) -> Node:
         a, b = self._wrap(a), self._wrap(b)
@@ -136,7 +206,7 @@ class Graph:
             return (_reduce_to(g * b.value, a.shape),
                     _reduce_to(g * a.value, b.shape))
 
-        return self._record("mul", (a, b), a.value * b.value, vjp)
+        return self._record("mul", (a, b), np.multiply(a.value, b.value), vjp)
 
     def tanh(self, x) -> Node:
         x = self._wrap(x)
@@ -155,12 +225,21 @@ class Graph:
 
     def sigmoid(self, x) -> Node:
         x = self._wrap(x)
-        # Stable in both tails: exp of a non-positive argument only.
-        v = x.value
-        y = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                     np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v))))
+        y = _sigmoid(x.value)
         return self._record("sigmoid", (x,), y,
                             lambda g: (g * y * (1.0 - y),))
+
+    def clamp(self, x, lo: float, hi: float) -> Node:
+        """x moved onto [lo, hi]; the gradient passes through unchanged.
+
+        Recorded only when some entry moves; otherwise x itself is returned,
+        so a graph without clamping carries no extra node.
+        """
+        x = self._wrap(x)
+        y = _clamp(x.value, lo, hi)
+        if np.array_equal(y, x.value):
+            return x
+        return self._record("clamp", (x,), y, lambda g: (g,))
 
     # -- linear / row-wise ops ---------------------------------------------
 
@@ -171,12 +250,11 @@ class Graph:
             raise GraphError("affine expects 2-d x and w")
         if x.shape[1] != w.shape[0]:
             raise GraphError(f"affine inner dims {x.shape} @ {w.shape}")
-        y = x.value @ w.value
         if b is None:
             def vjp(g):
                 return (g @ w.value.T, x.value.T @ g)
 
-            return self._record("affine", (x, w), y, vjp)
+            return self._record("affine", (x, w), _affine(x.value, w.value), vjp)
         b = self._wrap(b)
         if b.shape != (w.shape[1],):
             raise GraphError(f"affine bias shape {b.shape}")
@@ -184,50 +262,44 @@ class Graph:
         def vjp(g):
             return (g @ w.value.T, x.value.T @ g, g.sum(axis=0))
 
-        return self._record("affine", (x, w, b), y + b.value, vjp)
+        return self._record("affine", (x, w, b), _affine(x.value, w.value, b.value), vjp)
 
     def take_rows(self, sources, rows) -> Node:
         """Listed rows of the row-stacked sources; repeats scatter-add in backward."""
         sources = tuple(self._wrap(s) for s in sources)
         if len({s.shape[1:] for s in sources}) != 1 or sources[0].value.ndim != 2:
             raise GraphError(f"take_rows needs same-width matrices: {[s.shape for s in sources]}")
-        stacked = np.concatenate([s.value for s in sources])
+        bounds = np.cumsum([s.shape[0] for s in sources])
         rows = np.asarray(rows, dtype=np.intp)
-        if rows.ndim != 1 or np.any((rows < 0) | (rows >= len(stacked))):
-            raise GraphError(f"take_rows indices outside {len(stacked)} rows")
-        bounds = np.cumsum([s.shape[0] for s in sources])[:-1]
+        if rows.ndim != 1 or np.any((rows < 0) | (rows >= bounds[-1])):
+            raise GraphError(f"take_rows indices outside {bounds[-1]} rows")
+        width = sources[0].shape[1]
 
         def vjp(g):
-            grad = np.zeros_like(stacked)
+            grad = np.zeros((bounds[-1], width))
             np.add.at(grad, rows, g)
-            return tuple(np.split(grad, bounds))
+            return tuple(np.split(grad, bounds[:-1]))
 
-        return self._record("take_rows", sources, stacked[rows], vjp)
+        return self._record("take_rows", sources,
+                            _take_rows([s.value for s in sources], rows), vjp)
 
     def l2_normalize(self, x) -> Node:
         """Rows scaled to unit Euclidean norm; zero rows pass through flagged."""
         x = self._wrap(x)
-        v = x.value
-        single = v.ndim == 1
-        m = v.reshape(1, -1) if single else v
-        if m.ndim != 2:
+        if x.value.ndim not in (1, 2):
             raise GraphError("l2_normalize expects a row or a row matrix")
-        norms = np.sqrt((m * m).sum(axis=1, keepdims=True))
-        zero = norms[:, 0] == 0.0
-        safe = np.where(zero[:, None], 1.0, norms)
-        y = m / safe
+        y, safe, zero = _l2_normalize(x.value)
 
         def vjp(g):
-            gm = g.reshape(1, -1) if single else g
-            inner = (gm * y).sum(axis=1, keepdims=True)
-            gx = (gm - y * inner) / safe
+            inner = (g * y).sum(axis=-1, keepdims=True)
+            gx = (g - y * inner) / safe
             if zero.any():
-                gx = np.where(zero[:, None], 0.0, gx)
-            return (gx.reshape(v.shape),)
+                gx = np.where(zero, 0.0, gx)
+            return (gx,)
 
-        out = self._record("l2_normalize", (x,), y.reshape(v.shape), vjp)
+        out = self._record("l2_normalize", (x,), y, vjp)
         if zero.any():
-            self.zero_norm_rows.append((out.id, tuple(np.nonzero(zero)[0])))
+            self.zero_norm_rows.append((out.id, tuple(np.flatnonzero(zero))))
         return out
 
     def cosine_matrix(self, a, b) -> Node:
@@ -243,16 +315,13 @@ class Graph:
         def vjp(g):
             return (g @ b.value, g.T @ a.value)
 
-        return self._record("cosine_matrix", (a, b), a.value @ b.value.T, vjp)
+        return self._record("cosine_matrix", (a, b), _cosine_matrix(a.value, b.value), vjp)
 
     def softmax_rows(self, x) -> Node:
         x = self._wrap(x)
-        v = x.value
-        if v.ndim != 2:
+        if x.value.ndim != 2:
             raise GraphError("softmax_rows expects a matrix")
-        shifted = v - v.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=1, keepdims=True)
+        y = _softmax_rows(x.value)
 
         def vjp(g):
             return ((g - (g * y).sum(axis=1, keepdims=True)) * y,)
@@ -264,13 +333,13 @@ class Graph:
     def sum(self, x) -> Node:
         x = self._wrap(x)
         shape = x.shape
-        return self._record("sum", (x,), np.asarray(x.value.sum()),
+        return self._record("sum", (x,), _sum(x.value, len(shape)),
                             lambda g: (np.full(shape, g),))
 
     def mean(self, x) -> Node:
         x = self._wrap(x)
         shape, size = x.shape, x.value.size
-        return self._record("mean", (x,), np.asarray(x.value.mean()),
+        return self._record("mean", (x,), _mean(x.value, len(shape)),
                             lambda g: (np.full(shape, g / size),))
 
     def sum_rows(self, x) -> Node:
@@ -279,7 +348,7 @@ class Graph:
         if x.value.ndim != 2:
             raise GraphError("sum_rows expects a matrix")
         cols = x.shape[1]
-        return self._record("sum_rows", (x,), x.value.sum(axis=1),
+        return self._record("sum_rows", (x,), _sum_rows(x.value),
                             lambda g: (np.repeat(g[:, None], cols, axis=1),))
 
     def detach(self, x) -> Node:
@@ -318,6 +387,137 @@ class Graph:
         return grads
 
 
+# -- value-only evaluation -------------------------------------------------------
+
+
+class Stacked:
+    """An Evaluator value: one array per replica along a leading axis, or,
+    when not stacked, one array shared by every replica."""
+
+    __slots__ = ("value", "stacked")
+
+    def __init__(self, value: Array, stacked: bool):
+        self.value = value
+        self.stacked = stacked
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Per-replica shape: the shape a Graph node of the same op has."""
+        return self.value.shape[1:] if self.stacked else self.value.shape
+
+
+class Evaluator:
+    """Graph's op surface, forward values only, at many parameter points at once.
+
+    Leaves made by stack() hold one copy per replica along a leading axis;
+    every other leaf is a constant shared by all replicas.  Ops call the same
+    kernels as Graph, so each replica's value is, bit for bit, the value a
+    graph computes at that replica's parameters in the evaluator's dtype.
+    Nothing is recorded (no nodes, no vjps, no node list), so intermediate
+    values are freed as soon as the caller drops them.  Shapes are not
+    checked here: grad_check builds every loss on a Graph first, which does.
+    """
+
+    def __init__(self, dtype=np.float64):
+        self.dtype = dtype
+
+    # -- leaves ----------------------------------------------------------
+
+    def stack(self, copies, name: str | None = None) -> Stacked:
+        """A leaf whose leading axis indexes the replicas."""
+        return self._leaf(copies, True, name)
+
+    def leaf(self, value, trainable: bool = False, name: str | None = None) -> Stacked:
+        return self._leaf(value, False, name)
+
+    def constant(self, value, name: str | None = None) -> Stacked:
+        return self._leaf(value, False, name)
+
+    def _leaf(self, value, stacked: bool, name: str | None) -> Stacked:
+        arr = np.asarray(value, dtype=self.dtype)
+        if not np.all(np.isfinite(arr)):
+            raise GraphError(f"non-finite leaf {name or ''!r}")
+        return Stacked(arr, stacked)
+
+    def _wrap(self, value) -> Stacked:
+        return value if isinstance(value, Stacked) else self.constant(value)
+
+    def _apply(self, kernel, inputs, *args) -> Stacked:
+        """kernel over the inputs' values, stacked if any input is."""
+        inputs = [self._wrap(x) for x in inputs]
+        return Stacked(kernel(*(x.value for x in inputs), *args),
+                       any(x.stacked for x in inputs))
+
+    # -- ops ---------------------------------------------------------------
+
+    def _elementwise(self, ufunc, a, b) -> Stacked:
+        a, b = self._wrap(a), self._wrap(b)
+        rank = max(len(a.shape), len(b.shape))
+
+        def aligned(x):
+            # A stacked scalar gets unit axes between replica axis and shape.
+            if not x.stacked or len(x.shape) == rank:
+                return x.value
+            return x.value.reshape(x.value.shape[:1] + (1,) * (rank - len(x.shape)) + x.shape)
+
+        return Stacked(ufunc(aligned(a), aligned(b)), a.stacked or b.stacked)
+
+    def add(self, a, b) -> Stacked:
+        return self._elementwise(np.add, a, b)
+
+    def mul(self, a, b) -> Stacked:
+        return self._elementwise(np.multiply, a, b)
+
+    def tanh(self, x) -> Stacked:
+        return self._apply(np.tanh, (x,))
+
+    def exp(self, x) -> Stacked:
+        return self._apply(np.exp, (x,))
+
+    def log(self, x) -> Stacked:
+        return self._apply(np.log, (x,))
+
+    def sigmoid(self, x) -> Stacked:
+        return self._apply(_sigmoid, (x,))
+
+    def clamp(self, x, lo: float, hi: float) -> Stacked:
+        return self._apply(_clamp, (x,), lo, hi)
+
+    def affine(self, x, w, b=None) -> Stacked:
+        return self._apply(_affine, (x, w) if b is None else (x, w, b))
+
+    def take_rows(self, sources, rows) -> Stacked:
+        sources = [self._wrap(s) for s in sources]
+        replicas = next((s.value.shape[0] for s in sources if s.stacked), None)
+        values = [s.value if s.stacked or replicas is None
+                  else np.broadcast_to(s.value, (replicas,) + s.shape) for s in sources]
+        return Stacked(_take_rows(values, np.asarray(rows, dtype=np.intp)),
+                       replicas is not None)
+
+    def l2_normalize(self, x) -> Stacked:
+        return self._apply(lambda v: _l2_normalize(v)[0], (x,))
+
+    def cosine_matrix(self, a, b) -> Stacked:
+        return self._apply(_cosine_matrix, (a, b))
+
+    def softmax_rows(self, x) -> Stacked:
+        return self._apply(_softmax_rows, (x,))
+
+    def sum(self, x) -> Stacked:
+        x = self._wrap(x)
+        return self._apply(_sum, (x,), len(x.shape))
+
+    def mean(self, x) -> Stacked:
+        x = self._wrap(x)
+        return self._apply(_mean, (x,), len(x.shape))
+
+    def sum_rows(self, x) -> Stacked:
+        return self._apply(_sum_rows, (x,))
+
+    def detach(self, x) -> Stacked:
+        return self._wrap(x)
+
+
 # -- gradient verification ----------------------------------------------------
 
 
@@ -342,20 +542,24 @@ def relative_error(a: Array, n: Array) -> Array:
     return np.abs(a - n) / denom
 
 
-def grad_check(loss_fn: Callable[[Graph, Mapping[str, Node]], Node],
+def grad_check(loss_fn: Callable[[Graph | Evaluator, Mapping], Node | Stacked],
                params: Mapping[str, Array],
                eps: float = 1e-5, tol: float = 1e-4) -> GradReport:
     """Compare backward() against central finite differences.
 
-    ``loss_fn(graph, leaves)`` must rebuild the same scalar loss from any
-    parameter assignment; discrete choices (mined indices, weak picks,
-    values behind detach) must be frozen by the caller so the rebuilt
-    function is smooth in the parameters.
+    ``loss_fn(graph, leaves)`` must build the same scalar loss from any
+    parameter assignment, on a Graph or on an Evaluator, through the op
+    surface the two share; discrete choices (mined indices, weak picks,
+    values behind detach) must be frozen by the caller so the function is
+    smooth in the parameters.
 
-    The difference quotients are evaluated on extended-precision graphs:
-    float64 evaluation rounds the loss to ~1 ulp, which at step 1e-5 leaves
-    ~5e-12 of noise on every numeric partial and would swamp true gradients
-    near the 1e-8 relative-error floor.
+    The analytic gradient comes from one float64 Graph.  The numeric one
+    comes from one long-double Evaluator pass over 2P replicas for the P
+    parameter coordinates (numbered through ``params`` in order): replica 2j
+    moves coordinate j by +eps and replica 2j+1 by -eps.  Long double keeps
+    the difference quotients clear of float64 rounding of the loss value,
+    which at step 1e-5 leaves ~5e-12 of noise on every numeric partial and
+    would swamp true gradients near the 1e-8 relative-error floor.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
@@ -365,27 +569,23 @@ def grad_check(loss_fn: Callable[[Graph, Mapping[str, Node]], Node],
     grads = graph.backward(loss)
     analytic = {k: grads[leaves[k]] for k in params}
 
-    work = {k: np.array(v, dtype=np.longdouble) for k, v in params.items()}
+    sizes = [np.size(v) for v in params.values()]
+    replicas = 2 * sum(sizes)
     eps_wide = np.longdouble(eps)
-
-    def value_at():
-        g = Graph(dtype=np.longdouble)
-        lv = {k: g.leaf(v, trainable=True, name=k) for k, v in work.items()}
-        return loss_fn(g, lv).value
-
-    numeric: dict[str, Array] = {}
-    for k in params:
-        flat = work[k].reshape(-1)
-        num = np.zeros(flat.shape[0])
-        for i in range(flat.shape[0]):
-            keep = flat[i]
-            flat[i] = keep + eps_wide
-            f_plus = value_at()
-            flat[i] = keep - eps_wide
-            f_minus = value_at()
-            flat[i] = keep
-            num[i] = float((f_plus - f_minus) / (2.0 * eps_wide))
-        numeric[k] = num.reshape(work[k].shape)
+    evaluator = Evaluator(np.longdouble)
+    stacked, first = {}, 0
+    for (k, v), size in zip(params.items(), sizes):
+        base = np.asarray(v, dtype=np.longdouble)
+        copies = np.repeat(base.reshape(1, size), replicas, axis=0)
+        coords = np.arange(size)
+        copies[2 * (first + coords), coords] += eps_wide
+        copies[2 * (first + coords) + 1, coords] -= eps_wide
+        stacked[k] = evaluator.stack(copies.reshape((replicas,) + base.shape), name=k)
+        first += size
+    f = np.broadcast_to(loss_fn(evaluator, stacked).value, (replicas,))
+    quotients = ((f[0::2] - f[1::2]) / (2.0 * eps_wide)).astype(np.float64)
+    numeric = {k: part.reshape(np.shape(params[k]))
+               for k, part in zip(params, np.split(quotients, np.cumsum(sizes)[:-1]))}
 
     max_err, worst = 0.0, None
     for k in params:

@@ -183,11 +183,12 @@ def read(path: str | Path) -> DatasetManifest:
             raise DatasetFormatError(f"{path}: record {index}: expected 4 fields, got {len(fields)}")
         try:
             identity, view = int(fields[0]), int(fields[1])
-            image = np.array([float(x) for x in fields[2].split(",")])
-            text_vec = np.array([float(x) for x in fields[3].split(",")])
+            # One conversion per vector; entries parse as Python's float() does.
+            image = np.array(fields[2].split(","), dtype=np.float64)
+            text_vec = np.array(fields[3].split(","), dtype=np.float64)
         except ValueError as exc:
             raise DatasetFormatError(f"{path}: record {index}: {exc}") from exc
-        if not (np.all(np.isfinite(image)) and np.all(np.isfinite(text_vec))):
+        if not (np.isfinite(image).all() and np.isfinite(text_vec).all()):
             raise DatasetFormatError(f"{path}: record {index}: non-finite vector entry")
         if image.shape[0] != cfg.raw_dim_image or text_vec.shape[0] != cfg.raw_dim_text:
             raise DatasetFormatError(f"{path}: record {index}: vector length mismatch")

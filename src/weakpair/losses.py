@@ -164,17 +164,15 @@ def uitc_loss(g: Graph, itc_weak: Node, u_w: Node, log_gamma: Node) -> Node:
 def itm_term(g: Graph, p_hat: Node, labels, clamps: ClampCounter | None = None) -> Node:
     """Negated log-likelihood -(p log p_hat + (1-p) log(1-p_hat)), elementwise.
 
-    Probabilities outside [1e-12, 1 - 1e-12] are clamped by adding the
-    detachable constant offset (clip(v) - v); the offset is zero whenever no
-    clamping occurs, so the graph is exact in the common case.
+    Probabilities outside [1e-12, 1 - 1e-12] are clamped by g.clamp, which
+    adds the offset (clip(v) - v) with a pass-through gradient; no clamp is
+    recorded when nothing moves, so the graph is exact in the common case.
     """
     y = np.asarray(labels, dtype=np.float64)
-    v = p_hat.value
-    clipped = np.clip(v, CLAMP_LO, CLAMP_HI)
-    if not np.array_equal(clipped, v):
-        if clamps is not None:
-            clamps.count += int(np.count_nonzero(clipped != v))
-        p_hat = g.add(p_hat, g.constant(clipped - v))
+    clamped = g.clamp(p_hat, CLAMP_LO, CLAMP_HI)
+    if clamped is not p_hat and clamps is not None:
+        clamps.count += int(np.count_nonzero(clamped.value != p_hat.value))
+    p_hat = clamped
     log_p = g.log(p_hat)
     log_1mp = g.log(g.add(g.constant(1.0), g.mul(p_hat, -1.0)))
     ll = g.add(g.mul(g.constant(y), log_p),

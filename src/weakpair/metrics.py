@@ -14,6 +14,7 @@ match these implementations exactly rather than to a tolerance.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -221,22 +222,39 @@ def margin_stats(txt_emb: np.ndarray, img_emb: np.ndarray,
     )
 
 
+def _members(ids: list) -> dict:
+    """Identity -> ascending indices of its records."""
+    members: dict = {}
+    for index, identity in enumerate(ids):
+        members.setdefault(identity, []).append(index)
+    return members
+
+
 def margin_tuples(identities: np.ndarray,
                   rng: np.random.Generator) -> list[tuple[int, int, int, int]]:
     """One (query, positive, weak, negative) tuple per record.
 
     The weak pick is a same-identity other record (the record itself when
-    the identity is a singleton); the negative is any other identity.
+    the identity is a singleton); the negative is any other identity.  Both
+    are uniform draws over ascending record indices, weak first.
     """
-    n = identities.shape[0]
+    ids = identities.tolist()
+    members = _members(ids)
+    # before[identity][j]: records of other identities ahead of member j.
+    before = {identity: [m - j for j, m in enumerate(rows)] for identity, rows in members.items()}
     tuples = []
-    for q in range(n):
-        same = np.nonzero((identities == identities[q]) & (np.arange(n) != q))[0]
-        diff = np.nonzero(identities != identities[q])[0]
-        if diff.shape[0] == 0:
+    for q, identity in enumerate(ids):
+        rows = members[identity]
+        if len(rows) == len(ids):
             raise ValueError("margin tuples need at least two identities")
-        weak = q if same.shape[0] == 0 else int(same[int(rng.integers(same.shape[0]))])
-        neg = int(diff[int(rng.integers(diff.shape[0]))])
+        weak = q
+        if len(rows) > 1:
+            # The k-th member other than q: members from q on shift by one.
+            k = int(rng.integers(len(rows) - 1))
+            weak = rows[k] if rows[k] < q else rows[k + 1]
+        # The k-th record outside the identity: k plus the members ahead of it.
+        k = int(rng.integers(len(ids) - len(rows)))
+        neg = k + bisect.bisect_right(before[identity], k)
         tuples.append((q, q, weak, neg))
     return tuples
 
@@ -250,9 +268,7 @@ def query_uncertainty(img_emb: np.ndarray, txt_emb: np.ndarray,
     which pins their uncertainty to the mapping's floor.
     """
     ids = identities.tolist()
-    members: dict[int, list[int]] = {}
-    for index, identity in enumerate(ids):
-        members.setdefault(identity, []).append(index)
+    members = _members(ids)
     out = np.empty(len(ids))
     for q, identity in enumerate(ids):
         others = [o for o in members[identity] if o != q]

@@ -130,6 +130,34 @@ class TestIO:
         with pytest.raises(DatasetFormatError, match="record 0"):
             read(path)
 
+    def test_vectors_equal_per_entry_float_parse(self, tmp_path):
+        d = generate(cfg(num_identities=30, views_per_identity=3,
+                         raw_dim_image=48, raw_dim_text=40))
+        path = tmp_path / "data.tsv"
+        write(d, path)
+        back = read(path)
+        for line, rec in zip(path.read_text().splitlines()[1:], back.records):
+            fields = line.split("\t")
+            for got, field in ((rec.image_raw, fields[2]), (rec.text_raw, fields[3])):
+                want = np.array([float(x) for x in field.split(",")])
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda f: f[:3], "expected 4 fields, got 3"),
+        (lambda f: f[:2] + [f[2].replace(",", ",x", 1), f[3]], "could not convert"),
+        (lambda f: f[:2] + [f[2], "inf" + f[3][f[3].index(","):]], "non-finite"),
+        (lambda f: f[:2] + [f[2] + ",1.0", f[3]], "vector length mismatch"),
+        (lambda f: ["0", "0"] + f[2:], "duplicate"),
+    ])
+    def test_each_check_names_the_record(self, tmp_path, damage, message):
+        path = tmp_path / "data.tsv"
+        write(generate(cfg()), path)
+        lines = path.read_text().splitlines()
+        lines[5] = "\t".join(damage(lines[5].split("\t")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=f"record 4: {message}"):
+            read(path)
+
     def test_empty_record_file(self, tmp_path):
         d = generate(cfg())
         path = tmp_path / "empty.tsv"

@@ -1,0 +1,200 @@
+"""Value-only stacked evaluation: every replica equals its own Graph, bit for bit."""
+
+import numpy as np
+import pytest
+
+from weakpair import autograd
+from weakpair.autograd import Evaluator, Graph, grad_check
+from weakpair.losses import CLAMP_HI, CLAMP_LO, itm_term
+from weakpair.verify import (LOSS_NAMES, _op_cases, loss_builder, loss_params,
+                             random_instance)
+
+_OP_NAMES = [name for name, _, _ in _op_cases(np.random.default_rng(0))]
+
+
+def replicas_of(params, count, rng):
+    """count distinct perturbed copies of every parameter."""
+    return [{k: v + rng.normal(0.0, 1e-3, size=np.shape(v)) for k, v in params.items()}
+            for _ in range(count)]
+
+
+def stacked_values(fn, copies, dtype=np.float64):
+    ev = Evaluator(dtype)
+    leaves = {k: ev.stack(np.stack([c[k] for c in copies]), name=k) for k in copies[0]}
+    out = fn(ev, leaves)
+    assert out.stacked and out.value.shape == (len(copies),) + out.shape
+    return out.value
+
+
+def graph_value(fn, params):
+    g = Graph()
+    return fn(g, {k: g.leaf(v, trainable=True, name=k) for k, v in params.items()}).value
+
+
+def plain_value(fn, params, dtype):
+    ev = Evaluator(dtype)
+    return fn(ev, {k: ev.leaf(v, name=k) for k, v in params.items()}).value
+
+
+def assert_bitwise_equal(got, want):
+    # Equal values with equal signs are equal bits (no NaN arises here);
+    # tobytes() would also compare long double's padding bytes.
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), \
+        (got, want)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("name", _OP_NAMES)
+def test_op_cases_match_graph_per_replica(name, count):
+    rng = np.random.default_rng(2)
+    _, params, fn = next(case for case in _op_cases(rng) if case[0] == name)
+    copies = replicas_of(params, count, rng)
+    values = stacked_values(fn, copies)
+    for replica, point in zip(values, copies):
+        assert_bitwise_equal(replica, graph_value(fn, point))
+
+
+@pytest.mark.parametrize("name", _OP_NAMES)
+def test_op_cases_stack_exactly_in_long_double(name):
+    """grad_check's own regime: stacked long double equals unstacked long double."""
+    rng = np.random.default_rng(3)
+    _, params, fn = next(case for case in _op_cases(rng) if case[0] == name)
+    copies = replicas_of(params, 3, rng)
+    values = stacked_values(fn, copies, np.longdouble)
+    for replica, point in zip(values, copies):
+        assert_bitwise_equal(replica, plain_value(fn, point, np.longdouble))
+
+
+@pytest.mark.parametrize("loss", LOSS_NAMES)
+def test_losses_match_graph_per_replica(loss):
+    rng = np.random.default_rng(4)
+    inst = random_instance(rng)
+    fn = loss_builder(loss, inst)
+    copies = replicas_of(loss_params(loss, inst), 3, rng)
+    values = stacked_values(fn, copies)
+    for replica, point in zip(values, copies):
+        assert_bitwise_equal(replica, graph_value(fn, point))
+
+
+def test_gather_layout_does_not_change_sums():
+    """stacked[..., rows, :] is not C-contiguous, and a reduction over the
+    whole stack then adds in another order than each replica's own array;
+    the gather must come out C-contiguous and every sum must match."""
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 40, size=30)
+    weights = rng.normal(size=(30, 16))
+    copies = [{"a": rng.normal(size=(40, 16))} for _ in range(5)]
+    assert not np.stack([c["a"] for c in copies])[..., rows, :].flags.c_contiguous
+
+    ev = Evaluator()
+    gathered = ev.take_rows((ev.stack(np.stack([c["a"] for c in copies])),), rows)
+    assert gathered.value.flags.c_contiguous
+
+    def fn(g, lv):
+        taken = g.take_rows((lv["a"],), rows)
+        return g.add(g.sum(taken), g.mean(g.mul(taken, g.constant(weights))))
+
+    for replica, point in zip(stacked_values(fn, copies), copies):
+        assert_bitwise_equal(replica, graph_value(fn, point))
+
+
+def test_mixed_stacked_and_shared_operands():
+    """Stacked scalars against matrices, shared sources beside stacked ones."""
+    rng = np.random.default_rng(6)
+    shared = rng.normal(size=(2, 3))
+
+    def fn(g, lv):
+        scaled = g.mul(g.exp(lv["s"]), g.take_rows((lv["m"], g.constant(shared)), [3, 0, 4]))
+        return g.sum(g.affine(scaled, g.constant(np.ones((3, 2))), lv["b"]))
+
+    params = {"s": np.asarray(0.3), "m": rng.normal(size=(3, 3)), "b": rng.normal(size=2)}
+    copies = replicas_of(params, 3, rng)
+    for replica, point in zip(stacked_values(fn, copies), copies):
+        assert_bitwise_equal(replica, graph_value(fn, point))
+
+
+class TestClamp:
+    def test_value_and_pass_through_gradient(self):
+        g = Graph()
+        x = g.leaf([-0.5, 0.5, 2.0], trainable=True)
+        y = g.clamp(x, 0.0, 1.0)
+        np.testing.assert_array_equal(y.value, [0.0, 0.5, 1.0])
+        grads = g.backward(g.sum(g.mul(y, g.constant([2.0, 3.0, 5.0]))))
+        np.testing.assert_array_equal(grads[x], [2.0, 3.0, 5.0])
+
+    def test_not_recorded_when_nothing_moves(self):
+        g = Graph()
+        x = g.constant([0.2, 0.7])
+        before = len(g.nodes)
+        assert g.clamp(x, 0.0, 1.0) is x and len(g.nodes) == before
+
+    def test_replicas_that_clamp_and_replicas_that_do_not(self):
+        """Replica 0 clamps nothing; 1 saturates high, 2 low."""
+        labels = np.array([[1.0], [0.0], [1.0]])
+
+        def fn(g, lv):
+            return g.sum(itm_term(g, g.sigmoid(lv["x"]), labels))
+
+        base = np.array([[0.3], [-1.2], [2.0]])
+        copies = [{"x": base}, {"x": base + [[45.0], [0.0], [0.0]]},
+                  {"x": base + [[0.0], [-45.0], [0.0]]}]
+        clamp_nodes = []
+        for point in copies:
+            g = Graph()
+            p_hat = g.sigmoid(g.constant(point["x"]))
+            itm_term(g, p_hat, labels)
+            clamp_nodes.append(sum(node.op == "clamp" for node in g.nodes))
+            outside = (p_hat.value < CLAMP_LO) | (p_hat.value > CLAMP_HI)
+            assert outside.any() == (clamp_nodes[-1] == 1)
+        assert clamp_nodes == [0, 1, 1]
+        for replica, point in zip(stacked_values(fn, copies), copies):
+            assert_bitwise_equal(replica, graph_value(fn, point))
+        for replica, point in zip(stacked_values(fn, copies, np.longdouble), copies):
+            assert_bitwise_equal(replica, plain_value(fn, point, np.longdouble))
+
+
+def test_grad_check_builds_one_graph_and_one_stacked_pass(monkeypatch):
+    """A per-coordinate rebuild would call the builder ~2P more times."""
+    inst = random_instance(np.random.default_rng(7))
+    build = loss_builder("total", inst)
+    built = []
+    init = autograd.Graph.__init__
+
+    def counting_init(graph):
+        built.append(graph)
+        init(graph)
+
+    monkeypatch.setattr(autograd.Graph, "__init__", counting_init)
+    fronts = []
+
+    def counting_build(g, lv):
+        fronts.append(type(g))
+        return build(g, lv)
+
+    report = grad_check(counting_build, loss_params("total", inst))
+    assert len(built) == 1 and fronts == [Graph, Evaluator]
+    assert report.passed, report.max_rel_error
+
+
+@pytest.mark.parametrize("loss", ["itc", "gitm"])
+def test_numeric_partials_equal_per_coordinate_loop(loss):
+    """The stacked pass against the loop it replaced: two unstacked
+    long-double builds per coordinate."""
+    inst = random_instance(np.random.default_rng(8))
+    fn, params = loss_builder(loss, inst), loss_params(loss, inst)
+    report = grad_check(fn, params)
+    eps = np.longdouble(1e-5)
+    for k, v in params.items():
+        point = {kk: np.asarray(vv, dtype=np.longdouble) for kk, vv in params.items()}
+        flat = point[k].reshape(-1)
+        want = np.zeros(flat.shape[0])
+        for i in range(flat.shape[0]):
+            keep = flat[i]
+            flat[i] = keep + eps
+            f_plus = plain_value(fn, point, np.longdouble)
+            flat[i] = keep - eps
+            f_minus = plain_value(fn, point, np.longdouble)
+            flat[i] = keep
+            want[i] = float((f_plus - f_minus) / (2.0 * eps))
+        assert_bitwise_equal(report.numeric[k], want.reshape(np.shape(v)))

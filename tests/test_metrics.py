@@ -349,3 +349,40 @@ def test_non_finite_score_rejected_naming_the_query(bad):
     relevance = np.array([[True, False], [False, True], [True, True]])
     with pytest.raises(ValueError, match="query 1"):
         rank_queries(scores, relevance, np.zeros(3))
+
+
+def oracle_margin_tuples(identities, rng):
+    """The per-record form: two full-gallery identity masks per record."""
+    n = identities.shape[0]
+    tuples = []
+    for q in range(n):
+        same = np.nonzero((identities == identities[q]) & (np.arange(n) != q))[0]
+        diff = np.nonzero(identities != identities[q])[0]
+        if diff.shape[0] == 0:
+            raise ValueError("margin tuples need at least two identities")
+        weak = q if same.shape[0] == 0 else int(same[int(rng.integers(same.shape[0]))])
+        neg = int(diff[int(rng.integers(diff.shape[0]))])
+        tuples.append((q, q, weak, neg))
+    return tuples
+
+
+@given(ids=st.lists(st.integers(0, 4), min_size=0, max_size=40), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_margin_tuples_match_per_record_masks(ids, seed):
+    """Few identity values, so repeats and singletons both occur; the draws
+    (weak, then negative, per record) must consume the generator alike."""
+    identities = np.array(ids, dtype=np.int64)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        want = oracle_margin_tuples(identities, want_rng)
+    except ValueError:
+        with pytest.raises(ValueError, match="two identities"):
+            margin_tuples(identities, got_rng)
+        return
+    assert margin_tuples(identities, got_rng) == want
+    assert got_rng.integers(2 ** 62) == want_rng.integers(2 ** 62)
+
+
+def test_margin_tuples_reject_one_identity():
+    with pytest.raises(ValueError, match="two identities"):
+        margin_tuples(np.array([3, 3, 3]), np.random.default_rng(0))
