@@ -3,8 +3,8 @@
 The op set is the minimal closure needed by the losses in this package:
 affine maps, elementwise add/multiply, tanh, exp, log, sigmoid, a
 pass-through clamp, row gathers (take_rows), row-wise L2 normalization,
-row-cosine matrices, row softmax, sum/mean reductions, and detach
-(stop-gradient).
+row-cosine matrices, each row's log-softmax at one column
+(log_softmax_at), sum/mean reductions, and detach (stop-gradient).
 
 Each op's forward math is one module-level kernel written over trailing
 axes, shared by two front ends with the same op surface:
@@ -82,9 +82,14 @@ def _cosine_matrix(a: Array, b: Array) -> Array:
     return np.matmul(a, np.swapaxes(b, -1, -2))
 
 
-def _softmax_rows(v: Array) -> Array:
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def _log_softmax_at(v: Array, cols: Array) -> tuple[Array, Array]:
+    """Row i's log-softmax at column cols[i], and the row probabilities."""
+    shifted = v - v.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1)
+    # The log of a picked probability could underflow to -inf; this cannot.
+    picked = shifted[..., np.arange(cols.shape[0]), cols] - np.log(total)
+    return picked, e / total[..., None]
 
 
 def _sum_rows(v: Array) -> Array:
@@ -149,6 +154,8 @@ class Graph:
         self.nodes: list[Node] = []
         # (node id, row indices) for every zero-norm row seen by l2_normalize.
         self.zero_norm_rows: list[tuple[int, tuple[int, ...]]] = []
+        # Number of entries that clamp has moved onto its interval.
+        self.clamped = 0
 
     # -- leaves ----------------------------------------------------------
 
@@ -233,12 +240,15 @@ class Graph:
         """x moved onto [lo, hi]; the gradient passes through unchanged.
 
         Recorded only when some entry moves; otherwise x itself is returned,
-        so a graph without clamping carries no extra node.
+        so a graph without clamping carries no extra node.  Moved entries are
+        counted in self.clamped.
         """
         x = self._wrap(x)
         y = _clamp(x.value, lo, hi)
-        if np.array_equal(y, x.value):
+        moved = int(np.count_nonzero(y != x.value))
+        if moved == 0:
             return x
+        self.clamped += moved
         return self._record("clamp", (x,), y, lambda g: (g,))
 
     # -- linear / row-wise ops ---------------------------------------------
@@ -317,16 +327,22 @@ class Graph:
 
         return self._record("cosine_matrix", (a, b), _cosine_matrix(a.value, b.value), vjp)
 
-    def softmax_rows(self, x) -> Node:
+    def log_softmax_at(self, x, cols) -> Node:
+        """(n,m) -> (n,): row i's log-softmax at column cols[i]."""
         x = self._wrap(x)
-        if x.value.ndim != 2:
-            raise GraphError("softmax_rows expects a matrix")
-        y = _softmax_rows(x.value)
+        cols = np.asarray(cols)
+        if (x.value.ndim != 2 or cols.shape != x.shape[:1] or cols.dtype.kind not in "iu"
+                or np.any((cols < 0) | (cols >= x.shape[1]))):
+            raise GraphError(f"log_softmax_at needs one column of {x.shape} per row, "
+                             f"got {cols.tolist()}")
+        y, p = _log_softmax_at(x.value, cols)
 
         def vjp(g):
-            return ((g - (g * y).sum(axis=1, keepdims=True)) * y,)
+            onehot = np.zeros_like(p)
+            onehot[np.arange(cols.shape[0]), cols] = 1.0
+            return (g[:, None] * (onehot - p),)
 
-        return self._record("softmax_rows", (x,), y, vjp)
+        return self._record("log_softmax_at", (x,), y, vjp)
 
     # -- reductions ----------------------------------------------------------
 
@@ -500,8 +516,9 @@ class Evaluator:
     def cosine_matrix(self, a, b) -> Stacked:
         return self._apply(_cosine_matrix, (a, b))
 
-    def softmax_rows(self, x) -> Stacked:
-        return self._apply(_softmax_rows, (x,))
+    def log_softmax_at(self, x, cols) -> Stacked:
+        cols = np.asarray(cols)
+        return self._apply(lambda v: _log_softmax_at(v, cols)[0], (x,))
 
     def sum(self, x) -> Stacked:
         x = self._wrap(x)

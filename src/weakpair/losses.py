@@ -4,7 +4,8 @@ All losses are assembled on an autograd Graph from unit-norm embedding rows
 and are minimized.
 
 itc_loss       temperature-scaled softmax cross-entropy over in-batch
-               cosines, both retrieval directions, positives on the diagonal.
+               cosines, both retrieval directions, positives on the diagonal,
+               from one fused log-softmax (Graph.log_softmax_at) per direction.
 consistency_uncertainty
                per-anchor consistency s_w = (cos(f_I, f_Iw) + cos(f_T, f_Tw)) / 2
                and its uncertainty u_w under a selectable monotone mapping.
@@ -35,8 +36,8 @@ from .mining import PairGroup
 
 MAPPINGS = ("exponential", "linear", "power")
 
-# Match probabilities are clamped away from {0, 1} before the logarithm; the
-# counter records how often that actually happened.
+# Match probabilities are clamped away from {0, 1} before the logarithm;
+# Graph.clamped counts how often that actually happened.
 CLAMP_LO = 1e-12
 CLAMP_HI = 1.0 - 1e-12
 
@@ -60,11 +61,6 @@ class UncertaintyScore:
 
     s_w: Node
     u_w: Node
-
-
-@dataclass
-class ClampCounter:
-    count: int = 0
 
 
 @dataclass
@@ -95,26 +91,20 @@ def mapping_value(s, mapping: str):
     raise ValueError(f"unknown uncertainty mapping {mapping!r}")
 
 
-def matching_scores(g: Graph, f_img: Node, f_txt: Node, log_tau: Node) -> Node:
-    """Row-normalized match scores: softmax over cosines divided by tau.
-
-    Row i gives the distribution of image i over the batch of texts; call
-    with arguments swapped for the text-to-image direction.
-    """
-    if f_img.shape[0] == 0:
-        raise ValueError("matching_scores needs a nonempty batch")
-    inv_tau = g.exp(g.mul(log_tau, -1.0))
-    return g.softmax_rows(g.mul(g.cosine_matrix(f_img, f_txt), inv_tau))
-
-
 def itc_loss(g: Graph, f_img: Node, f_txt: Node, log_tau: Node) -> Node:
-    """Contrastive loss with diagonal positives, both directions, batch mean."""
+    """Contrastive loss with diagonal positives, both directions, batch mean.
+
+    Row i of cos(f_img, f_txt) / tau holds the logits of image i over the
+    batch of texts, and its log-softmax at column i is the log-likelihood of
+    the true text; the text-to-image direction swaps the arguments.
+    """
     n = f_img.shape[0]
-    eye = g.constant(np.eye(n))
-    scores_it = matching_scores(g, f_img, f_txt, log_tau)
-    scores_ti = matching_scores(g, f_txt, f_img, log_tau)
-    log_it = g.log(g.sum_rows(g.mul(scores_it, eye)))
-    log_ti = g.log(g.sum_rows(g.mul(scores_ti, eye)))
+    if n == 0:
+        raise ValueError("itc_loss needs a nonempty batch")
+    inv_tau = g.exp(g.mul(log_tau, -1.0))
+    diagonal = np.arange(n)
+    log_it = g.log_softmax_at(g.mul(g.cosine_matrix(f_img, f_txt), inv_tau), diagonal)
+    log_ti = g.log_softmax_at(g.mul(g.cosine_matrix(f_txt, f_img), inv_tau), diagonal)
     return g.mul(g.add(g.mean(log_it), g.mean(log_ti)), -1.0)
 
 
@@ -161,7 +151,7 @@ def uitc_loss(g: Graph, itc_weak: Node, u_w: Node, log_gamma: Node) -> Node:
                  g.mul(gamma, u_const))
 
 
-def itm_term(g: Graph, p_hat: Node, labels, clamps: ClampCounter | None = None) -> Node:
+def itm_term(g: Graph, p_hat: Node, labels) -> Node:
     """Negated log-likelihood -(p log p_hat + (1-p) log(1-p_hat)), elementwise.
 
     Probabilities outside [1e-12, 1 - 1e-12] are clamped by g.clamp, which
@@ -169,10 +159,7 @@ def itm_term(g: Graph, p_hat: Node, labels, clamps: ClampCounter | None = None) 
     recorded when nothing moves, so the graph is exact in the common case.
     """
     y = np.asarray(labels, dtype=np.float64)
-    clamped = g.clamp(p_hat, CLAMP_LO, CLAMP_HI)
-    if clamped is not p_hat and clamps is not None:
-        clamps.count += int(np.count_nonzero(clamped.value != p_hat.value))
-    p_hat = clamped
+    p_hat = g.clamp(p_hat, CLAMP_LO, CLAMP_HI)
     log_p = g.log(p_hat)
     log_1mp = g.log(g.add(g.constant(1.0), g.mul(p_hat, -1.0)))
     ll = g.add(g.mul(g.constant(y), log_p),
@@ -188,27 +175,25 @@ def _rows(g: Graph, rows: list[int], strong: Node, weak: Node) -> Node:
 
 
 def _pair_term(g: Graph, head, pairs: list[tuple[int, int, int]], f_img: Node,
-               f_txt: Node, f_img_w: Node, f_txt_w: Node, clamps: ClampCounter | None) -> Node:
+               f_txt: Node, f_img_w: Node, f_txt_w: Node) -> Node:
     """Matching loss per (image row, text row, label) triple, rows as in _rows."""
     img, txt, labels = zip(*pairs)
     p_hat = match_probability(g, head, _rows(g, img, f_img, f_img_w),
                               _rows(g, txt, f_txt, f_txt_w))
-    return itm_term(g, p_hat, np.array(labels, dtype=np.float64)[:, None], clamps)
+    return itm_term(g, p_hat, np.array(labels, dtype=np.float64)[:, None])
 
 
-def itm_loss(g: Graph, head, f_img: Node, f_txt: Node, groups: list[PairGroup],
-             clamps: ClampCounter | None = None) -> Node:
+def itm_loss(g: Graph, head, f_img: Node, f_txt: Node, groups: list[PairGroup]) -> Node:
     """Mean matching loss over every strong pair and its two mined negatives."""
     pairs = []
     for grp in groups:
         i = grp.anchor
         pairs += [(i, i, 1), (i, grp.itm_neg_text, 0), (grp.itm_neg_image, i, 0)]
-    return g.mean(_pair_term(g, head, pairs, f_img, f_txt, f_img, f_txt, clamps))
+    return g.mean(_pair_term(g, head, pairs, f_img, f_txt, f_img, f_txt))
 
 
 def gitm_batch_loss(g: Graph, head, f_img: Node, f_txt: Node, f_img_w: Node,
-                    f_txt_w: Node, groups: list[PairGroup],
-                    clamps: ClampCounter | None = None) -> tuple[Node, Node]:
+                    f_txt_w: Node, groups: list[PairGroup]) -> tuple[Node, Node]:
     """Both group-wise branch losses, averaged over all groups.
 
     The text branch scores (anchor image, weak text) against the anchor
@@ -224,8 +209,8 @@ def gitm_batch_loss(g: Graph, head, f_img: Node, f_txt: Node, f_img_w: Node,
         i = grp.anchor
         txt_pairs += [(i, n + i, 1)] + [(i, j, 0) for j in grp.neg_texts]
         img_pairs += [(n + i, i, 1)] + [(j, i, 0) for j in grp.neg_images]
-    branch_txt = g.mean(_pair_term(g, head, txt_pairs, f_img, f_txt, f_img_w, f_txt_w, clamps))
-    branch_img = g.mean(_pair_term(g, head, img_pairs, f_img, f_txt, f_img_w, f_txt_w, clamps))
+    branch_txt = g.mean(_pair_term(g, head, txt_pairs, f_img, f_txt, f_img_w, f_txt_w))
+    branch_img = g.mean(_pair_term(g, head, img_pairs, f_img, f_txt, f_img_w, f_txt_w))
     return branch_txt, branch_img
 
 

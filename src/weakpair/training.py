@@ -27,7 +27,7 @@ from .autograd import Array, Graph, Node
 from .data import DatasetManifest, PairRecord
 from .encoders import (EmbeddingBatch, ModelDims, encode, init_model,
                        leaf_group, params_to_dict)
-from .losses import (ClampCounter, LossReport, LossWeights, MAPPINGS,
+from .losses import (LossReport, LossWeights, MAPPINGS,
                      consistency_uncertainty, gitm_batch_loss, itc_loss,
                      itm_loss, total_loss, uitc_loss, weak_itc_loss)
 from .mining import (MiningConfig, MiningStarvationError, PairGroup,
@@ -180,7 +180,6 @@ class AssembledLosses:
     s_values: Array | None
     u_values: Array | None
     u_mean: float | None
-    clamps: int
 
     def report(self, weights: LossWeights) -> LossReport:
         def val(key: str) -> float:
@@ -210,7 +209,6 @@ def encode_step(g: Graph, leaves, data: StepData, need_weak: bool
 
 def assemble_losses(g: Graph, leaves, enc, groups: list[PairGroup], mode: str,
                     mapping: str, weights: LossWeights,
-                    clamps: ClampCounter | None = None,
                     u_override: float | None = None) -> AssembledLosses:
     """Build the mode's loss nodes from already-encoded embeddings.
 
@@ -221,10 +219,9 @@ def assemble_losses(g: Graph, leaves, enc, groups: list[PairGroup], mode: str,
     """
     f_img, f_txt, f_img_w, f_txt_w = enc
     head = leaf_group(leaves, "head")
-    clamps = clamps if clamps is not None else ClampCounter()
     nodes: dict[str, Node | None] = {
         "itc": itc_loss(g, f_img, f_txt, leaves["log_tau"]),
-        "itm": itm_loss(g, head, f_img, f_txt, groups, clamps),
+        "itm": itm_loss(g, head, f_img, f_txt, groups),
         "uitc": None, "gitm_txt": None, "gitm_img": None,
     }
     s_values = u_values = u_mean = None
@@ -241,10 +238,10 @@ def assemble_losses(g: Graph, leaves, enc, groups: list[PairGroup], mode: str,
         nodes["uitc"] = uitc_loss(g, weak_itc, u_node, leaves["log_gamma"])
     if mode == "uitc_gitm":
         nodes["gitm_txt"], nodes["gitm_img"] = gitm_batch_loss(
-            g, head, f_img, f_txt, f_img_w, f_txt_w, groups, clamps)
+            g, head, f_img, f_txt, f_img_w, f_txt_w, groups)
     nodes["total"] = total_loss(g, nodes["itc"], nodes["itm"], nodes["uitc"],
                                 nodes["gitm_txt"], nodes["gitm_img"], weights)
-    return AssembledLosses(nodes, s_values, u_values, u_mean, clamps.count)
+    return AssembledLosses(nodes, s_values, u_values, u_mean)
 
 
 def _epoch_plan(ids: list[int], pools: dict[int, list[PairRecord]],
@@ -389,7 +386,7 @@ def train(cfg: TrainConfig, data: DatasetManifest,
         else:
             u_min = u_max = float("nan")
         log.steps.append(StepRecord(step, lr, report, u_min, u_max,
-                                    assembled.clamps, time.perf_counter() - started))
+                                    g.clamped, time.perf_counter() - started))
 
     ckpt = Checkpoint(CHECKPOINT_VERSION, cfg, params, opt_m, opt_v, opt_t, end_step)
     return ckpt, log

@@ -17,8 +17,8 @@ import numpy as np
 from .autograd import Graph, grad_check
 from .encoders import (EmbeddingBatch, ModelDims, init_model, leaf_group,
                        params_to_dict)
-from .losses import (LossWeights, gitm_batch_loss, itc_loss, itm_loss,
-                     uitc_loss, weak_itc_loss)
+from .losses import (LossWeights, consistency_uncertainty, gitm_batch_loss,
+                     itc_loss, itm_loss, uitc_loss, weak_itc_loss)
 from .mining import MiningConfig, build_groups
 from .training import StepData, assemble_losses, encode_step
 
@@ -84,8 +84,8 @@ def _op_cases(rng: np.random.Generator):
          weighted(lambda g, lv: g.l2_normalize(lv["x"]), c34)),
         ("cosine_matrix", {"a": a, "b": b},
          weighted(lambda g, lv: g.cosine_matrix(lv["a"], lv["b"]), c33)),
-        ("softmax_rows", {"x": a},
-         weighted(lambda g, lv: g.softmax_rows(lv["x"]), c34)),
+        ("log_softmax_at", {"x": a},
+         weighted(lambda g, lv: g.log_softmax_at(lv["x"], [3, 0, 3]), c3)),
         ("sum_rows", {"x": a},
          lambda g, lv: g.sum(g.mul(g.sum_rows(lv["x"]), g.constant(c3)))),
         ("sum", {"x": a}, lambda g, lv: g.mul(g.sum(lv["x"]), 0.7)),
@@ -151,9 +151,8 @@ def random_instance(rng: np.random.Generator, dims: ModelDims = _CHECK_DIMS,
     batch = EmbeddingBatch(enc[0].value, enc[1].value, enc[2].value, enc[3].value,
                            data.identities)
     groups = build_groups(batch, MiningConfig("custom", k))
-    assembled = assemble_losses(g, leaves, enc, groups, "uitc_gitm",
-                                "exponential", LossWeights())
-    return LossInstance(params, data, groups, assembled.u_mean)
+    u_w = consistency_uncertainty(g, *enc, "exponential").u_w
+    return LossInstance(params, data, groups, float(g.mean(u_w).value))
 
 
 def _total(g, full, enc, inst):

@@ -1,6 +1,7 @@
 """Kernel contracts: op semantics, backward correctness, stop-gradient."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -71,22 +72,33 @@ class TestCosineMatrix:
         assert out.min() >= -1.0 - 1e-9 and out.max() <= 1.0 + 1e-9
 
 
+def softmax_from_log(g, logits):
+    """Every column's probability, one log_softmax_at per column."""
+    n, m = logits.shape
+    x = g.constant(logits)
+    return np.stack([np.exp(g.log_softmax_at(x, np.full(n, c)).value)
+                     for c in range(m)], axis=1)
+
+
 class TestSoftmaxRows:
+    """The row softmax, as log_softmax_at gives it in log space."""
+
     def test_symmetry(self):
         g = Graph()
-        np.testing.assert_array_equal(g.softmax_rows(g.constant([[0.0, 0.0]])).value,
-                                      [[0.5, 0.5]])
+        x = g.constant([[0.0, 0.0]])
+        for col in (0, 1):
+            np.testing.assert_array_equal(g.log_softmax_at(x, [col]).value,
+                                          [-math.log(2.0)])
 
     def test_large_logits_stable(self):
         g = Graph()
-        out = g.softmax_rows(g.constant([[1000.0, 0.0]])).value
+        out = g.log_softmax_at(g.constant([[1000.0, 0.0], [1000.0, 0.0]]), [0, 1]).value
         assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(out, [[1.0, 0.0]], rtol=0, atol=1e-300)
+        np.testing.assert_array_equal(out, [0.0, -1000.0])
 
     def test_random_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        g = Graph()
-        out = g.softmax_rows(g.constant(rng.normal(size=(4, 4)))).value
+        out = softmax_from_log(Graph(), rng.normal(size=(4, 4)))
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
     @given(st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e6))
@@ -94,8 +106,33 @@ class TestSoftmaxRows:
     def test_rows_sum_to_one_up_to_huge_entries(self, seed, scale):
         logits = scale * np.random.default_rng(seed).uniform(-1, 1, size=(3, 5))
         g = Graph()
-        out = g.softmax_rows(g.constant(logits)).value
+        cols = np.random.default_rng(seed).integers(0, 5, size=3)
+        assert np.all(np.isfinite(g.log_softmax_at(g.constant(logits), cols).value))
+        out = softmax_from_log(g, logits)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+
+    def test_gradient_is_onehot_minus_probabilities(self):
+        logits = np.array([[0.5, -1.0, 2.0], [0.0, 0.0, 0.0]])
+        g = Graph()
+        x = g.leaf(logits, trainable=True)
+        grad = g.backward(g.sum(g.mul(g.log_softmax_at(x, [2, 0]), g.constant([3.0, -1.0]))))[x]
+        p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        want = np.array([[3.0], [-1.0]]) * (np.array([[0, 0, 1], [1, 0, 0]]) - p)
+        np.testing.assert_allclose(grad, want, rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("value, cols", [
+        (np.zeros(3), [0]),
+        (np.zeros((2, 3)), [0]),
+        (np.zeros((2, 3)), [0, 3]),
+        (np.zeros((2, 3)), [-1, 0]),
+        (np.zeros((2, 3)), [0.0, 1.0]),
+        (np.zeros((1, 0)), [0]),
+    ], ids=["not_a_matrix", "one_column_short", "out_of_range", "negative",
+            "not_integers", "no_columns"])
+    def test_contract_violations_rejected(self, value, cols):
+        g = Graph()
+        with pytest.raises(GraphError):
+            g.log_softmax_at(g.constant(value), cols)
 
 
 class TestBackward:
@@ -138,9 +175,8 @@ class TestBackward:
         def loss_fn(g, lv):
             h = g.tanh(g.affine(g.constant(raw), lv["w1"], lv["b1"]))
             emb = g.l2_normalize(g.affine(h, lv["w2"], lv["b2"]))
-            scores = g.softmax_rows(g.mul(g.cosine_matrix(emb, emb), 1.0 / 0.2))
-            diag = g.sum_rows(g.mul(scores, g.constant(np.eye(3))))
-            return g.mul(g.mean(g.log(diag)), -1.0)
+            logits = g.mul(g.cosine_matrix(emb, emb), 1.0 / 0.2)
+            return g.mul(g.mean(g.log_softmax_at(logits, np.arange(3))), -1.0)
 
         report = grad_check(loss_fn, params, eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_error

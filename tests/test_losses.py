@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakpair.autograd import Graph
 from weakpair.encoders import EmbeddingBatch, ModelDims, init_model
-from weakpair.losses import (ClampCounter, LossReport, LossWeights, MAPPINGS,
+from weakpair.losses import (LossReport, LossWeights, MAPPINGS,
                              U_BOUNDS, consistency_uncertainty, gitm_batch_loss,
                              itc_loss, itm_loss, itm_term, mapping_value,
-                             matching_scores, total_loss, uitc_loss)
+                             total_loss, uitc_loss)
 from weakpair.mining import MiningConfig, build_groups
 from weakpair.verify import random_instance, stop_gradient_bitexact
 
@@ -24,26 +25,34 @@ def log_tau_const(g, tau=0.07):
     return g.constant(math.log(tau))
 
 
+def log_match_scores(g, a, b, tau):
+    """Log of every match score: log-softmax of cos(a, b) / tau, column by column."""
+    logits = g.mul(g.cosine_matrix(a, b), 1.0 / tau)
+    n, m = logits.shape
+    return np.stack([g.log_softmax_at(logits, np.full(n, c)).value for c in range(m)],
+                    axis=1)
+
+
 class TestMatchingScores:
+    """Match scores, the softmax over cosines / tau that itc_loss takes in log space."""
+
     def test_single_element(self):
         g = Graph()
         f = g.constant([[1.0, 0.0]])
-        np.testing.assert_array_equal(
-            matching_scores(g, f, f, log_tau_const(g)).value, [[1.0]])
+        np.testing.assert_array_equal(log_match_scores(g, f, f, 0.07), [[0.0]])
 
     def test_identical_embeddings_split_evenly(self):
         g = Graph()
         f = g.constant([[1.0, 0.0], [1.0, 0.0]])
-        np.testing.assert_allclose(
-            matching_scores(g, f, f, log_tau_const(g, 0.3)).value,
-            np.full((2, 2), 0.5), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(log_match_scores(g, f, f, 0.3),
+                                   np.full((2, 2), -math.log(2.0)), rtol=0, atol=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         g = Graph()
-        s = matching_scores(g, g.constant(unit_rows(rng, 3, 4)),
-                            g.constant(unit_rows(rng, 3, 4)), log_tau_const(g))
-        np.testing.assert_allclose(s.value.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+        scores = np.exp(log_match_scores(g, g.constant(unit_rows(rng, 3, 4)),
+                                         g.constant(unit_rows(rng, 3, 4)), 0.07))
+        np.testing.assert_allclose(scores.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
     def test_argmax_invariant_to_temperature(self):
         rng = np.random.default_rng(1)
@@ -51,15 +60,14 @@ class TestMatchingScores:
         raw_argmax = (a @ b.T).argmax(axis=1)
         for tau in (0.01, 0.07, 1.0, 50.0):
             g = Graph()
-            s = matching_scores(g, g.constant(a), g.constant(b),
-                                log_tau_const(g, tau))
-            np.testing.assert_array_equal(s.value.argmax(axis=1), raw_argmax)
+            scores = log_match_scores(g, g.constant(a), g.constant(b), tau)
+            np.testing.assert_array_equal(scores.argmax(axis=1), raw_argmax)
 
     def test_empty_batch_rejected(self):
         g = Graph()
         f = g.constant(np.zeros((0, 3)))
         with pytest.raises(ValueError):
-            matching_scores(g, f, f, log_tau_const(g))
+            itc_loss(g, f, f, log_tau_const(g))
 
 
 class TestItcLoss:
@@ -81,6 +89,35 @@ class TestItcLoss:
         f_txt = g.constant([[1.0, 0.0], [-1.0, 0.0]])
         loss = itc_loss(g, f_img, f_txt, log_tau_const(g, 0.1))
         assert 0.0 <= float(loss.value) < 1e-8
+
+    def test_sharp_temperature_with_orthogonal_positives(self):
+        """At tau = 1e-3 each positive sits 1/tau below its negative, so the
+        softmax diagonal underflows; the loss must stay 2/tau, not inf."""
+        tau = 1e-3
+        g = Graph()
+        log_tau = g.leaf(math.log(tau), trainable=True)
+        loss = itc_loss(g, g.constant([[1.0, 0.0], [0.0, 1.0]]),
+                        g.constant([[0.0, 1.0], [1.0, 0.0]]), log_tau)
+        grad = float(g.backward(loss)[log_tau])
+        assert math.isfinite(float(loss.value)) and math.isfinite(grad)
+        assert abs(float(loss.value) - 2.0 / tau) <= 1e-9 * 2.0 / tau
+        # d/dlog_tau of 2 exp(-log_tau)
+        assert abs(grad + 2.0 / tau) <= 1e-9 * 2.0 / tau
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.floats(0.05, 2.0))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_numpy_reference(self, seed, n, tau):
+        rng = np.random.default_rng(seed)
+        a, b = unit_rows(rng, n, 4), unit_rows(rng, n, 4)
+
+        def direction(x, y):
+            e = np.exp((x @ y.T) / tau)
+            return -np.mean(np.log(np.diag(e / e.sum(axis=1, keepdims=True))))
+
+        g = Graph()
+        loss = float(itc_loss(g, g.constant(a), g.constant(b), log_tau_const(g, tau)).value)
+        want = direction(a, b) + direction(b, a)
+        assert abs(loss - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestConsistencyUncertainty:
@@ -199,12 +236,14 @@ class TestItmTerm:
 
     def test_clamp_counter(self):
         g = Graph()
-        clamps = ClampCounter()
-        term = itm_term(g, g.constant([[1.0], [0.5]]), [[1.0], [1.0]], clamps)
-        assert clamps.count == 1
+        term = itm_term(g, g.constant([[1.0], [0.5]]), [[1.0], [1.0]])
+        assert g.clamped == 1
         assert np.all(np.isfinite(term.value))
         # unclamped rows are untouched
         assert abs(float(term.value[1, 0]) - math.log(2.0)) <= 1e-12
+        # the count runs over every clamp of the graph
+        itm_term(g, g.constant([[0.0], [0.5], [1.0]]), [[0.0], [1.0], [1.0]])
+        assert g.clamped == 3
 
     def test_crafted_probabilities(self):
         """0.9 on the positive, 0.1 on two negatives -> ln(1/0.9)."""
@@ -334,3 +373,17 @@ def test_gitm_batched_equals_mean_of_group_losses():
             imgs.append(float(i.value))
         assert abs(float(txt_b.value) - np.mean(txts)) <= 1e-12
         assert abs(float(img_b.value) - np.mean(imgs)) <= 1e-12
+
+
+def test_random_instance_u_mean_is_the_assembled_one():
+    """random_instance reads u_mean off the uncertainty subgraph alone; it must
+    equal, bit for bit, what the trainer's full loss assembly reports."""
+    from weakpair.training import assemble_losses, encode_step
+    for seed in range(8):
+        inst = random_instance(np.random.default_rng(seed))
+        g = Graph()
+        leaves = {k: g.leaf(v, name=k) for k, v in inst.params.items()}
+        enc = encode_step(g, leaves, inst.data, need_weak=True)
+        assembled = assemble_losses(g, leaves, enc, inst.groups, "uitc_gitm",
+                                    "exponential", LossWeights())
+        assert inst.u_mean == assembled.u_mean

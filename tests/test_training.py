@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from weakpair import losses, training
 from weakpair.data import GenConfig, generate
 from weakpair.encoders import ModelDims, init_model, params_to_dict
 from weakpair.losses import U_BOUNDS
@@ -28,6 +29,19 @@ def small_cfg(**overrides):
                 seed=11, embed_dim=6, hidden_dim=8)
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def read_each_step_graph(monkeypatch, read):
+    """read(graph) of every step graph the trainer differentiates, in order."""
+    seen = []
+
+    class Reading(training.Graph):
+        def backward(self, loss):
+            seen.append(read(self))
+            return super().backward(loss)
+
+    monkeypatch.setattr(training, "Graph", Reading)
+    return seen
 
 
 class TestStepLr:
@@ -125,6 +139,24 @@ class TestTrainBasics:
         _, log = train(small_cfg(ablation_mode="uitc"), d)
         assert all(r.report.gitm_txt == 0.0 for r in log.steps)
         assert any(r.report.uitc != 0.0 for r in log.steps)
+
+    @pytest.mark.parametrize("mode, nodes", [("baseline", 75), ("uitc", 143),
+                                             ("uitc_gitm", 209)])
+    def test_nodes_per_step(self, mode, nodes, monkeypatch):
+        """Graph size of every step of a run that clamps nothing."""
+        sizes = read_each_step_graph(monkeypatch, lambda g: len(g.nodes))
+        _, log = train(small_cfg(ablation_mode=mode), dataset())
+        assert all(rec.clamps == 0 for rec in log.steps)
+        assert sizes == [nodes] * len(log.steps)
+
+    def test_clamps_logged_from_the_step_graph(self, monkeypatch):
+        """A clamp interval narrow enough to bite: each step logs its graph's count."""
+        clamped = read_each_step_graph(monkeypatch, lambda g: g.clamped)
+        monkeypatch.setattr(losses, "CLAMP_LO", 0.45)
+        monkeypatch.setattr(losses, "CLAMP_HI", 0.55)
+        _, log = train(small_cfg(), dataset())
+        assert [rec.clamps for rec in log.steps] == clamped
+        assert min(clamped) > 0
 
     def test_too_few_identities(self):
         with pytest.raises(ValueError):
