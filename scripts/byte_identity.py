@@ -9,7 +9,10 @@ no difference:
     diff -r /tmp/before /tmp/after
 
 The run covers the default ``weakpair gen``, ``train``, ``eval`` and ``diag``;
-``weakpair gradcheck --out`` at its default 100 points; and acceptance
+a resume leg per ablation mode of the default config (stopped mid-epoch,
+then resumed from the in-memory checkpoint, writing both checkpoints and the
+joined ``train_log.csv``); ``weakpair gradcheck --out`` at its default 100
+points; and acceptance
 criterion 07's runs (``tests/test_acceptance.py`` ``GEN``/``TRAIN``, seeds 1-5
 x baseline/uitc/uitc_gitm), each writing its checkpoint, ``train_log.csv``,
 the ``weakpair eval`` CSVs and the held-out mAP, plus the three medians.
@@ -24,6 +27,7 @@ import contextlib
 import dataclasses
 import importlib.util
 import io
+import math
 import os
 import sys
 from pathlib import Path
@@ -36,7 +40,8 @@ import numpy as np  # noqa: E402
 from weakpair import cli, data  # noqa: E402
 from weakpair.encoders import dict_to_params  # noqa: E402
 from weakpair.metrics import evaluate_model  # noqa: E402
-from weakpair.training import save_checkpoint, train  # noqa: E402
+from weakpair.training import (ABLATION_MODES, TrainLog, save_checkpoint,  # noqa: E402
+                               train)
 
 
 def weakpair(out: Path, *argv: str) -> None:
@@ -58,6 +63,22 @@ def acceptance_module():
     return module
 
 
+def resume_leg(out: Path, train_d: data.DatasetManifest) -> None:
+    """Each ablation mode of the default config, stopped mid-epoch and resumed."""
+    base = cli.train_config_from(cli.load_config(None, []))
+    for mode in ABLATION_MODES:
+        cfg = dataclasses.replace(base, ablation_mode=mode)
+        steps = math.ceil(len(train_d.identities()) / cfg.batch_size)
+        mid, first = train(cfg, train_d, stop_at_step=steps * (cfg.epochs // 2) + steps // 2)
+        ckpt, rest = train(cfg, train_d, resume=mid)
+        cell = out / mode
+        cell.mkdir(parents=True)
+        save_checkpoint(mid, cell / "mid_checkpoint.json")
+        save_checkpoint(ckpt, cell / "checkpoint.json")
+        cli.write_csv(cell / "train_log.csv",
+                      *cli.train_log_rows(TrainLog(first.steps + rest.steps)))
+
+
 def main(out: Path) -> None:
     """Writes under out, with paths relative to it so console lines match."""
     out.mkdir(parents=True)
@@ -71,6 +92,7 @@ def main(out: Path) -> None:
         weakpair(run / command, command, "--data", str(run / "data" / "test.tsv"),
                  "--checkpoint", str(run / "train" / "checkpoint.json"),
                  "--out", str(run / command))
+    resume_leg(out / "resume", data.read(run / "data" / "train.tsv"))
     weakpair(out / "gradcheck", "gradcheck", "--out", str(out / "gradcheck"))
 
     acc = acceptance_module()

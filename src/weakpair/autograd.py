@@ -161,7 +161,7 @@ class Graph:
 
     def leaf(self, value, trainable: bool = False, name: str | None = None) -> Node:
         arr = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise GraphError(f"non-finite leaf {name or ''!r}")
         return self._append("leaf", (), arr, trainable, trainable, None, name)
 
@@ -185,7 +185,11 @@ class Graph:
 
     def _record(self, op: str, inputs: tuple[Node, ...], value: Array,
                 vjp) -> Node:
-        needs = any(inp.needs_grad for inp in inputs)
+        needs = False
+        for inp in inputs:
+            if inp.needs_grad:
+                needs = True
+                break
         return self._append(op, inputs, value, False, needs, vjp)
 
     # -- elementwise ops -------------------------------------------------
@@ -193,15 +197,17 @@ class Graph:
     @staticmethod
     def _match(a: Node, b: Node) -> None:
         # Same shape, or one side is a scalar; anything else is out of scope.
-        if a.shape != b.shape and a.shape != () and b.shape != ():
-            raise GraphError(f"shape mismatch {a.shape} vs {b.shape}")
+        sa, sb = a.value.shape, b.value.shape
+        if sa != sb and sa != () and sb != ():
+            raise GraphError(f"shape mismatch {sa} vs {sb}")
 
     def add(self, a, b) -> Node:
         a, b = self._wrap(a), self._wrap(b)
         self._match(a, b)
 
         def vjp(g):
-            return (_reduce_to(g, a.shape), _reduce_to(g, b.shape))
+            return (_reduce_to(g, a.shape) if a.needs_grad else None,
+                    _reduce_to(g, b.shape) if b.needs_grad else None)
 
         return self._record("add", (a, b), np.add(a.value, b.value), vjp)
 
@@ -210,8 +216,8 @@ class Graph:
         self._match(a, b)
 
         def vjp(g):
-            return (_reduce_to(g * b.value, a.shape),
-                    _reduce_to(g * a.value, b.shape))
+            return (_reduce_to(g * b.value, a.shape) if a.needs_grad else None,
+                    _reduce_to(g * a.value, b.shape) if b.needs_grad else None)
 
         return self._record("mul", (a, b), np.multiply(a.value, b.value), vjp)
 
@@ -262,7 +268,8 @@ class Graph:
             raise GraphError(f"affine inner dims {x.shape} @ {w.shape}")
         if b is None:
             def vjp(g):
-                return (g @ w.value.T, x.value.T @ g)
+                return (g @ w.value.T if x.needs_grad else None,
+                        x.value.T @ g if w.needs_grad else None)
 
             return self._record("affine", (x, w), _affine(x.value, w.value), vjp)
         b = self._wrap(b)
@@ -270,7 +277,9 @@ class Graph:
             raise GraphError(f"affine bias shape {b.shape}")
 
         def vjp(g):
-            return (g @ w.value.T, x.value.T @ g, g.sum(axis=0))
+            return (g @ w.value.T if x.needs_grad else None,
+                    x.value.T @ g if w.needs_grad else None,
+                    g.sum(axis=0) if b.needs_grad else None)
 
         return self._record("affine", (x, w, b), _affine(x.value, w.value, b.value), vjp)
 
@@ -381,7 +390,10 @@ class Graph:
 
         Detached paths contribute exactly zero: their vjp is never invoked,
         so the result is bit-identical to differentiating a graph where the
-        detached value is a constant.
+        detached value is a constant.  A vjp may return None for an input
+        that needs no gradient (add, mul and affine do, rather than compute
+        an adjoint for a constant); such inputs, and None entries, are
+        skipped.
         """
         if not self._owns(loss):
             raise GraphError("loss node belongs to a different graph")

@@ -7,7 +7,10 @@ branch: 3 matched pairs versus 2 + 2K negatives in total.
 
 Mining only ever considers candidates whose identity differs from the
 anchor's, scores them with the current cross-modal cosines, and breaks ties
-by preferring the lower batch index so results are reproducible.
+by preferring the lower batch index so results are reproducible.  A step
+ranks every anchor's candidates in one lexsort per direction (identity
+clash, then descending score, then index) and keeps each row's first k
+columns; mining for a single anchor is the one-row case of the same kernel.
 """
 
 from __future__ import annotations
@@ -82,6 +85,37 @@ def sample_weak(anchor: PairRecord, pool: dict[int, list[PairRecord]],
     return WeakSelection(anchor, others[int(rng.integers(len(others)))], False)
 
 
+def _mine(batch: EmbeddingBatch, anchors: np.ndarray, direction: str,
+          k: int) -> np.ndarray:
+    """(anchors, k) top-k different-identity candidates per anchor, ties by lower index.
+
+    Raises MiningStarvationError for the first anchor with fewer than k
+    different-identity candidates.
+    """
+    if direction == "image_to_text":
+        anchor_rows, candidates = batch.image, batch.text
+    elif direction == "text_to_image":
+        anchor_rows, candidates = batch.text, batch.image
+    else:
+        raise ValueError(f"unknown mining direction {direction!r}")
+    ids = batch.identities
+    same = ids[anchors, None] == ids[None, :]
+    eligible = ids.shape[0] - np.count_nonzero(same, axis=1)
+    if eligible.min() < k:
+        first = np.argmax(eligible < k)
+        raise MiningStarvationError(
+            f"anchor {anchors[first]} needs {k} negatives but only {eligible[first]} "
+            f"eligible candidates exist (batch of {ids.shape[0]} "
+            f"records over {np.unique(ids).shape[0]} identities)")
+    # Stacked per-anchor products: one matrix product can differ from them in
+    # the last bits, which could flip a near-tie.
+    scores = np.stack([candidates @ anchor_rows[a] for a in anchors])
+    index = np.broadcast_to(np.arange(ids.shape[0]), same.shape)
+    # lexsort's last key is its primary: same-identity candidates sort last,
+    # the rest by descending score, then by index.
+    return np.lexsort((index, -scores, same), axis=-1)[:, :k]
+
+
 def mine_hard_negatives(batch: EmbeddingBatch, anchor: int, direction: str,
                         k: int) -> list[int]:
     """Top-k most similar different-identity candidates, ties by lower index.
@@ -89,22 +123,7 @@ def mine_hard_negatives(batch: EmbeddingBatch, anchor: int, direction: str,
     direction "image_to_text" scores candidate texts against the anchor
     image; "text_to_image" scores candidate images against the anchor text.
     """
-    if direction == "image_to_text":
-        scores = batch.text @ batch.image[anchor]
-    elif direction == "text_to_image":
-        scores = batch.image @ batch.text[anchor]
-    else:
-        raise ValueError(f"unknown mining direction {direction!r}")
-    eligible = np.nonzero(batch.identities != batch.identities[anchor])[0]
-    if eligible.shape[0] < k:
-        ids = np.unique(batch.identities)
-        raise MiningStarvationError(
-            f"anchor {anchor} needs {k} negatives but only {eligible.shape[0]} "
-            f"eligible candidates exist (batch of {batch.identities.shape[0]} "
-            f"records over {ids.shape[0]} identities)")
-    # lexsort is stable over its keys: primary descending score, then index.
-    order = np.lexsort((eligible, -scores[eligible]))
-    return [int(eligible[i]) for i in order[:k]]
+    return _mine(batch, np.array([anchor]), direction, k)[0].tolist()
 
 
 @dataclass
@@ -160,4 +179,19 @@ def build_group(anchor: int, batch: EmbeddingBatch, cfg: MiningConfig) -> PairGr
 
 
 def build_groups(batch: EmbeddingBatch, cfg: MiningConfig) -> list[PairGroup]:
-    return [build_group(i, batch, cfg) for i in range(batch.identities.shape[0])]
+    """Every anchor's group, equal to build_group per anchor, mined in one pass."""
+    ids = batch.identities
+    anchors = np.arange(ids.shape[0])
+    neg_texts = _mine(batch, anchors, "image_to_text", cfg.k)
+    neg_images = _mine(batch, anchors, "text_to_image", cfg.k)
+    # PairGroup.validate's identity exclusion, once for the whole step.
+    negatives = np.concatenate([neg_texts, neg_images], axis=1)
+    clash = ids[negatives] == ids[:, None]
+    if clash.any():
+        anchor, col = np.argwhere(clash)[0]
+        raise ValueError(
+            f"negative {negatives[anchor, col]} shares anchor identity {ids[anchor]}")
+    return [PairGroup(i, itm_neg_text=texts[0], itm_neg_image=images[0],
+                      neg_texts=texts, neg_images=images)
+            for i, (texts, images) in enumerate(zip(neg_texts.tolist(),
+                                                     neg_images.tolist()))]

@@ -312,10 +312,15 @@ def train(cfg: TrainConfig, data: DatasetManifest,
         if resume.step > total_steps:
             raise CheckpointFormatError(
                 f"checkpoint is at step {resume.step}, beyond {total_steps} total")
-        params = {k: v.copy() for k, v in resume.params.items()}
-        opt_m = {k: v.copy() for k, v in resume.opt_m.items()}
-        opt_v = {k: v.copy() for k, v in resume.opt_v.items()}
+        params, opt_m, opt_v = resume.params, resume.opt_m, resume.opt_v
         opt_t, start = resume.opt_t, resume.step
+    # AdamW runs once over flat buffers in params' key order (fresh copies);
+    # the parameters each step graph reads are reshaped views of flat_p.
+    layout = params
+    flat_p, flat_m, flat_v = (_flatten(layout, d) for d in (params, opt_m, opt_v))
+    params = _views(layout, flat_p)
+    decay = np.concatenate([np.full(np.size(v), 0.0 if k in _NO_DECAY else cfg.weight_decay)
+                            for k, v in layout.items()])
 
     end_step = total_steps if stop_at_step is None else min(stop_at_step, total_steps)
     mode = cfg.ablation_mode
@@ -365,19 +370,19 @@ def train(cfg: TrainConfig, data: DatasetManifest,
                 f"gitm_img={report.gitm_img}")
 
         grads = g.backward(assembled.nodes["total"])
+        grad = np.concatenate([grads[leaf].reshape(-1) for leaf in leaves.values()])
         lr = step_lr(step, total_steps, cfg)
         opt_t += 1
         bc1 = 1.0 - _ADAM_BETA1 ** opt_t
         bc2 = 1.0 - _ADAM_BETA2 ** opt_t
-        for name, leaf in leaves.items():
-            grad = grads[leaf]
-            opt_m[name] = _ADAM_BETA1 * opt_m[name] + (1.0 - _ADAM_BETA1) * grad
-            opt_v[name] = _ADAM_BETA2 * opt_v[name] + (1.0 - _ADAM_BETA2) * grad * grad
-            update = (opt_m[name] / bc1) / (np.sqrt(opt_v[name] / bc2) + _ADAM_EPS)
-            decay = 0.0 if name in _NO_DECAY else cfg.weight_decay
-            params[name] = params[name] - lr * (update + decay * params[name])
-            if not np.all(np.isfinite(params[name])):
-                raise NumericAbort(f"step {step}: parameter {name} became non-finite")
+        # Elementwise, so each coordinate gets the bits a per-tensor update gives it.
+        flat_m = _ADAM_BETA1 * flat_m + (1.0 - _ADAM_BETA1) * grad
+        flat_v = _ADAM_BETA2 * flat_v + (1.0 - _ADAM_BETA2) * grad * grad
+        update = (flat_m / bc1) / (np.sqrt(flat_v / bc2) + _ADAM_EPS)
+        flat_p[:] = flat_p - lr * (update + decay * flat_p)
+        if not np.all(np.isfinite(flat_p)):
+            name = next(k for k, v in params.items() if not np.all(np.isfinite(v)))
+            raise NumericAbort(f"step {step}: parameter {name} became non-finite")
         assert float(np.exp(params["log_gamma"])) > 0.0
         assert float(np.exp(params["log_tau"])) > 0.0
 
@@ -388,8 +393,22 @@ def train(cfg: TrainConfig, data: DatasetManifest,
         log.steps.append(StepRecord(step, lr, report, u_min, u_max,
                                     g.clamped, time.perf_counter() - started))
 
-    ckpt = Checkpoint(CHECKPOINT_VERSION, cfg, params, opt_m, opt_v, opt_t, end_step)
+    ckpt = Checkpoint(CHECKPOINT_VERSION, cfg, *(
+        {k: v.copy() for k, v in _views(layout, flat).items()}
+        for flat in (flat_p, flat_m, flat_v)), opt_t, end_step)
     return ckpt, log
+
+
+def _flatten(layout: dict[str, Array], arrays: dict[str, Array]) -> Array:
+    """arrays raveled and concatenated into one new vector, in layout's key order."""
+    return np.concatenate([np.ravel(arrays[k]) for k in layout])
+
+
+def _views(layout: dict[str, Array], flat: Array) -> dict[str, Array]:
+    """flat cut into reshaped views at layout's keys and shapes."""
+    bounds = np.cumsum([np.size(v) for v in layout.values()])[:-1]
+    return {k: part.reshape(np.shape(v))
+            for (k, v), part in zip(layout.items(), np.split(flat, bounds))}
 
 
 # -- checkpoint serialization -------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weakpair.autograd import Graph, GraphError, grad_check, relative_error
-from weakpair.verify import loss_builder, random_instance
+from weakpair.verify import LOSS_NAMES, loss_builder, loss_params, random_instance
 
 
 def unit_rows(rng, n, d):
@@ -276,3 +276,48 @@ def test_finished_graph_freed_by_reference_counting():
 def test_relative_error_floor():
     err = relative_error(np.array([0.0]), np.array([5e-9]))
     np.testing.assert_allclose(err, [0.5])
+
+
+class TrainableConstants(Graph):
+    """Every constant a trainable leaf, so every op input needs a gradient."""
+
+    def constant(self, value, name=None):
+        return self.leaf(value, trainable=True, name=name)
+
+
+class TestSkippedAdjoints:
+    @pytest.mark.parametrize("loss", LOSS_NAMES)
+    def test_trainable_constants_leave_parameter_gradients_unchanged(self, loss):
+        for seed in range(3):
+            inst = random_instance(np.random.default_rng(seed))
+            params = loss_params(loss, inst)
+            grads = []
+            for graph_type in (Graph, TrainableConstants):
+                g = graph_type()
+                leaves = {k: g.leaf(v, trainable=True, name=k) for k, v in params.items()}
+                out = g.backward(loss_builder(loss, inst)(g, leaves))
+                grads.append({k: out[leaves[k]] for k in params})
+            assert len(out) > len(params)  # the constants did become leaves
+            for k in params:
+                assert np.array_equal(grads[0][k], grads[1][k]), (loss, seed, k)
+
+    def test_vjps_return_none_for_inputs_that_need_no_gradient(self):
+        g = Graph()
+        x = g.tanh(g.leaf(np.full((2, 3), 0.5), trainable=True))  # needs a gradient
+        c = g.constant(np.full((2, 3), 2.0))
+        w, cw = g.leaf(np.ones((3, 4)), trainable=True), g.constant(np.ones((3, 4)))
+        b, cb = g.leaf(np.zeros(4), trainable=True), g.constant(np.zeros(4))
+        d23, d24 = np.ones((2, 3)), np.ones((2, 4))
+
+        def skipped(node, seed):
+            return [part is None for part in node._vjp(seed)]
+
+        assert skipped(g.add(x, c), d23) == [False, True]
+        assert skipped(g.add(c, x), d23) == [True, False]
+        assert skipped(g.mul(x, c), d23) == [False, True]
+        assert skipped(g.mul(3.0, x), d23) == [True, False]
+        assert skipped(g.affine(c, w, b), d24) == [True, False, False]
+        assert skipped(g.affine(x, cw, cb), d24) == [False, True, True]
+        assert skipped(g.affine(c, w, cb), d24) == [True, False, True]
+        assert skipped(g.affine(c, w), d24) == [True, False]
+        assert skipped(g.affine(x, cw), d24) == [False, True]

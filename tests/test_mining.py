@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakpair.data import GenConfig, PairRecord, generate
 from weakpair.encoders import EmbeddingBatch
@@ -183,3 +184,79 @@ class TestBuildGroup:
         group = build_group(2, batch, MiningConfig.from_mode("neg3v6"))
         assert group.itm_neg_text == group.neg_texts[0]
         assert group.itm_neg_image == group.neg_images[0]
+
+
+# -- one-pass mining against the per-anchor reference ---------------------------
+
+
+def reference_top_k(batch, anchor, direction, k):
+    """Per-anchor mining by a Python sort: (-score, index) over other identities."""
+    if direction == "image_to_text":
+        scores = batch.text @ batch.image[anchor]
+    else:
+        scores = batch.image @ batch.text[anchor]
+    eligible = [j for j in range(batch.identities.shape[0])
+                if batch.identities[j] != batch.identities[anchor]]
+    if len(eligible) < k:
+        raise MiningStarvationError(
+            f"anchor {anchor} needs {k} negatives but only {len(eligible)} "
+            f"eligible candidates exist (batch of {batch.identities.shape[0]} "
+            f"records over {len(set(batch.identities.tolist()))} identities)")
+    return sorted(eligible, key=lambda j: (-scores[j], j))[:k]
+
+
+def reference_groups(batch, k):
+    out = []
+    for anchor in range(batch.identities.shape[0]):
+        texts = reference_top_k(batch, anchor, "image_to_text", k)
+        images = reference_top_k(batch, anchor, "text_to_image", k)
+        out.append((anchor, texts[0], images[0], texts, images))
+    return out
+
+
+def group_tuple(group):
+    return (group.anchor, group.itm_neg_text, group.itm_neg_image,
+            group.neg_texts, group.neg_images)
+
+
+# One-wide embeddings (unit or zero rows) from three or four values, signed
+# zeros among them: every score is one of those values, so most scores tie.
+_tie_values = st.lists(st.sampled_from([1.0, -1.0]), min_size=1, max_size=2,
+                       unique=True).map(lambda extra: [0.0, -0.0] + extra)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_tie_heavy_one_pass_mining_matches_per_anchor(data):
+    values = data.draw(_tie_values)
+    n, k = data.draw(st.integers(2, 12)), data.draw(st.integers(1, 3))
+    labels = data.draw(st.integers(1, n))
+    ids = np.array(data.draw(st.lists(st.integers(0, labels - 1), min_size=n, max_size=n)))
+
+    def rows():
+        return np.array(data.draw(st.lists(st.sampled_from(values), min_size=n,
+                                           max_size=n)))[:, None]
+
+    batch = EmbeddingBatch(rows(), rows(), rows(), rows(), ids)
+    cfg = MiningConfig("custom", k)
+    try:
+        expect = reference_groups(batch, k)
+    except MiningStarvationError as exc:
+        with pytest.raises(MiningStarvationError) as whole:
+            build_groups(batch, cfg)
+        assert str(whole.value) == str(exc)
+        starving = int(str(exc).split()[1])
+        with pytest.raises(MiningStarvationError) as single:
+            build_group(starving, batch, cfg)
+        assert str(single.value) == str(exc)
+        return
+    assert [group_tuple(g) for g in build_groups(batch, cfg)] == expect
+    assert [group_tuple(build_group(a, batch, cfg)) for a in range(n)] == expect
+
+
+def test_one_pass_mining_on_trainer_shapes():
+    rng = np.random.default_rng(14)
+    cfg = MiningConfig.from_mode("neg3v6")
+    for _ in range(200):
+        batch = random_batch(rng, 8, per_identity=2)
+        assert [group_tuple(g) for g in build_groups(batch, cfg)] == reference_groups(batch, 2)

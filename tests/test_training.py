@@ -1,7 +1,9 @@
 """Trainer determinism, schedule, checkpoints, and failure contracts."""
 
 import dataclasses
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -185,6 +187,81 @@ class TestFailureContracts:
             TrainConfig(ablation_mode="everything").validate()
         with pytest.raises(ValueError):
             TrainConfig(mining_mode="neg3v4", mining_k=2).validate()
+
+
+def reference_adamw(state, grads, lr, weight_decay):
+    """Per-tensor AdamW step: the reference the flat-buffer update must match bit for bit."""
+    params, opt_m, opt_v = state["params"], state["opt_m"], state["opt_v"]
+    state["opt_t"] += 1
+    bc1 = 1.0 - training._ADAM_BETA1 ** state["opt_t"]
+    bc2 = 1.0 - training._ADAM_BETA2 ** state["opt_t"]
+    for name in params:
+        grad = grads[name]
+        opt_m[name] = training._ADAM_BETA1 * opt_m[name] + (1.0 - training._ADAM_BETA1) * grad
+        opt_v[name] = (training._ADAM_BETA2 * opt_v[name]
+                       + (1.0 - training._ADAM_BETA2) * grad * grad)
+        update = (opt_m[name] / bc1) / (np.sqrt(opt_v[name] / bc2) + training._ADAM_EPS)
+        decay = 0.0 if name in training._NO_DECAY else weight_decay
+        params[name] = params[name] - lr * (update + decay * params[name])
+
+
+class TestOptimizer:
+    @pytest.mark.parametrize("mode", training.ABLATION_MODES)
+    def test_flat_update_matches_per_tensor_reference(self, mode, monkeypatch):
+        d = dataset()
+        cfg = small_cfg(epochs=3, ablation_mode=mode)
+        start, _ = train(cfg, d, stop_at_step=4)
+        step_grads = []
+
+        class Recording(training.Graph):
+            def backward(self, loss):
+                grads = super().backward(loss)
+                step_grads.append({node.name: grad.copy() for node, grad in grads.items()})
+                return grads
+
+        monkeypatch.setattr(training, "Graph", Recording)
+        ckpt, log = train(cfg, d, resume=start, stop_at_step=9)
+        state = {"params": dict(start.params), "opt_m": dict(start.opt_m),
+                 "opt_v": dict(start.opt_v), "opt_t": start.opt_t}
+        assert len(step_grads) == len(log.steps) == 5
+        for rec, grads in zip(log.steps, step_grads):
+            reference_adamw(state, grads, rec.lr, cfg.weight_decay)
+        assert ckpt.opt_t == state["opt_t"]
+        for section in ("params", "opt_m", "opt_v"):
+            got, ref = getattr(ckpt, section), state[section]
+            assert list(got) == list(ref)
+            for name in ref:
+                assert got[name].shape == np.shape(ref[name])
+                assert got[name].tobytes() == np.asarray(ref[name]).tobytes(), (section, name)
+
+    def test_abort_names_the_first_nonfinite_parameter(self):
+        d = dataset()
+        cfg = small_cfg()
+        mid, _ = train(cfg, d, stop_at_step=2)
+        names = list(mid.params)
+        first, later = names[2], names[-3]
+        # A huge first moment over a zero second moment overflows the update.
+        for name in (later, first):
+            mid.opt_m[name].flat[0] = 1e308
+            mid.opt_v[name].flat[0] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericAbort,
+                               match=re.escape(f"step 2: parameter {first} became non-finite")):
+                train(cfg, d, resume=mid)
+
+    def test_checkpoint_arrays_share_no_memory(self):
+        d = dataset()
+        cfg = small_cfg()
+        init, _ = train(cfg, d, stop_at_step=0)
+        mid, _ = train(cfg, d, stop_at_step=3)
+        resumed, _ = train(cfg, d, resume=mid)
+        for ckpt, source in ((init, None), (mid, None), (resumed, mid)):
+            arrays = [v for c in (ckpt, source) if c is not None
+                      for section in (c.params, c.opt_m, c.opt_v) for v in section.values()]
+            assert len(arrays) == 3 * len(ckpt.params) * (1 if source is None else 2)
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+            # Separate arrays, not views into one buffer the trainer may still write.
+            assert all(a.flags.owndata for a in arrays)
 
 
 class TestCheckpointing:
