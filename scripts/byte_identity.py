@@ -9,13 +9,15 @@ no difference:
     diff -r /tmp/before /tmp/after
 
 The run covers the default ``weakpair gen``, ``train``, ``eval`` and ``diag``;
-a resume leg per ablation mode of the default config (stopped mid-epoch,
+a mapping leg (a 2-epoch ``train`` with ``train.mapping=linear`` and one with
+``power`` on the default data, each followed by ``eval`` and ``diag``); a
+resume leg per ablation mode of the default config (stopped mid-epoch,
 then resumed from the in-memory checkpoint, writing both checkpoints and the
 joined ``train_log.csv``); ``weakpair gradcheck --out`` at its default 100
 points; and acceptance
 criterion 07's runs (``tests/test_acceptance.py`` ``GEN``/``TRAIN``, seeds 1-5
 x baseline/uitc/uitc_gitm), each writing its checkpoint, ``train_log.csv``,
-the ``weakpair eval`` CSVs and the held-out mAP, plus the three medians.
+the ``weakpair eval`` outputs and the held-out mAP, plus the three medians.
 Console output (with paths relative to the output directory) and the
 ``resolved.cfg`` files are written too; none holds a timing.  Takes a few
 minutes on one core.
@@ -79,6 +81,19 @@ def resume_leg(out: Path, train_d: data.DatasetManifest) -> None:
                       *cli.train_log_rows(TrainLog(first.steps + rest.steps)))
 
 
+def mapping_leg(out: Path, data_dir: Path) -> None:
+    """The non-default uncertainty mappings: a short run, then eval and diag."""
+    for mapping in ("linear", "power"):
+        cell = out / mapping
+        weakpair(cell / "train", "train", "--data", str(data_dir / "train.tsv"),
+                 "--out", str(cell / "train"), "--set", "train.epochs=2",
+                 "--set", f"train.mapping={mapping}")
+        for command in ("eval", "diag"):
+            weakpair(cell / command, command, "--data", str(data_dir / "test.tsv"),
+                     "--checkpoint", str(cell / "train" / "checkpoint.json"),
+                     "--out", str(cell / command))
+
+
 def main(out: Path) -> None:
     """Writes under out, with paths relative to it so console lines match."""
     out.mkdir(parents=True)
@@ -92,6 +107,7 @@ def main(out: Path) -> None:
         weakpair(run / command, command, "--data", str(run / "data" / "test.tsv"),
                  "--checkpoint", str(run / "train" / "checkpoint.json"),
                  "--out", str(run / command))
+    mapping_leg(out / "mappings", run / "data")
     resume_leg(out / "resume", data.read(run / "data" / "train.tsv"))
     weakpair(out / "gradcheck", "gradcheck", "--out", str(out / "gradcheck"))
 

@@ -15,6 +15,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -162,6 +163,21 @@ def write_eval_outputs(result: EvalResult, out_dir: Path,
                    in zip(result.margins.bin_edges[:-1], hist)])
 
 
+def write_summary(path: Path, result: EvalResult, identities: int, mapping: str,
+                  eval_seed: int) -> None:
+    """The counts behind an evaluation as JSON; no timings, so reruns match."""
+    summary = {
+        "records": len(result.uncertainties),
+        "identities": identities,
+        "ranked_queries": len(result.ranking.queries),
+        "excluded_queries": result.ranking.excluded,
+        "zero_norm_rows": result.zero_norm_rows,
+        "mapping": mapping,
+        "eval_seed": eval_seed,
+    }
+    path.write_text(json.dumps(summary, indent=2) + "\n")
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -232,10 +248,12 @@ def _evaluate_checkpoint(args, include_metrics: bool, train_data=None) -> EvalRe
                   f"training and evaluation datasets", file=sys.stderr)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    eval_seed = resolved["eval"]["eval_seed"]
     result = evaluate_model(dict_to_params(ckpt.params), dataset,
-                            ckpt.config.mapping,
-                            eval_seed=resolved["eval"]["eval_seed"])
+                            ckpt.config.mapping, eval_seed=eval_seed)
     write_eval_outputs(result, out_dir, include_metrics)
+    write_summary(out_dir / "summary.json", result, len(dataset.identities()),
+                  ckpt.config.mapping, eval_seed)
     write_resolved(resolved, out_dir)
     return result
 

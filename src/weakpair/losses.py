@@ -80,7 +80,15 @@ class LossReport:
 
 
 def mapping_value(s, mapping: str):
-    """Numpy twin of the in-graph uncertainty mappings."""
+    """The uncertainty mappings of ``consistency_uncertainty`` in numpy.
+
+    On an array of one or more dimensions it matches the graph bit for bit.
+    A scalar or 0-d input differs under "power": ``1.5 - s`` is then a numpy
+    scalar, whose ``** 2`` calls the C ``pow``, and that can land one ulp
+    away from the graph's ``diff * diff`` (2 of 5,000 uniform draws on
+    [-1, 1]).  ``metrics.query_uncertainty`` maps one Python float at a time
+    and so keeps the scalar result.
+    """
     s = np.asarray(s, dtype=np.float64)
     if mapping == "exponential":
         return np.exp(-s)

@@ -7,9 +7,21 @@ scores and flags regardless of input order.  A query keeps only the ranks of
 its relevant items, counted rather than sorted: every metric here is a
 function of those ranks.
 
-Dataset-level reductions use math.fsum, which returns the correctly rounded
-sum independent of summation order; that is what lets brute-force oracles
-match these implementations exactly rather than to a tolerance.
+Each stage is one pass over whole arrays rather than a loop over queries:
+ranks are counted for every (query, relevant item) pair at once, the
+precision table is filled per group of queries with equal relevant counts,
+and embedding dot products are taken for all pairs of a stage together by
+``_row_dots``.  The passes keep the per-query arithmetic bit for bit:
+
+- every precision is one int/int division m / r_m (``_hit_precisions``);
+- every dot product is matmul's vector-by-vector case, which numpy routes
+  through the same dot kernel as a one-pair ``a @ b`` (tests pin this);
+- every sum that leaves numpy -- AP, mAP, the macro precision columns, the
+  consistencies behind uncertainty, the mean margins -- is math.fsum, which
+  returns the correctly rounded sum independent of summation order.
+
+That is what lets the per-query references and the brute-force oracles in
+the tests match these implementations exactly rather than to a tolerance.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from .losses import mapping_value
 DEFAULT_RECALL_GRID = tuple(i / 100 for i in range(1, 100)) + (1.0,)
 RISK_COVERAGE_POINTS = 20
 MARGIN_HIST_BINS = 40  # fixed-width bins over [-2, 2]
+RANK_CHUNK = 64  # (query, relevant item) pairs compared against the gallery at once
 
 
 @dataclass
@@ -82,48 +95,70 @@ class MarginStats:
     pos_hist: np.ndarray
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row i, as one stacked vector-by-vector matmul."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def _hit_precisions(hit_ranks: np.ndarray) -> np.ndarray:
-    """Precision m / r_m at the m-th relevant rank r_m, each one int/int division."""
-    return np.arange(1, hit_ranks.shape[0] + 1) / hit_ranks
+    """Precision m / r_m at the m-th relevant rank r_m along the last axis,
+    each one int/int division."""
+    return np.arange(1, hit_ranks.shape[-1] + 1) / hit_ranks
 
 
-def _ap_from_ranks(hit_ranks: np.ndarray) -> float:
-    if hit_ranks.shape[0] == 0:
-        raise ValueError("average precision undefined without relevant items")
-    return math.fsum(_hit_precisions(hit_ranks).tolist()) / hit_ranks.shape[0]
+def _groups_by_count(counts: np.ndarray):
+    """(count, positions holding it) for every distinct count, ascending."""
+    for count in np.unique(counts).tolist():
+        yield count, np.flatnonzero(counts == count)
 
 
 def average_precision(flags) -> float:
     """Non-interpolated AP of ranked flags: mean precision at each relevant rank."""
-    return _ap_from_ranks(np.flatnonzero(np.asarray(flags, dtype=bool)) + 1)
+    hit_ranks = np.flatnonzero(np.asarray(flags, dtype=bool)) + 1
+    if hit_ranks.shape[0] == 0:
+        raise ValueError("average precision undefined without relevant items")
+    return math.fsum(_hit_precisions(hit_ranks).tolist()) / hit_ranks.shape[0]
 
 
 def rank_queries(scores: np.ndarray, relevance: np.ndarray,
                  uncertainties: np.ndarray) -> RankingResult:
     """Rank the relevant items of every query; zero-relevance queries are counted out.
 
-    Relevant item j ranks 1 + #{i: s_i > s_j} + #{i: s_i == s_j, i < j}, its
-    position in the descending order with ties to the lower index.  Counting
-    costs O(R n) per query for R relevant items and allocates no n x n array.
+    Relevant item j of query q ranks 1 + #{i: s_qi > s_qj} + #{i: s_qi == s_qj,
+    i < j}, its position in the descending order with ties to the lower
+    index.  Every (q, j) pair is counted against its gallery row, RANK_CHUNK
+    pairs at a time, so the pass allocates no (pairs x gallery) array.
     """
+    finite = np.isfinite(scores).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"query {int(np.argmin(finite))}: non-finite score")
     n_queries, n_gallery = scores.shape
+    pair_q, pair_j = np.divmod(np.flatnonzero(relevance), n_gallery)
+    keys = scores[pair_q, pair_j][:, None]
     indices = np.arange(n_gallery)
-    queries, excluded = [], 0
-    for q in range(n_queries):
-        row = scores[q]
-        if not np.isfinite(row).all():
-            raise ValueError(f"query {q}: non-finite score")
-        hits = np.flatnonzero(relevance[q])
-        if hits.shape[0] == 0:
-            excluded += 1
-            continue
-        key = row[hits, None]
-        ahead = (row > key) | ((row == key) & (indices < hits[:, None]))
-        hit_ranks = np.sort(1 + np.count_nonzero(ahead, axis=1))
-        queries.append(QueryRanking(
-            query=q, hit_ranks=hit_ranks, uncertainty=float(uncertainties[q]),
-            ap=_ap_from_ranks(hit_ranks)))
-    return RankingResult(queries, excluded)
+    ranks = np.empty(pair_q.shape[0], dtype=np.intp)
+    for lo in range(0, pair_q.shape[0], RANK_CHUNK):
+        rows, key = scores[pair_q[lo:lo + RANK_CHUNK]], keys[lo:lo + RANK_CHUNK]
+        ahead = (rows == key) & (indices < pair_j[lo:lo + RANK_CHUNK, None])
+        ahead |= rows > key
+        ranks[lo:lo + RANK_CHUNK] = 1 + np.count_nonzero(ahead, axis=1)
+    # Pairs arrive grouped by query; order each query's ranks ascending.
+    ranks = ranks[np.lexsort((ranks, pair_q))]
+    counts = np.bincount(pair_q, minlength=n_queries)
+    ranked = np.flatnonzero(counts)
+    counts = counts[ranked]
+    starts = np.cumsum(counts) - counts
+    hit_ranks: list = [None] * ranked.shape[0]
+    aps: list = [None] * ranked.shape[0]
+    for count, rows in _groups_by_count(counts):
+        block = ranks[starts[rows, None] + np.arange(count)]
+        for row, ranks_row, precisions in zip(rows.tolist(), block, _hit_precisions(block)):
+            hit_ranks[row] = ranks_row
+            aps[row] = math.fsum(precisions.tolist()) / count
+    u = np.asarray(uncertainties, dtype=np.float64)[ranked].tolist()
+    queries = [QueryRanking(query=q, hit_ranks=h, uncertainty=v, ap=ap)
+               for q, h, v, ap in zip(ranked.tolist(), hit_ranks, u, aps)]
+    return RankingResult(queries, n_queries - ranked.shape[0])
 
 
 def recall_at_k(result: RankingResult, k: int) -> float:
@@ -154,14 +189,17 @@ def pr_curve(result: RankingResult, grid=DEFAULT_RECALL_GRID) -> PRCurve:
     if not grid or any(not 0.0 < r <= 1.0 for r in grid):
         raise ValueError("recall grid must lie in (0, 1]")
     # A level's precision is m / r_m for the first m with recall m / R >= level;
-    # R / R == 1.0 reaches every level in the grid.
+    # R / R == 1.0 reaches every level in the grid.  Queries with equal R
+    # share the level -> m lookup, so each group fills its rows at once.
     levels = np.array(grid)
-    table = np.empty((len(result.queries), levels.shape[0]))
-    for row, q in enumerate(result.queries):
-        n_hits = q.hit_ranks.shape[0]
-        recalls = np.arange(1, n_hits + 1) / n_hits
-        table[row] = _hit_precisions(q.hit_ranks)[np.searchsorted(recalls, levels)]
-    macro = [math.fsum(column) / table.shape[0] for column in table.T.tolist()]
+    queries = result.queries
+    counts = np.array([q.hit_ranks.shape[0] for q in queries])
+    table = np.empty((len(queries), levels.shape[0]))
+    for count, rows in _groups_by_count(counts):
+        block = np.stack([queries[row].hit_ranks for row in rows.tolist()])
+        recalls = np.arange(1, count + 1) / count
+        table[rows] = _hit_precisions(block)[:, np.searchsorted(recalls, levels)]
+    macro = [math.fsum(column.tolist()) / table.shape[0] for column in table.T]
     xs = [0.0] + grid
     ys = [macro[0]] + macro
     auc = math.fsum((xs[i] - xs[i - 1]) * (ys[i] + ys[i - 1]) / 2
@@ -205,17 +243,16 @@ def reliability_stats(result: RankingResult) -> ReliabilityStats:
 def margin_stats(txt_emb: np.ndarray, img_emb: np.ndarray,
                  tuples: list[tuple[int, int, int, int]]) -> MarginStats:
     """Cosine margins for (query, positive, weak, negative) index tuples."""
-    weak, pos = [], []
-    for q, p, w, neg in tuples:
-        base = float(txt_emb[q] @ img_emb[neg])
-        weak.append(float(txt_emb[q] @ img_emb[w]) - base)
-        pos.append(float(txt_emb[q] @ img_emb[p]) - base)
+    q, p, w, neg = np.array(tuples, dtype=np.intp).reshape(-1, 4).T
+    text = txt_emb[q]
+    base = _row_dots(text, img_emb[neg])
+    weak_arr = _row_dots(text, img_emb[w]) - base
+    pos_arr = _row_dots(text, img_emb[p]) - base
     edges = np.linspace(-2.0, 2.0, MARGIN_HIST_BINS + 1)
-    weak_arr, pos_arr = np.array(weak), np.array(pos)
     return MarginStats(
         weak_margins=weak_arr, pos_margins=pos_arr,
-        mean_weak=math.fsum(weak) / len(weak),
-        mean_pos=math.fsum(pos) / len(pos),
+        mean_weak=math.fsum(weak_arr.tolist()) / len(tuples),
+        mean_pos=math.fsum(pos_arr.tolist()) / len(tuples),
         bin_edges=edges,
         weak_hist=np.histogram(weak_arr, bins=edges)[0],
         pos_hist=np.histogram(pos_arr, bins=edges)[0],
@@ -240,21 +277,29 @@ def margin_tuples(identities: np.ndarray,
     """
     ids = identities.tolist()
     members = _members(ids)
+    if len(members) == 1:
+        raise ValueError("margin tuples need at least two identities")
+    groups = [members[identity] for identity in ids]
+    # One generator call for every draw, in per-record order: the weak index
+    # among the other members (singletons draw none), then the negative.
+    bounds = []
+    for rows in groups:
+        if len(rows) > 1:
+            bounds.append(len(rows) - 1)
+        bounds.append(len(ids) - len(rows))
+    draws = iter(rng.integers(bounds).tolist() if bounds else [])
     # before[identity][j]: records of other identities ahead of member j.
     before = {identity: [m - j for j, m in enumerate(rows)] for identity, rows in members.items()}
     tuples = []
-    for q, identity in enumerate(ids):
-        rows = members[identity]
-        if len(rows) == len(ids):
-            raise ValueError("margin tuples need at least two identities")
+    for q, rows in enumerate(groups):
         weak = q
         if len(rows) > 1:
             # The k-th member other than q: members from q on shift by one.
-            k = int(rng.integers(len(rows) - 1))
+            k = next(draws)
             weak = rows[k] if rows[k] < q else rows[k + 1]
         # The k-th record outside the identity: k plus the members ahead of it.
-        k = int(rng.integers(len(ids) - len(rows)))
-        neg = k + bisect.bisect_right(before[identity], k)
+        k = next(draws)
+        neg = k + bisect.bisect_right(before[ids[q]], k)
         tuples.append((q, q, weak, neg))
     return tuples
 
@@ -265,19 +310,24 @@ def query_uncertainty(img_emb: np.ndarray, txt_emb: np.ndarray,
 
     Each record's consistency is averaged over all other records of its
     identity; singleton identities are perfectly consistent by convention,
-    which pins their uncertainty to the mapping's floor.
+    which pins their uncertainty to the mapping's floor.  The mapping is
+    applied to one record's consistency at a time, as a Python float.
     """
     ids = identities.tolist()
     members = _members(ids)
+    groups = [members[identity] for identity in ids]
+    # Every same-identity pair (q, o != q), q ascending, then o ascending.
+    pair_q = np.repeat(np.arange(len(ids)), [len(rows) - 1 for rows in groups])
+    pair_o = np.array([o for q, rows in enumerate(groups) for o in rows if o != q],
+                      dtype=np.intp)
+    sims = 0.5 * (_row_dots(img_emb[pair_q], img_emb[pair_o])
+                  + _row_dots(txt_emb[pair_q], txt_emb[pair_o]))
     out = np.empty(len(ids))
-    for q, identity in enumerate(ids):
-        others = [o for o in members[identity] if o != q]
-        if not others:
-            s = 1.0
-        else:
-            sims = [0.5 * (float(img_emb[q] @ img_emb[o]) + float(txt_emb[q] @ txt_emb[o]))
-                    for o in others]
-            s = math.fsum(sims) / len(sims)
+    lo = 0
+    for q, rows in enumerate(groups):
+        others = len(rows) - 1
+        s = math.fsum(sims[lo:lo + others].tolist()) / others if others else 1.0
+        lo += others
         out[q] = float(mapping_value(s, mapping))
     return out
 

@@ -6,9 +6,13 @@ import time
 
 import pytest
 
+from weakpair import data
 from weakpair.autograd import Graph
 from weakpair.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME,
                           ablation_cells, load_config, main)
+from weakpair.encoders import dict_to_params
+from weakpair.metrics import evaluate_model
+from weakpair.training import load_checkpoint
 
 
 SMALL_GEN = ["--set", "gen.num_identities=24", "--set", "gen.views_per_identity=3",
@@ -186,6 +190,29 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(tmp_path / "none.json"),
                      "--data", str(workspace / "data" / "test.tsv"),
                      "--out", str(tmp_path / "x")]) == EXIT_IO
+
+    @pytest.mark.parametrize("command", ["eval", "diag"])
+    def test_summary_matches_the_evaluation(self, workspace, tmp_path, command):
+        checkpoint = workspace / "run" / "checkpoint.json"
+        dataset = workspace / "data" / "test.tsv"
+        for out in ("a", "b"):
+            assert main([command, "--checkpoint", str(checkpoint), "--data", str(dataset),
+                         "--out", str(tmp_path / out), "--set", "eval.eval_seed=11"]) == EXIT_OK
+        text = (tmp_path / "a" / "summary.json").read_text()
+        assert (tmp_path / "b" / "summary.json").read_text() == text
+        ckpt, manifest = load_checkpoint(checkpoint), data.read(dataset)
+        result = evaluate_model(dict_to_params(ckpt.params), manifest,
+                                ckpt.config.mapping, eval_seed=11)
+        assert json.loads(text) == {
+            "records": len(manifest.records),
+            "identities": len({r.identity for r in manifest.records}),
+            "ranked_queries": len(result.ranking.queries),
+            "excluded_queries": result.ranking.excluded,
+            "zero_norm_rows": result.zero_norm_rows,
+            "mapping": ckpt.config.mapping,
+            "eval_seed": 11,
+        }
+        assert len(result.uncertainties) == len(manifest.records)
 
     def test_diag_emits_curves_only(self, workspace, tmp_path):
         code = main(["diag", "--checkpoint", str(workspace / "run" / "checkpoint.json"),

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakpair.metrics import (DEFAULT_RECALL_GRID, average_precision,
-                              margin_stats, margin_tuples,
-                              mean_average_precision, pr_curve,
+from weakpair.losses import MAPPINGS, mapping_value
+from weakpair.metrics import (DEFAULT_RECALL_GRID, QueryRanking, RankingResult,
+                              _row_dots, average_precision, margin_stats,
+                              margin_tuples, mean_average_precision, pr_curve,
                               query_uncertainty, rank_queries, recall_at_k,
                               reliability_stats, risk_coverage)
 
@@ -386,3 +387,154 @@ def test_margin_tuples_match_per_record_masks(ids, seed):
 def test_margin_tuples_reject_one_identity():
     with pytest.raises(ValueError, match="two identities"):
         margin_tuples(np.array([3, 3, 3]), np.random.default_rng(0))
+
+
+# -- whole-array stages against their per-query references ----------------
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def reference_rank_queries(scores, relevance, uncertainties):
+    """The per-query form: one counting pass and one sort per query."""
+    n_queries, n_gallery = scores.shape
+    indices = np.arange(n_gallery)
+    queries, excluded = [], 0
+    for q in range(n_queries):
+        row = scores[q]
+        if not np.isfinite(row).all():
+            raise ValueError(f"query {q}: non-finite score")
+        hits = np.flatnonzero(relevance[q])
+        if hits.shape[0] == 0:
+            excluded += 1
+            continue
+        key = row[hits, None]
+        ahead = (row > key) | ((row == key) & (indices < hits[:, None]))
+        hit_ranks = np.sort(1 + np.count_nonzero(ahead, axis=1))
+        precisions = np.arange(1, hit_ranks.shape[0] + 1) / hit_ranks
+        queries.append(QueryRanking(
+            query=q, hit_ranks=hit_ranks, uncertainty=float(uncertainties[q]),
+            ap=math.fsum(precisions.tolist()) / hit_ranks.shape[0]))
+    return RankingResult(queries, excluded)
+
+
+def reference_pr_precisions(result, grid=DEFAULT_RECALL_GRID):
+    """Macro precision per recall level from per-query rows, fsum per column."""
+    levels = np.array(grid)
+    table = np.empty((len(result.queries), levels.shape[0]))
+    for row, q in enumerate(result.queries):
+        n_hits = q.hit_ranks.shape[0]
+        recalls = np.arange(1, n_hits + 1) / n_hits
+        precisions = np.arange(1, n_hits + 1) / q.hit_ranks
+        table[row] = precisions[np.searchsorted(recalls, levels)]
+    return np.array([math.fsum(column) / table.shape[0] for column in table.T.tolist()])
+
+
+def reference_query_uncertainty(img_emb, txt_emb, identities, mapping):
+    """The per-record form: per-pair dot products, one fsum and mapping each."""
+    ids = identities.tolist()
+    out = np.empty(len(ids))
+    for q, identity in enumerate(ids):
+        others = [o for o, other in enumerate(ids) if other == identity and o != q]
+        if not others:
+            s = 1.0
+        else:
+            sims = [0.5 * (float(img_emb[q] @ img_emb[o]) + float(txt_emb[q] @ txt_emb[o]))
+                    for o in others]
+            s = math.fsum(sims) / len(sims)
+        out[q] = float(mapping_value(s, mapping))
+    return out
+
+
+def unit_rows(rng, n, d):
+    x = rng.normal(size=(n, d))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_whole_array_ranks_and_pr_curve_match_per_query_reference(data):
+    """Tie-heavy scores; each query draws its own relevant count, 0 and 1
+    included, so the pass groups queries of several sizes and chunks pairs."""
+    values = data.draw(_tie_values)
+    n_q, gallery = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 40))
+    scores = np.array([data.draw(st.lists(st.sampled_from(values),
+                                          min_size=gallery, max_size=gallery))
+                       for _ in range(n_q)])
+    relevance = np.zeros((n_q, gallery), dtype=bool)
+    for q in range(n_q):
+        count = data.draw(st.sampled_from([0, 1, gallery]) | st.integers(0, gallery))
+        relevance[q, data.draw(st.permutations(range(gallery)))[:count]] = True
+    u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_q, max_size=n_q)))
+
+    got, want = rank_queries(scores, relevance, u), reference_rank_queries(scores, relevance, u)
+    assert got.excluded == want.excluded
+    assert [q.query for q in got.queries] == [q.query for q in want.queries]
+    for g, w in zip(got.queries, want.queries):
+        assert_bits_equal(g.hit_ranks, w.hit_ranks)
+        assert_bits_equal(g.ap, w.ap)
+        assert_bits_equal(g.uncertainty, w.uncertainty)
+    if got.queries:
+        assert_bits_equal(pr_curve(got).precisions, reference_pr_precisions(want))
+
+
+@given(ids=st.lists(st.integers(0, 6), min_size=1, max_size=40),
+       dim=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1),
+       mapping=st.sampled_from(MAPPINGS))
+@settings(max_examples=300, deadline=None)
+def test_query_uncertainty_matches_per_record_reference(ids, dim, seed, mapping):
+    """Few identity values, so singletons and repeats both occur."""
+    rng = np.random.default_rng(seed)
+    img, txt = unit_rows(rng, len(ids), dim), unit_rows(rng, len(ids), dim)
+    identities = np.array(ids)
+    assert_bits_equal(query_uncertainty(img, txt, identities, mapping),
+                      reference_query_uncertainty(img, txt, identities, mapping))
+
+
+@given(ids=st.lists(st.integers(0, 4), min_size=2, max_size=40),
+       dim=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_margin_stats_match_per_tuple_dots(ids, dim, seed):
+    identities = np.array(ids)
+    if np.unique(identities).shape[0] < 2:
+        return
+    rng = np.random.default_rng(seed)
+    txt, img = unit_rows(rng, len(ids), dim), unit_rows(rng, len(ids), dim)
+    tuples = margin_tuples(identities, rng)
+    weak = [float(txt[q] @ img[w]) - float(txt[q] @ img[n]) for q, _, w, n in tuples]
+    pos = [float(txt[q] @ img[p]) - float(txt[q] @ img[n]) for q, p, _, n in tuples]
+    stats = margin_stats(txt, img, tuples)
+    assert_bits_equal(stats.weak_margins, np.array(weak))
+    assert_bits_equal(stats.pos_margins, np.array(pos))
+    assert_bits_equal(stats.mean_weak, math.fsum(weak) / len(weak))
+    assert_bits_equal(stats.mean_pos, math.fsum(pos) / len(pos))
+    assert_bits_equal(stats.weak_hist, np.histogram(np.array(weak), bins=stats.bin_edges)[0])
+    assert_bits_equal(stats.pos_hist, np.histogram(np.array(pos), bins=stats.bin_edges)[0])
+
+
+@given(n=st.integers(0, 30), dim=st.integers(1, 80), seed=st.integers(0, 2 ** 32 - 1),
+       scale=st.integers(-30, 30))
+@settings(max_examples=300, deadline=None)
+def test_row_dots_match_per_pair_matmul(n, dim, seed, scale):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, dim)) * 2.0 ** scale
+    b = rng.normal(size=(n, dim))
+    assert_bits_equal(_row_dots(a, b), np.array([a[i] @ b[i] for i in range(n)], dtype=float))
+
+
+def test_query_uncertainty_maps_each_record_as_a_scalar():
+    """Under "power" a scalar's ** 2 (C pow) and an array's square can differ
+    by one ulp; uncertainty keeps the scalar result.  Record 1 is [s, 0], so
+    record 0 = [1, 0] sees a consistency of exactly s."""
+    rng = np.random.default_rng(0)
+    values = [0.25, -0.5]
+    for s in rng.uniform(-1.0, 1.0, 20000).tolist():
+        if mapping_value(s, "power") != mapping_value(np.array([s]), "power")[0]:
+            values.append(s)
+    for s in values:
+        emb = np.array([[1.0, 0.0], [s, 0.0]])
+        u = query_uncertainty(emb, emb, np.array([0, 0]), "power")
+        assert_bits_equal(u[0], float(mapping_value(s, "power")))
