@@ -51,8 +51,8 @@ class GenConfig:
         for name, v in counts.items():
             if v < 1:
                 raise ValueError(f"{name} must be >= 1, got {v}")
-        if self.view_noise < 0:
-            raise ValueError(f"view_noise must be >= 0, got {self.view_noise}")
+        if not (np.isfinite(self.view_noise) and self.view_noise >= 0):
+            raise ValueError(f"view_noise must be finite and >= 0, got {self.view_noise}")
         if not 0.0 <= self.annotation_mask_rate < 1.0:
             raise ValueError(
                 f"annotation_mask_rate must be in [0, 1), got {self.annotation_mask_rate}")

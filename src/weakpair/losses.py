@@ -14,12 +14,12 @@ uitc_loss      weak-pair contrastive loss regularized by uncertainty:
                L / (gamma * u_w) + gamma * u_w, with u_w detached so the
                model cannot game the weighting path, and gamma = exp(log_gamma)
                kept positive structurally.
-itm_loss       binary match/non-match classification of the strong pair plus
-               its two directional hard negatives.
-gitm_batch_loss
-               group-wise matching: each weak branch averages its
-               weak-positive term with K mined negatives, weights 1/(1+K),
-               over all groups in one head evaluation per branch.
+matching_losses
+               binary match/non-match classification, one head evaluation
+               per step for every requested branch: itm over each strong
+               pair plus its two directional hard negatives, and the
+               group-wise gitm_txt and gitm_img, each averaging its
+               weak-positive term with K mined negatives, weights 1/(1+K).
 total_loss     itc + itm + alpha * uitc + beta * (gitm_txt + gitm_img).
 """
 
@@ -175,51 +175,50 @@ def itm_term(g: Graph, p_hat: Node, labels) -> Node:
     return g.mul(ll, -1.0)
 
 
-def _rows(g: Graph, rows: list[int], strong: Node, weak: Node) -> Node:
+def _rows(g: Graph, rows: list[int], strong: Node, weak: Node | None) -> Node:
     """Rows of [strong; weak] (n + j is weak row j); no weak row, no weak source."""
     if max(rows, default=0) < strong.shape[0]:
         return g.take_rows((strong,), rows)
     return g.take_rows((strong, weak), rows)
 
 
-def _pair_term(g: Graph, head, pairs: list[tuple[int, int, int]], f_img: Node,
-               f_txt: Node, f_img_w: Node, f_txt_w: Node) -> Node:
-    """Matching loss per (image row, text row, label) triple, rows as in _rows."""
-    img, txt, labels = zip(*pairs)
+# Branch -> the (image row, text row, label) triples that the group of anchor
+# i adds to it, rows as in _rows (a batch of n anchors).
+_BRANCH_PAIRS = {
+    "itm": lambda i, grp, n: [(i, i, 1), (i, grp.itm_neg_text, 0), (grp.itm_neg_image, i, 0)],
+    "gitm_txt": lambda i, grp, n: [(i, n + i, 1)] + [(i, j, 0) for j in grp.neg_texts],
+    "gitm_img": lambda i, grp, n: [(n + i, i, 1)] + [(j, i, 0) for j in grp.neg_images],
+}
+MATCHING_BRANCHES = tuple(_BRANCH_PAIRS)
+
+
+def matching_losses(g: Graph, head, groups: list[PairGroup], enc,
+                    branches: tuple[str, ...]) -> dict[str, Node]:
+    """Mean matching loss of each branch, every pair scored in one head evaluation.
+
+    enc is (f_img, f_txt, f_img_w, f_txt_w); image and text rows index
+    [f_img; f_img_w] and [f_txt; f_txt_w].  itm classifies each strong pair
+    against its two directional hard negatives.  The group-wise text branch
+    scores (anchor image, weak text) against the anchor image's K mined
+    texts, and the image branch mirrors it; every group contributes 1+K
+    equally weighted terms per branch, so a branch's flat mean equals the
+    mean of its per-group 1/(1+K)-weighted means.
+    """
+    f_img, f_txt, f_img_w, f_txt_w = enc
+    if branches != ("itm",) and not all(grp.neg_texts and grp.neg_images for grp in groups):
+        raise ValueError("group has an empty negative set")
+    n = f_img.shape[0]
+    pairs = {b: [pair for grp in groups for pair in _BRANCH_PAIRS[b](grp.anchor, grp, n)]
+             for b in branches}
+    img, txt, labels = zip(*(pair for b in branches for pair in pairs[b]))
     p_hat = match_probability(g, head, _rows(g, img, f_img, f_img_w),
                               _rows(g, txt, f_txt, f_txt_w))
-    return itm_term(g, p_hat, np.array(labels, dtype=np.float64)[:, None])
-
-
-def itm_loss(g: Graph, head, f_img: Node, f_txt: Node, groups: list[PairGroup]) -> Node:
-    """Mean matching loss over every strong pair and its two mined negatives."""
-    pairs = []
-    for grp in groups:
-        i = grp.anchor
-        pairs += [(i, i, 1), (i, grp.itm_neg_text, 0), (grp.itm_neg_image, i, 0)]
-    return g.mean(_pair_term(g, head, pairs, f_img, f_txt, f_img, f_txt))
-
-
-def gitm_batch_loss(g: Graph, head, f_img: Node, f_txt: Node, f_img_w: Node,
-                    f_txt_w: Node, groups: list[PairGroup]) -> tuple[Node, Node]:
-    """Both group-wise branch losses, averaged over all groups.
-
-    The text branch scores (anchor image, weak text) against the anchor
-    image's K mined texts; the image branch mirrors it.  Every group
-    contributes 1+K equally weighted terms per branch, so the flat mean
-    equals the mean of the per-group 1/(1+K)-weighted means.
-    """
-    n = f_img.shape[0]
-    txt_pairs, img_pairs = [], []
-    for grp in groups:
-        if not grp.neg_texts or not grp.neg_images:
-            raise ValueError("group has an empty negative set")
-        i = grp.anchor
-        txt_pairs += [(i, n + i, 1)] + [(i, j, 0) for j in grp.neg_texts]
-        img_pairs += [(n + i, i, 1)] + [(j, i, 0) for j in grp.neg_images]
-    branch_txt = g.mean(_pair_term(g, head, txt_pairs, f_img, f_txt, f_img_w, f_txt_w))
-    branch_img = g.mean(_pair_term(g, head, img_pairs, f_img, f_txt, f_img_w, f_txt_w))
-    return branch_txt, branch_img
+    term = itm_term(g, p_hat, np.array(labels, dtype=np.float64)[:, None])
+    if len(branches) == 1:
+        return {branches[0]: g.mean(term)}
+    ends = np.cumsum([len(pairs[b]) for b in branches])
+    return {b: g.mean(g.take_rows((term,), np.arange(end - len(pairs[b]), end)))
+            for b, end in zip(branches, ends)}
 
 
 def total_loss(g: Graph, itc: Node, itm: Node, uitc: Node | None,

@@ -27,9 +27,9 @@ from .autograd import Array, Graph, Node
 from .data import DatasetManifest, PairRecord
 from .encoders import (EmbeddingBatch, ModelDims, encode, init_model,
                        leaf_group, params_to_dict)
-from .losses import (LossReport, LossWeights, MAPPINGS,
-                     consistency_uncertainty, gitm_batch_loss, itc_loss,
-                     itm_loss, total_loss, uitc_loss, weak_itc_loss)
+from .losses import (LossReport, LossWeights, MAPPINGS, MATCHING_BRANCHES,
+                     consistency_uncertainty, itc_loss, matching_losses,
+                     total_loss, uitc_loss, weak_itc_loss)
 from .mining import (MiningConfig, MiningStarvationError, PairGroup,
                      build_groups, sample_weak)
 
@@ -71,6 +71,9 @@ class TrainConfig:
     ablation_mode: str = "uitc_gitm"
 
     def validate(self) -> None:
+        for name in ("alpha", "beta", "base_lr", "weight_decay", "tau_init"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 2:
@@ -218,12 +221,12 @@ def assemble_losses(g: Graph, leaves, enc, groups: list[PairGroup], mode: str,
     is the frozen form used by finite-difference checks.
     """
     f_img, f_txt, f_img_w, f_txt_w = enc
-    head = leaf_group(leaves, "head")
     nodes: dict[str, Node | None] = {
         "itc": itc_loss(g, f_img, f_txt, leaves["log_tau"]),
-        "itm": itm_loss(g, head, f_img, f_txt, groups),
         "uitc": None, "gitm_txt": None, "gitm_img": None,
     }
+    nodes.update(matching_losses(g, leaf_group(leaves, "head"), groups, enc,
+                                 MATCHING_BRANCHES if mode == "uitc_gitm" else ("itm",)))
     s_values = u_values = u_mean = None
     if mode in ("uitc", "uitc_gitm"):
         weak_itc = weak_itc_loss(g, f_img, f_txt, f_img_w, f_txt_w, leaves["log_tau"])
@@ -236,9 +239,6 @@ def assemble_losses(g: Graph, leaves, enc, groups: list[PairGroup], mode: str,
             u_node = g.constant(u_override)
             u_mean = u_override
         nodes["uitc"] = uitc_loss(g, weak_itc, u_node, leaves["log_gamma"])
-    if mode == "uitc_gitm":
-        nodes["gitm_txt"], nodes["gitm_img"] = gitm_batch_loss(
-            g, head, f_img, f_txt, f_img_w, f_txt_w, groups)
     nodes["total"] = total_loss(g, nodes["itc"], nodes["itm"], nodes["uitc"],
                                 nodes["gitm_txt"], nodes["gitm_img"], weights)
     return AssembledLosses(nodes, s_values, u_values, u_mean)

@@ -17,8 +17,8 @@ import numpy as np
 from .autograd import Graph, grad_check
 from .encoders import (EmbeddingBatch, ModelDims, init_model, leaf_group,
                        params_to_dict)
-from .losses import (LossWeights, consistency_uncertainty, gitm_batch_loss,
-                     itc_loss, itm_loss, uitc_loss, weak_itc_loss)
+from .losses import (LossWeights, consistency_uncertainty, itc_loss,
+                     matching_losses, uitc_loss, weak_itc_loss)
 from .mining import MiningConfig, build_groups
 from .training import StepData, assemble_losses, encode_step
 
@@ -170,11 +170,11 @@ _LOSSES = {
              lambda g, p, enc, inst: uitc_loss(g, weak_itc_loss(g, *enc, p["log_tau"]),
                                                g.constant(inst.u_mean), p["log_gamma"])),
     "itm": (("img", "txt", "head"), False,
-            lambda g, p, enc, inst: itm_loss(g, leaf_group(p, "head"), enc[0], enc[1],
-                                             inst.groups)),
+            lambda g, p, enc, inst: matching_losses(g, leaf_group(p, "head"), inst.groups,
+                                                    enc, ("itm",))["itm"]),
     "gitm": (("img", "txt", "head"), True,
-             lambda g, p, enc, inst: g.add(*gitm_batch_loss(g, leaf_group(p, "head"),
-                                                            *enc, inst.groups))),
+             lambda g, p, enc, inst: g.add(*matching_losses(
+                 g, leaf_group(p, "head"), inst.groups, enc, ("gitm_txt", "gitm_img")).values())),
     "total": (("img", "txt", "head", "log_tau", "log_gamma"), True, _total),
 }
 LOSS_NAMES = tuple(_LOSSES)

@@ -332,3 +332,18 @@ def test_eval_outputs_deterministic(workspace, tmp_path):
     for name in ("metrics.csv", "pr_curve.csv", "risk_coverage.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
                (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("train", "alpha", "nan"), ("train", "beta", "inf"), ("train", "base_lr", "nan"),
+    ("train", "weight_decay", "nan"), ("train", "tau_init", "inf"),
+    ("gen", "view_noise", "nan"), ("gen", "view_noise", "inf")])
+def test_non_finite_float_is_config_error_naming_the_key(workspace, tmp_path, capsys,
+                                                         command, key, value):
+    """Rejected at load time, before any step runs or any file is written."""
+    argv = [command, "--out", str(tmp_path / "x"), "--set", f"{command}.{key}={value}"]
+    if command == "train":
+        argv += ["--data", str(workspace / "data" / "train.tsv")]
+    assert main(argv) == EXIT_CONFIG
+    assert f"config error: {key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weakpair.autograd import Graph
-from weakpair.encoders import EmbeddingBatch, ModelDims, init_model
-from weakpair.losses import (LossReport, LossWeights, MAPPINGS,
-                             U_BOUNDS, consistency_uncertainty, gitm_batch_loss,
-                             itc_loss, itm_loss, itm_term, mapping_value,
+from weakpair.encoders import (EmbeddingBatch, ModelDims, init_model, leaf_group,
+                               match_probability)
+from weakpair.losses import (LossReport, LossWeights, MAPPINGS, MATCHING_BRANCHES,
+                             U_BOUNDS, consistency_uncertainty, itc_loss,
+                             itm_term, mapping_value, matching_losses,
                              total_loss, uitc_loss)
 from weakpair.mining import MiningConfig, build_groups
+from weakpair.training import encode_step
 from weakpair.verify import random_instance, stop_gradient_bitexact
 
 
@@ -268,6 +270,11 @@ def three_identity_batch(rng):
     return EmbeddingBatch(img, txt, weak_img, weak_txt, np.arange(3))
 
 
+def embeddings(g, batch):
+    return tuple(g.constant(m) for m in (batch.image, batch.text,
+                                         batch.weak_image, batch.weak_text))
+
+
 class TestItmLoss:
     def test_zero_head_gives_ln2(self):
         rng = np.random.default_rng(5)
@@ -275,7 +282,7 @@ class TestItmLoss:
         groups = build_groups(batch, MiningConfig("custom", 1))
         g = Graph()
         head = zero_head_nodes(g)
-        loss = itm_loss(g, head, g.constant(batch.image), g.constant(batch.text), groups)
+        loss = matching_losses(g, head, groups, embeddings(g, batch), ("itm",))["itm"]
         assert abs(float(loss.value) - math.log(2.0)) <= 1e-12
 
     def test_pair_count_single_anchor(self):
@@ -284,7 +291,7 @@ class TestItmLoss:
         groups = build_groups(batch, MiningConfig("custom", 1))[:1]
         g = Graph()
         head = zero_head_nodes(g)
-        loss_node = itm_loss(g, head, g.constant(batch.image), g.constant(batch.text), groups)
+        loss_node = matching_losses(g, head, groups, embeddings(g, batch), ("itm",))["itm"]
         # mean of 3 terms: the mean input must have had 3 rows
         mean_input = loss_node.inputs[0]
         assert mean_input.shape == (3, 1)
@@ -297,9 +304,8 @@ class TestGitmLoss:
         groups = build_groups(batch, MiningConfig("neg3v4", 1))
         g = Graph()
         head = zero_head_nodes(g)
-        txt, img = gitm_batch_loss(g, head, g.constant(batch.image), g.constant(batch.text),
-                                   g.constant(batch.weak_image), g.constant(batch.weak_text),
-                                   groups[:1])
+        txt, img = matching_losses(g, head, groups[:1], embeddings(g, batch),
+                                   ("gitm_txt", "gitm_img")).values()
         assert abs(float(txt.value) - math.log(2.0)) <= 1e-12
         assert abs(float(img.value) - math.log(2.0)) <= 1e-12
 
@@ -310,9 +316,8 @@ class TestGitmLoss:
             groups = build_groups(batch, MiningConfig(mode, k))
             g = Graph()
             head = zero_head_nodes(g)
-            txt, img = gitm_batch_loss(g, head, g.constant(batch.image), g.constant(batch.text),
-                                       g.constant(batch.weak_image), g.constant(batch.weak_text),
-                                       groups[:1])
+            txt, img = matching_losses(g, head, groups[:1], embeddings(g, batch),
+                                       ("gitm_txt", "gitm_img")).values()
             assert txt.inputs[0].shape == (1 + k, 1)
             assert img.inputs[0].shape == (1 + k, 1)
 
@@ -363,16 +368,57 @@ def test_gitm_batched_equals_mean_of_group_losses():
         g = Graph()
         head = {f.name: g.constant(getattr(model.head, f.name))
                 for f in dataclasses.fields(model.head)}
-        args = (g.constant(batch.image), g.constant(batch.text),
-                g.constant(batch.weak_image), g.constant(batch.weak_text))
-        txt_b, img_b = gitm_batch_loss(g, head, *args, groups)
+        enc = embeddings(g, batch)
+        txt_b, img_b = matching_losses(g, head, groups, enc, ("gitm_txt", "gitm_img")).values()
         txts, imgs = [], []
         for group in groups:
-            t, i = gitm_batch_loss(g, head, *args, [group])
+            t, i = matching_losses(g, head, [group], enc, ("gitm_txt", "gitm_img")).values()
             txts.append(float(t.value))
             imgs.append(float(i.value))
         assert abs(float(txt_b.value) - np.mean(txts)) <= 1e-12
         assert abs(float(img_b.value) - np.mean(imgs)) <= 1e-12
+
+
+def branch_pairs(groups, n):
+    """(image row, text row, label) triples of itm, gitm_txt and gitm_img."""
+    itm, txt, img = [], [], []
+    for grp in groups:
+        i = grp.anchor
+        itm += [(i, i, 1), (i, grp.itm_neg_text, 0), (grp.itm_neg_image, i, 0)]
+        txt += [(i, n + i, 1)] + [(i, j, 0) for j in grp.neg_texts]
+        img += [(n + i, i, 1)] + [(j, i, 0) for j in grp.neg_images]
+    return itm, txt, img
+
+
+def branch_alone(g, head, pairs, f_img, f_txt, f_img_w, f_txt_w):
+    """One branch's mean loss from a head evaluation of its own."""
+    img, txt, labels = zip(*pairs)
+    p_hat = match_probability(g, head, g.take_rows((f_img, f_img_w), img),
+                              g.take_rows((f_txt, f_txt_w), txt))
+    return g.mean(itm_term(g, p_hat, np.array(labels, dtype=np.float64)[:, None]))
+
+
+# The trainer's default widths, batch and K, and the gradient battery's.
+SHAPES = {"trainer": dict(dims=ModelDims(48, 40, 32, 16), n=16, k=2),
+          "battery": {}}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_fused_branches_equal_each_branch_alone(shape):
+    """Each segment mean of the one head evaluation equals, bit for bit, its
+    branch scored alone, for every branch set a caller asks for."""
+    for seed in range(10):
+        inst = random_instance(np.random.default_rng(seed), **SHAPES[shape])
+        g = Graph()
+        leaves = {k: g.constant(v) for k, v in inst.params.items()}
+        enc = encode_step(g, leaves, inst.data, need_weak=True)
+        head = leaf_group(leaves, "head")
+        alone = [float(branch_alone(g, head, pairs, *enc).value)
+                 for pairs in branch_pairs(inst.groups, enc[0].shape[0])]
+        for branches in (MATCHING_BRANCHES, ("itm",), ("gitm_txt", "gitm_img")):
+            fused = matching_losses(g, head, inst.groups, enc, branches)
+            assert [float(fused[b].value) for b in branches] == \
+                   [alone[MATCHING_BRANCHES.index(b)] for b in branches]
 
 
 def test_random_instance_u_mean_is_the_assembled_one():

@@ -143,13 +143,21 @@ class TestTrainBasics:
         assert any(r.report.uitc != 0.0 for r in log.steps)
 
     @pytest.mark.parametrize("mode, nodes", [("baseline", 75), ("uitc", 143),
-                                             ("uitc_gitm", 209)])
+                                             ("uitc_gitm", 152)])
     def test_nodes_per_step(self, mode, nodes, monkeypatch):
         """Graph size of every step of a run that clamps nothing."""
         sizes = read_each_step_graph(monkeypatch, lambda g: len(g.nodes))
         _, log = train(small_cfg(ablation_mode=mode), dataset())
         assert all(rec.clamps == 0 for rec in log.steps)
         assert sizes == [nodes] * len(log.steps)
+
+    @pytest.mark.parametrize("mode", training.ABLATION_MODES)
+    def test_one_head_evaluation_per_step(self, mode, monkeypatch):
+        """Every matching pair of a step goes through a single sigmoid."""
+        sigmoids = read_each_step_graph(
+            monkeypatch, lambda g: sum(node.op == "sigmoid" for node in g.nodes))
+        _, log = train(small_cfg(ablation_mode=mode), dataset())
+        assert sigmoids == [1] * len(log.steps)
 
     def test_clamps_logged_from_the_step_graph(self, monkeypatch):
         """A clamp interval narrow enough to bite: each step logs its graph's count."""
