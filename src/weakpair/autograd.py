@@ -6,21 +6,23 @@ pass-through clamp, row gathers (take_rows), row-wise L2 normalization,
 row-cosine matrices, each row's log-softmax at one column
 (log_softmax_at), sum/mean reductions, and detach (stop-gradient).
 
-Each op's forward math is one module-level kernel written over trailing
-axes, shared by two front ends with the same op surface:
+Every op is written once, in _Ops: it checks its contract on each input's
+.shape (per replica, for a stacked value), computes its value over trailing
+axes, builds its vjp and hands both to _emit.  The two front ends share
+that surface and differ in _emit:
 
-Graph      records nodes and vjps for backward().  Graphs are eager: a node's
-           value is computed when the op is recorded, so callers can inspect
-           intermediate values (e.g. for hard-negative mining) while the
-           graph is still being built.  Backward walks the node list in
+Graph      records a node with the vjp, for backward().  Graphs are eager: a
+           node's value is computed when the op is recorded, so callers can
+           inspect intermediate values (e.g. for hard-negative mining) while
+           the graph is still being built.  Backward walks the node list in
            reverse insertion order, a valid topological order because every
            op can only consume previously created nodes.  Graphs hold no
            back-references (nodes and vjps refer only to their inputs), so
            reference counting frees a finished graph without the cyclic
            collector.
-Evaluator  computes values only, for many parameter points at once: a
-           stacked value carries a leading replica axis ahead of its own
-           shape.  grad_check evaluates every perturbed copy of the
+Evaluator  keeps the value and drops the vjp, for many parameter points at
+           once: a stacked value carries a leading replica axis ahead of its
+           own shape.  grad_check evaluates every perturbed copy of the
            parameters in one such pass.
 """
 
@@ -42,71 +44,10 @@ class GraphError(ValueError):
     """Contract violation while building or differentiating a graph."""
 
 
-# -- forward kernels ------------------------------------------------------------
-# Each works over the trailing axes of its arguments, so leading axes (the
-# Evaluator's replica axis) pass through untouched.  Graph and Evaluator take
-# every forward value from here.
-
-
-def _sigmoid(v: Array) -> Array:
-    # Stable in both tails: exp of a non-positive argument only.
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def _clamp(v: Array, lo: float, hi: float) -> Array:
-    """v + (clip(v) - v): exactly v wherever nothing is clipped."""
-    return v + (np.clip(v, lo, hi) - v)
-
-
-def _affine(x: Array, w: Array, b: Array | None = None) -> Array:
-    y = np.matmul(x, w)
-    return y if b is None else y + b[..., None, :]
-
-
-def _take_rows(sources: list[Array], rows: Array) -> Array:
-    # np.take keeps the result C-contiguous, as each replica's own gather is;
-    # stacked[..., rows, :] would not be.
-    return np.take(np.concatenate(sources, axis=-2), rows, axis=-2)
-
-
-def _l2_normalize(v: Array) -> tuple[Array, Array, Array]:
-    """Last-axis rows over their norms, the norms (1 for zero rows), zero mask."""
-    norms = np.sqrt((v * v).sum(axis=-1, keepdims=True))
-    zero = norms == 0.0
-    safe = np.where(zero, 1.0, norms)
-    return v / safe, safe, zero
-
-
-def _cosine_matrix(a: Array, b: Array) -> Array:
-    return np.matmul(a, np.swapaxes(b, -1, -2))
-
-
-def _log_softmax_at(v: Array, cols: Array) -> tuple[Array, Array]:
-    """Row i's log-softmax at column cols[i], and the row probabilities."""
-    shifted = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=-1)
-    # The log of a picked probability could underflow to -inf; this cannot.
-    picked = shifted[..., np.arange(cols.shape[0]), cols] - np.log(total)
-    return picked, e / total[..., None]
-
-
-def _sum_rows(v: Array) -> Array:
-    return v.sum(axis=-1)
-
-
 def _sum(v: Array, ndim: int) -> Array:
     """Sum over the trailing ndim axes, added in C order whatever the layout."""
     lead = v.shape[:v.ndim - ndim]
     return np.asarray(v.reshape(lead + (-1,)).sum(axis=-1))
-
-
-def _mean(v: Array, ndim: int) -> Array:
-    return _sum(v, ndim) / math.prod(v.shape[v.ndim - ndim:])
-
-
-# -- recorded graphs -----------------------------------------------------------
 
 
 def _reduce_to(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -115,11 +56,222 @@ def _reduce_to(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
+# -- the op surface -------------------------------------------------------------
+
+
+class _Ops:
+    """Every op, once.  A front end supplies _wrap, _values (input values
+    aligned for a multi-input op), _emit, _flag_zero_rows and a clamped
+    counter; contracts read each input's own .shape."""
+
+    # -- elementwise ops -------------------------------------------------
+
+    @staticmethod
+    def _match(a, b) -> None:
+        # Same shape, or one side is a scalar; anything else is out of scope.
+        sa, sb = a.shape, b.shape
+        if sa != sb and sa != () and sb != ():
+            raise GraphError(f"shape mismatch {sa} vs {sb}")
+
+    def add(self, a, b):
+        a, b = self._wrap(a), self._wrap(b)
+        self._match(a, b)
+
+        def vjp(g):
+            return (_reduce_to(g, a.shape) if a.needs_grad else None,
+                    _reduce_to(g, b.shape) if b.needs_grad else None)
+
+        return self._emit("add", (a, b), np.add(*self._values(a, b)), vjp)
+
+    def mul(self, a, b):
+        a, b = self._wrap(a), self._wrap(b)
+        self._match(a, b)
+
+        def vjp(g):
+            return (_reduce_to(g * b.value, a.shape) if a.needs_grad else None,
+                    _reduce_to(g * a.value, b.shape) if b.needs_grad else None)
+
+        return self._emit("mul", (a, b), np.multiply(*self._values(a, b)), vjp)
+
+    def tanh(self, x):
+        x = self._wrap(x)
+        y = np.tanh(x.value)
+        return self._emit("tanh", (x,), y, lambda g: (g * (1.0 - y * y),))
+
+    def exp(self, x):
+        x = self._wrap(x)
+        y = np.exp(x.value)
+        return self._emit("exp", (x,), y, lambda g: (g * y,))
+
+    def log(self, x):
+        x = self._wrap(x)
+        return self._emit("log", (x,), np.log(x.value), lambda g: (g / x.value,))
+
+    def sigmoid(self, x):
+        x = self._wrap(x)
+        # Stable in both tails: exp of a non-positive argument only.
+        e = np.exp(-np.abs(x.value))
+        y = np.where(x.value >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return self._emit("sigmoid", (x,), y, lambda g: (g * y * (1.0 - y),))
+
+    def clamp(self, x, lo: float, hi: float):
+        """x moved onto [lo, hi]; the gradient passes through unchanged.
+
+        y = x + (clip(x) - x) is exactly x wherever nothing is clipped.  The
+        op is emitted only when some entry moves; otherwise x itself is
+        returned, so a graph without clamping carries no extra node.  Moved
+        entries are counted in self.clamped.
+        """
+        x = self._wrap(x)
+        y = x.value + (np.clip(x.value, lo, hi) - x.value)
+        moved = int(np.count_nonzero(y != x.value))
+        if moved == 0:
+            return x
+        self.clamped += moved
+        return self._emit("clamp", (x,), y, lambda g: (g,))
+
+    # -- linear / row-wise ops ---------------------------------------------
+
+    def affine(self, x, w, b=None):
+        """x @ w (+ b broadcast over rows).  x: (n,p), w: (p,q), b: (q,)."""
+        x, w = self._wrap(x), self._wrap(w)
+        if len(x.shape) != 2 or len(w.shape) != 2:
+            raise GraphError("affine expects 2-d x and w")
+        if x.shape[1] != w.shape[0]:
+            raise GraphError(f"affine inner dims {x.shape} @ {w.shape}")
+        inputs = (x, w) if b is None else (x, w, self._wrap(b))
+        if b is not None and inputs[2].shape != (w.shape[1],):
+            raise GraphError(f"affine bias shape {inputs[2].shape}")
+        values = self._values(*inputs)
+        y = np.matmul(values[0], values[1])
+        if b is not None:
+            y = y + values[2]
+
+        def vjp(g):
+            grads = (g @ w.value.swapaxes(-1, -2) if x.needs_grad else None,
+                     x.value.swapaxes(-1, -2) @ g if w.needs_grad else None)
+            return grads if b is None else grads + (
+                g.sum(axis=-2) if inputs[2].needs_grad else None,)
+
+        return self._emit("affine", inputs, y, vjp)
+
+    def take_rows(self, sources, rows):
+        """Listed rows of the row-stacked sources; repeats scatter-add in backward."""
+        sources = tuple(self._wrap(s) for s in sources)
+        if len({s.shape[1:] for s in sources}) != 1 or len(sources[0].shape) != 2:
+            raise GraphError(f"take_rows needs same-width matrices: {[s.shape for s in sources]}")
+        bounds = np.cumsum([s.shape[0] for s in sources])
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 1 or np.any((rows < 0) | (rows >= bounds[-1])):
+            raise GraphError(f"take_rows indices outside {bounds[-1]} rows")
+        # np.take keeps the result C-contiguous, as each replica's own gather
+        # is; stacked[..., rows, :] would not be.
+        y = np.take(np.concatenate(self._values(*sources), axis=-2), rows, axis=-2)
+
+        def vjp(g):
+            grad = np.zeros((bounds[-1], sources[0].shape[1]))
+            np.add.at(grad, rows, g)
+            return tuple(np.split(grad, bounds[:-1]))
+
+        return self._emit("take_rows", sources, y, vjp)
+
+    def l2_normalize(self, x):
+        """Rows scaled to unit Euclidean norm; zero rows pass through flagged."""
+        x = self._wrap(x)
+        if len(x.shape) not in (1, 2):
+            raise GraphError("l2_normalize expects a row or a row matrix")
+        norms = np.sqrt((x.value * x.value).sum(axis=-1, keepdims=True))
+        zero = norms == 0.0
+        safe = np.where(zero, 1.0, norms)
+        y = x.value / safe
+
+        def vjp(g):
+            inner = (g * y).sum(axis=-1, keepdims=True)
+            gx = (g - y * inner) / safe
+            if zero.any():
+                gx = np.where(zero, 0.0, gx)
+            return (gx,)
+
+        out = self._emit("l2_normalize", (x,), y, vjp)
+        self._flag_zero_rows(out, zero)
+        return out
+
+    def cosine_matrix(self, a, b):
+        """Row-by-row dot products: (n,d) x (m,d) -> (n,m).
+
+        Equals cosine similarity when rows are unit-norm, which is the
+        caller's contract.
+        """
+        a, b = self._wrap(a), self._wrap(b)
+        if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[1]:
+            raise GraphError(f"cosine_matrix shapes {a.shape} vs {b.shape}")
+        av, bv = self._values(a, b)
+
+        def vjp(g):
+            return (g @ b.value, g.swapaxes(-1, -2) @ a.value)
+
+        return self._emit("cosine_matrix", (a, b), np.matmul(av, bv.swapaxes(-1, -2)), vjp)
+
+    def log_softmax_at(self, x, cols):
+        """(n,m) -> (n,): row i's log-softmax at column cols[i]."""
+        x = self._wrap(x)
+        cols = np.asarray(cols)
+        if (len(x.shape) != 2 or cols.shape != x.shape[:1] or cols.dtype.kind not in "iu"
+                or np.any((cols < 0) | (cols >= x.shape[1]))):
+            raise GraphError(f"log_softmax_at needs one column of {x.shape} per row, "
+                             f"got {cols.tolist()}")
+        rows = np.arange(cols.shape[0])
+        shifted = x.value - x.value.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        total = e.sum(axis=-1)
+        # The log of a picked probability could underflow to -inf; this cannot.
+        y = shifted[..., rows, cols] - np.log(total)
+        p = e / total[..., None]
+
+        def vjp(g):
+            onehot = np.zeros_like(p)
+            onehot[..., rows, cols] = 1.0
+            return (g[..., None] * (onehot - p),)
+
+        return self._emit("log_softmax_at", (x,), y, vjp)
+
+    # -- reductions ----------------------------------------------------------
+
+    def sum(self, x):
+        x = self._wrap(x)
+        shape = x.shape
+        return self._emit("sum", (x,), _sum(x.value, len(shape)),
+                          lambda g: (np.full(shape, g),))
+
+    def mean(self, x):
+        x = self._wrap(x)
+        shape, size = x.shape, math.prod(x.shape)
+        return self._emit("mean", (x,), _sum(x.value, len(shape)) / size,
+                          lambda g: (np.full(shape, g / size),))
+
+    def sum_rows(self, x):
+        """(n,m) -> (n,): per-row sums."""
+        x = self._wrap(x)
+        if len(x.shape) != 2:
+            raise GraphError("sum_rows expects a matrix")
+        cols = x.shape[1]
+        return self._emit("sum_rows", (x,), x.value.sum(axis=-1),
+                          lambda g: (np.repeat(g[..., None], cols, axis=-1),))
+
+    def detach(self, x):
+        """Value passes through; gradient through this node is exactly zero."""
+        x = self._wrap(x)
+        return self._emit("detach", (x,), x.value, None)
+
+
+# -- recorded graphs -----------------------------------------------------------
+
+
 class Node:
     """One leaf or op record: kind, input nodes, and the computed value."""
 
-    __slots__ = ("id", "op", "inputs", "value", "trainable", "needs_grad",
-                 "_vjp", "name")
+    __slots__ = ("id", "op", "inputs", "value", "shape", "trainable",
+                 "needs_grad", "_vjp", "name")
 
     def __init__(self, id: int, op: str, inputs: tuple["Node", ...],
                  value: Array, trainable: bool, needs_grad: bool,
@@ -129,21 +281,18 @@ class Node:
         self.op = op
         self.inputs = inputs
         self.value = value
+        self.shape: tuple[int, ...] = value.shape
         self.trainable = trainable
         self.needs_grad = needs_grad
         self._vjp = vjp
         self.name = name
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
 
     def __repr__(self) -> str:
         label = self.name or self.op
         return f"Node({label}, id={self.id}, shape={self.shape})"
 
 
-class Graph:
+class Graph(_Ops):
     """Ordered op records plus the set of trainable leaves.
 
     Values are float64.  Single-threaded per instance; distinct graphs share
@@ -183,205 +332,21 @@ class Graph:
             return value
         return self.constant(value)
 
-    def _record(self, op: str, inputs: tuple[Node, ...], value: Array,
-                vjp) -> Node:
-        needs = False
-        for inp in inputs:
-            if inp.needs_grad:
-                needs = True
-                break
-        return self._append(op, inputs, value, False, needs, vjp)
-
-    # -- elementwise ops -------------------------------------------------
+    # -- the op surface's hooks ------------------------------------------
 
     @staticmethod
-    def _match(a: Node, b: Node) -> None:
-        # Same shape, or one side is a scalar; anything else is out of scope.
-        sa, sb = a.value.shape, b.value.shape
-        if sa != sb and sa != () and sb != ():
-            raise GraphError(f"shape mismatch {sa} vs {sb}")
+    def _values(*inputs: Node) -> list[Array]:
+        return [inp.value for inp in inputs]
 
-    def add(self, a, b) -> Node:
-        a, b = self._wrap(a), self._wrap(b)
-        self._match(a, b)
+    def _emit(self, op: str, inputs: tuple[Node, ...], value: Array, vjp) -> Node:
+        for inp in inputs:
+            if inp.needs_grad and vjp is not None:
+                return self._append(op, inputs, value, False, True, vjp)
+        return self._append(op, inputs, value, False, False, vjp)
 
-        def vjp(g):
-            return (_reduce_to(g, a.shape) if a.needs_grad else None,
-                    _reduce_to(g, b.shape) if b.needs_grad else None)
-
-        return self._record("add", (a, b), np.add(a.value, b.value), vjp)
-
-    def mul(self, a, b) -> Node:
-        a, b = self._wrap(a), self._wrap(b)
-        self._match(a, b)
-
-        def vjp(g):
-            return (_reduce_to(g * b.value, a.shape) if a.needs_grad else None,
-                    _reduce_to(g * a.value, b.shape) if b.needs_grad else None)
-
-        return self._record("mul", (a, b), np.multiply(a.value, b.value), vjp)
-
-    def tanh(self, x) -> Node:
-        x = self._wrap(x)
-        y = np.tanh(x.value)
-        return self._record("tanh", (x,), y, lambda g: (g * (1.0 - y * y),))
-
-    def exp(self, x) -> Node:
-        x = self._wrap(x)
-        y = np.exp(x.value)
-        return self._record("exp", (x,), y, lambda g: (g * y,))
-
-    def log(self, x) -> Node:
-        x = self._wrap(x)
-        return self._record("log", (x,), np.log(x.value),
-                            lambda g: (g / x.value,))
-
-    def sigmoid(self, x) -> Node:
-        x = self._wrap(x)
-        y = _sigmoid(x.value)
-        return self._record("sigmoid", (x,), y,
-                            lambda g: (g * y * (1.0 - y),))
-
-    def clamp(self, x, lo: float, hi: float) -> Node:
-        """x moved onto [lo, hi]; the gradient passes through unchanged.
-
-        Recorded only when some entry moves; otherwise x itself is returned,
-        so a graph without clamping carries no extra node.  Moved entries are
-        counted in self.clamped.
-        """
-        x = self._wrap(x)
-        y = _clamp(x.value, lo, hi)
-        moved = int(np.count_nonzero(y != x.value))
-        if moved == 0:
-            return x
-        self.clamped += moved
-        return self._record("clamp", (x,), y, lambda g: (g,))
-
-    # -- linear / row-wise ops ---------------------------------------------
-
-    def affine(self, x, w, b=None) -> Node:
-        """x @ w (+ b broadcast over rows).  x: (n,p), w: (p,q), b: (q,)."""
-        x, w = self._wrap(x), self._wrap(w)
-        if x.value.ndim != 2 or w.value.ndim != 2:
-            raise GraphError("affine expects 2-d x and w")
-        if x.shape[1] != w.shape[0]:
-            raise GraphError(f"affine inner dims {x.shape} @ {w.shape}")
-        if b is None:
-            def vjp(g):
-                return (g @ w.value.T if x.needs_grad else None,
-                        x.value.T @ g if w.needs_grad else None)
-
-            return self._record("affine", (x, w), _affine(x.value, w.value), vjp)
-        b = self._wrap(b)
-        if b.shape != (w.shape[1],):
-            raise GraphError(f"affine bias shape {b.shape}")
-
-        def vjp(g):
-            return (g @ w.value.T if x.needs_grad else None,
-                    x.value.T @ g if w.needs_grad else None,
-                    g.sum(axis=0) if b.needs_grad else None)
-
-        return self._record("affine", (x, w, b), _affine(x.value, w.value, b.value), vjp)
-
-    def take_rows(self, sources, rows) -> Node:
-        """Listed rows of the row-stacked sources; repeats scatter-add in backward."""
-        sources = tuple(self._wrap(s) for s in sources)
-        if len({s.shape[1:] for s in sources}) != 1 or sources[0].value.ndim != 2:
-            raise GraphError(f"take_rows needs same-width matrices: {[s.shape for s in sources]}")
-        bounds = np.cumsum([s.shape[0] for s in sources])
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.ndim != 1 or np.any((rows < 0) | (rows >= bounds[-1])):
-            raise GraphError(f"take_rows indices outside {bounds[-1]} rows")
-        width = sources[0].shape[1]
-
-        def vjp(g):
-            grad = np.zeros((bounds[-1], width))
-            np.add.at(grad, rows, g)
-            return tuple(np.split(grad, bounds[:-1]))
-
-        return self._record("take_rows", sources,
-                            _take_rows([s.value for s in sources], rows), vjp)
-
-    def l2_normalize(self, x) -> Node:
-        """Rows scaled to unit Euclidean norm; zero rows pass through flagged."""
-        x = self._wrap(x)
-        if x.value.ndim not in (1, 2):
-            raise GraphError("l2_normalize expects a row or a row matrix")
-        y, safe, zero = _l2_normalize(x.value)
-
-        def vjp(g):
-            inner = (g * y).sum(axis=-1, keepdims=True)
-            gx = (g - y * inner) / safe
-            if zero.any():
-                gx = np.where(zero, 0.0, gx)
-            return (gx,)
-
-        out = self._record("l2_normalize", (x,), y, vjp)
+    def _flag_zero_rows(self, out: Node, zero: Array) -> None:
         if zero.any():
             self.zero_norm_rows.append((out.id, tuple(np.flatnonzero(zero))))
-        return out
-
-    def cosine_matrix(self, a, b) -> Node:
-        """Row-by-row dot products: (n,d) x (m,d) -> (n,m).
-
-        Equals cosine similarity when rows are unit-norm, which is the
-        caller's contract.
-        """
-        a, b = self._wrap(a), self._wrap(b)
-        if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[1]:
-            raise GraphError(f"cosine_matrix shapes {a.shape} vs {b.shape}")
-
-        def vjp(g):
-            return (g @ b.value, g.T @ a.value)
-
-        return self._record("cosine_matrix", (a, b), _cosine_matrix(a.value, b.value), vjp)
-
-    def log_softmax_at(self, x, cols) -> Node:
-        """(n,m) -> (n,): row i's log-softmax at column cols[i]."""
-        x = self._wrap(x)
-        cols = np.asarray(cols)
-        if (x.value.ndim != 2 or cols.shape != x.shape[:1] or cols.dtype.kind not in "iu"
-                or np.any((cols < 0) | (cols >= x.shape[1]))):
-            raise GraphError(f"log_softmax_at needs one column of {x.shape} per row, "
-                             f"got {cols.tolist()}")
-        y, p = _log_softmax_at(x.value, cols)
-
-        def vjp(g):
-            onehot = np.zeros_like(p)
-            onehot[np.arange(cols.shape[0]), cols] = 1.0
-            return (g[:, None] * (onehot - p),)
-
-        return self._record("log_softmax_at", (x,), y, vjp)
-
-    # -- reductions ----------------------------------------------------------
-
-    def sum(self, x) -> Node:
-        x = self._wrap(x)
-        shape = x.shape
-        return self._record("sum", (x,), _sum(x.value, len(shape)),
-                            lambda g: (np.full(shape, g),))
-
-    def mean(self, x) -> Node:
-        x = self._wrap(x)
-        shape, size = x.shape, x.value.size
-        return self._record("mean", (x,), _mean(x.value, len(shape)),
-                            lambda g: (np.full(shape, g / size),))
-
-    def sum_rows(self, x) -> Node:
-        """(n,m) -> (n,): per-row sums."""
-        x = self._wrap(x)
-        if x.value.ndim != 2:
-            raise GraphError("sum_rows expects a matrix")
-        cols = x.shape[1]
-        return self._record("sum_rows", (x,), _sum_rows(x.value),
-                            lambda g: (np.repeat(g[:, None], cols, axis=1),))
-
-    def detach(self, x) -> Node:
-        """Value passes through; gradient through this node is exactly zero."""
-        x = self._wrap(x)
-        node = self._record("detach", (x,), x.value, None)
-        node.needs_grad = False
-        return node
 
     # -- differentiation ------------------------------------------------------
 
@@ -420,34 +385,31 @@ class Graph:
 
 class Stacked:
     """An Evaluator value: one array per replica along a leading axis, or,
-    when not stacked, one array shared by every replica."""
+    when not stacked, one array shared by every replica.  Its shape is the
+    per-replica one, the shape a Graph node of the same op has."""
 
-    __slots__ = ("value", "stacked")
+    __slots__ = ("value", "stacked", "shape")
 
     def __init__(self, value: Array, stacked: bool):
         self.value = value
         self.stacked = stacked
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """Per-replica shape: the shape a Graph node of the same op has."""
-        return self.value.shape[1:] if self.stacked else self.value.shape
+        self.shape: tuple[int, ...] = value.shape[1:] if stacked else value.shape
 
 
-class Evaluator:
+class Evaluator(_Ops):
     """Graph's op surface, forward values only, at many parameter points at once.
 
     Leaves made by stack() hold one copy per replica along a leading axis;
-    every other leaf is a constant shared by all replicas.  Ops call the same
-    kernels as Graph, so each replica's value is, bit for bit, the value a
-    graph computes at that replica's parameters in the evaluator's dtype.
-    Nothing is recorded (no nodes, no vjps, no node list), so intermediate
-    values are freed as soon as the caller drops them.  Shapes are not
-    checked here: grad_check builds every loss on a Graph first, which does.
+    every other leaf is a constant shared by all replicas.  Ops are Graph's
+    own, contracts included, so each replica's value is, bit for bit, the
+    value a graph computes at that replica's parameters in the evaluator's
+    dtype.  Nothing is recorded (no nodes, no vjps, no node list), so
+    intermediate values are freed as soon as the caller drops them.
     """
 
     def __init__(self, dtype=np.float64):
         self.dtype = dtype
+        self.clamped = 0  # over every replica
 
     # -- leaves ----------------------------------------------------------
 
@@ -470,81 +432,34 @@ class Evaluator:
     def _wrap(self, value) -> Stacked:
         return value if isinstance(value, Stacked) else self.constant(value)
 
-    def _apply(self, kernel, inputs, *args) -> Stacked:
-        """kernel over the inputs' values, stacked if any input is."""
-        inputs = [self._wrap(x) for x in inputs]
-        return Stacked(kernel(*(x.value for x in inputs), *args),
-                       any(x.stacked for x in inputs))
+    # -- the op surface's hooks ------------------------------------------
 
-    # -- ops ---------------------------------------------------------------
+    @staticmethod
+    def _values(*inputs: Stacked) -> list[Array]:
+        """Values lined up replica by replica: shared ones broadcast over the
+        replicas, lower-rank ones with unit axes after the replica axis."""
+        replicas = next((x.value.shape[0] for x in inputs if x.stacked), None)
+        if replicas is None:
+            return [x.value for x in inputs]
+        rank = max([len(x.shape) for x in inputs])
+        values = []
+        for x in inputs:
+            v = x.value if x.stacked else np.broadcast_to(x.value, (replicas,) + x.shape)
+            if len(x.shape) < rank:
+                v = v.reshape((replicas,) + (1,) * (rank - len(x.shape)) + x.shape)
+            values.append(v)
+        return values
 
-    def _elementwise(self, ufunc, a, b) -> Stacked:
-        a, b = self._wrap(a), self._wrap(b)
-        rank = max(len(a.shape), len(b.shape))
+    @staticmethod
+    def _emit(op: str, inputs: tuple[Stacked, ...], value: Array, vjp) -> Stacked:
+        for x in inputs:
+            if x.stacked:
+                return Stacked(value, True)
+        return Stacked(value, False)
 
-        def aligned(x):
-            # A stacked scalar gets unit axes between replica axis and shape.
-            if not x.stacked or len(x.shape) == rank:
-                return x.value
-            return x.value.reshape(x.value.shape[:1] + (1,) * (rank - len(x.shape)) + x.shape)
-
-        return Stacked(ufunc(aligned(a), aligned(b)), a.stacked or b.stacked)
-
-    def add(self, a, b) -> Stacked:
-        return self._elementwise(np.add, a, b)
-
-    def mul(self, a, b) -> Stacked:
-        return self._elementwise(np.multiply, a, b)
-
-    def tanh(self, x) -> Stacked:
-        return self._apply(np.tanh, (x,))
-
-    def exp(self, x) -> Stacked:
-        return self._apply(np.exp, (x,))
-
-    def log(self, x) -> Stacked:
-        return self._apply(np.log, (x,))
-
-    def sigmoid(self, x) -> Stacked:
-        return self._apply(_sigmoid, (x,))
-
-    def clamp(self, x, lo: float, hi: float) -> Stacked:
-        return self._apply(_clamp, (x,), lo, hi)
-
-    def affine(self, x, w, b=None) -> Stacked:
-        return self._apply(_affine, (x, w) if b is None else (x, w, b))
-
-    def take_rows(self, sources, rows) -> Stacked:
-        sources = [self._wrap(s) for s in sources]
-        replicas = next((s.value.shape[0] for s in sources if s.stacked), None)
-        values = [s.value if s.stacked or replicas is None
-                  else np.broadcast_to(s.value, (replicas,) + s.shape) for s in sources]
-        return Stacked(_take_rows(values, np.asarray(rows, dtype=np.intp)),
-                       replicas is not None)
-
-    def l2_normalize(self, x) -> Stacked:
-        return self._apply(lambda v: _l2_normalize(v)[0], (x,))
-
-    def cosine_matrix(self, a, b) -> Stacked:
-        return self._apply(_cosine_matrix, (a, b))
-
-    def log_softmax_at(self, x, cols) -> Stacked:
-        cols = np.asarray(cols)
-        return self._apply(lambda v: _log_softmax_at(v, cols)[0], (x,))
-
-    def sum(self, x) -> Stacked:
-        x = self._wrap(x)
-        return self._apply(_sum, (x,), len(x.shape))
-
-    def mean(self, x) -> Stacked:
-        x = self._wrap(x)
-        return self._apply(_mean, (x,), len(x.shape))
-
-    def sum_rows(self, x) -> Stacked:
-        return self._apply(_sum_rows, (x,))
-
-    def detach(self, x) -> Stacked:
-        return self._wrap(x)
+    @staticmethod
+    def _flag_zero_rows(out: Stacked, zero: Array) -> None:
+        pass
 
 
 # -- gradient verification ----------------------------------------------------

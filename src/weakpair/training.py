@@ -80,6 +80,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.base_lr <= 0:
             raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
         if self.alpha < 0 or self.beta < 0:
@@ -113,8 +115,6 @@ class StepRecord:
 @dataclass
 class TrainLog:
     steps: list[StepRecord] = field(default_factory=list)
-    starvation: int = 0
-    zero_norm_events: int = 0
 
     def u_extremes(self) -> tuple[float, float] | None:
         """Range of every per-pair uncertainty recorded over the run."""
@@ -337,7 +337,6 @@ def train(cfg: TrainConfig, data: DatasetManifest,
             plan_epoch, plan = epoch, _epoch_plan(ids, pools, cfg, epoch)
         batch = plan[pos * cfg.batch_size:(pos + 1) * cfg.batch_size]
         if len(batch) < 2:
-            log.starvation += 1
             raise MiningStarvationError(
                 f"step {step}: batch of {len(batch)} record(s) cannot supply "
                 "different-identity negatives; adjust batch_size or identity count")
@@ -347,7 +346,6 @@ def train(cfg: TrainConfig, data: DatasetManifest,
         leaves = {k: g.leaf(v, trainable=True, name=k) for k, v in params.items()}
         enc = encode_step(g, leaves, sd, need_weak)
         if g.zero_norm_rows:
-            log.zero_norm_events += len(g.zero_norm_rows)
             raise NumericAbort(f"step {step}: encoder produced zero-norm embeddings")
         f_img, f_txt, f_img_w, f_txt_w = enc
         batch_emb = EmbeddingBatch(
@@ -358,7 +356,6 @@ def train(cfg: TrainConfig, data: DatasetManifest,
         try:
             groups = build_groups(batch_emb, mining_cfg)
         except MiningStarvationError as exc:
-            log.starvation += 1
             raise MiningStarvationError(f"step {step}: {exc}") from exc
 
         assembled = assemble_losses(g, leaves, enc, groups, mode, cfg.mapping, weights)

@@ -347,3 +347,12 @@ def test_non_finite_float_is_config_error_naming_the_key(workspace, tmp_path, ca
     assert main(argv) == EXIT_CONFIG
     assert f"config error: {key} must be finite" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_negative_weight_decay_is_config_error_naming_the_key(workspace, tmp_path, capsys):
+    """A negative decay would grow every decayed weight; rejected before any step."""
+    argv = ["train", "--out", str(tmp_path / "x"), "--set", "train.weight_decay=-1",
+            "--data", str(workspace / "data" / "train.tsv")]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error: weight_decay must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weakpair import autograd
-from weakpair.autograd import Evaluator, Graph, grad_check
+from weakpair.autograd import Evaluator, Graph, GraphError, grad_check
 from weakpair.losses import CLAMP_HI, CLAMP_LO, itm_term
 from weakpair.verify import (LOSS_NAMES, _op_cases, loss_builder, loss_params,
                              random_instance)
@@ -42,6 +42,41 @@ def assert_bitwise_equal(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), \
         (got, want)
+
+
+def test_every_op_has_a_battery_case():
+    """The shared op surface is exactly the ops _op_cases probes, so a new op
+    cannot skip the gradient battery or the stacked-equality tests below.
+    clamp is the one exception: its straight-through gradient is by design
+    not the derivative of clip, and TestClamp covers it."""
+    ops = {name for name, member in vars(autograd._Ops).items()
+           if callable(member) and not name.startswith("_")}
+    assert len(set(_OP_NAMES)) == len(_OP_NAMES)
+    assert ops == set(_OP_NAMES) | {"clamp"}
+    # Neither front end defines an op of its own.
+    assert not ops & (set(vars(Graph)) | set(vars(Evaluator)))
+
+
+_CONTRACT_BREAKS = {
+    "stacked_row_plus_column": ((3,), lambda g, x: g.add(x, g.constant(np.ones((3, 1))))),
+    "stacked_row_plus_matrix": ((3,), lambda g, x: g.add(x, g.constant(np.ones((2, 3))))),
+    "take_rows_out_of_range": ((3, 2), lambda g, x: g.take_rows((x,), [0, 3])),
+    "log_softmax_at_wrong_column": ((3, 3), lambda g, x: g.log_softmax_at(x, [0, 3, 1])),
+}
+
+
+@pytest.mark.parametrize("case", list(_CONTRACT_BREAKS))
+def test_evaluator_rejects_what_graph_rejects(case):
+    """Contracts are judged on per-replica shapes: two replicas of a (3,)
+    row stack to (2, 3), which a check on the stacked array would let
+    through against a (2, 3) constant."""
+    shape, build = _CONTRACT_BREAKS[case]
+    g = Graph()
+    with pytest.raises(GraphError):
+        build(g, g.leaf(np.zeros(shape), trainable=True))
+    ev = Evaluator()
+    with pytest.raises(GraphError):
+        build(ev, ev.stack(np.zeros((2,) + shape)))
 
 
 @pytest.mark.parametrize("count", [1, 3])

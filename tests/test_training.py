@@ -195,6 +195,8 @@ class TestFailureContracts:
             TrainConfig(ablation_mode="everything").validate()
         with pytest.raises(ValueError):
             TrainConfig(mining_mode="neg3v4", mining_k=2).validate()
+        with pytest.raises(ValueError, match="weight_decay"):
+            TrainConfig(weight_decay=-1.0).validate()
 
 
 def reference_adamw(state, grads, lr, weight_decay):
