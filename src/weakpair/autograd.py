@@ -22,15 +22,16 @@ Graph      records a node with the vjp, for backward().  Graphs are eager: a
            collector.
 Evaluator  keeps the value and drops the vjp, for many parameter points at
            once: a stacked value carries a leading replica axis ahead of its
-           own shape.  grad_check evaluates every perturbed copy of the
-           parameters in one such pass.
+           own shape.  grad_check_losses evaluates every perturbed copy of
+           the parameters in one such pass, for every loss its builder
+           returns; grad_check is its one-loss form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Collection, Mapping
 
 import numpy as np
 
@@ -38,6 +39,8 @@ Array = np.ndarray
 
 # Identical values appear in several contracts; keep them in one place.
 REL_ERR_FLOOR = 1e-8
+# The finite-difference steps grad_check accepts.
+EPS_RANGE = (1e-7, 1e-3)
 
 
 class GraphError(ValueError):
@@ -164,9 +167,14 @@ class _Ops:
         rows = np.asarray(rows, dtype=np.intp)
         if rows.ndim != 1 or np.any((rows < 0) | (rows >= bounds[-1])):
             raise GraphError(f"take_rows indices outside {bounds[-1]} rows")
+        values = self._values(*sources)
+        if any(v.ndim > 2 for v in values):
+            # np.concatenate needs the replica axis on every source.
+            lead = max(v.shape[:-2] for v in values)
+            values = [np.broadcast_to(v, lead + v.shape[-2:]) for v in values]
         # np.take keeps the result C-contiguous, as each replica's own gather
         # is; stacked[..., rows, :] would not be.
-        y = np.take(np.concatenate(self._values(*sources), axis=-2), rows, axis=-2)
+        y = np.take(np.concatenate(values, axis=-2), rows, axis=-2)
 
         def vjp(g):
             grad = np.zeros((bounds[-1], sources[0].shape[1]))
@@ -436,19 +444,12 @@ class Evaluator(_Ops):
 
     @staticmethod
     def _values(*inputs: Stacked) -> list[Array]:
-        """Values lined up replica by replica: shared ones broadcast over the
-        replicas, lower-rank ones with unit axes after the replica axis."""
-        replicas = next((x.value.shape[0] for x in inputs if x.stacked), None)
-        if replicas is None:
-            return [x.value for x in inputs]
+        """Values lined up replica by replica: a stacked value of lower rank
+        gets unit axes after its replica axis, and numpy broadcasts shared
+        values over the replicas."""
         rank = max([len(x.shape) for x in inputs])
-        values = []
-        for x in inputs:
-            v = x.value if x.stacked else np.broadcast_to(x.value, (replicas,) + x.shape)
-            if len(x.shape) < rank:
-                v = v.reshape((replicas,) + (1,) * (rank - len(x.shape)) + x.shape)
-            values.append(v)
-        return values
+        return [x.value.reshape(x.value.shape[:1] + (1,) * (rank - len(x.shape)) + x.shape)
+                if x.stacked and len(x.shape) < rank else x.value for x in inputs]
 
     @staticmethod
     def _emit(op: str, inputs: tuple[Stacked, ...], value: Array, vjp) -> Stacked:
@@ -486,32 +487,35 @@ def relative_error(a: Array, n: Array) -> Array:
     return np.abs(a - n) / denom
 
 
-def grad_check(loss_fn: Callable[[Graph | Evaluator, Mapping], Node | Stacked],
-               params: Mapping[str, Array],
-               eps: float = 1e-5, tol: float = 1e-4) -> GradReport:
-    """Compare backward() against central finite differences.
+def grad_check_losses(build: Callable[[Graph | Evaluator, Mapping],
+                                      Mapping[str, Node | Stacked]],
+                      params: Mapping[str, Array],
+                      subsets: Mapping[str, Collection[str]],
+                      eps: float = 1e-5, tol: float = 1e-4) -> dict[str, GradReport]:
+    """Compare backward() against central finite differences, for every loss
+    one builder makes.
 
-    ``loss_fn(graph, leaves)`` must build the same scalar loss from any
-    parameter assignment, on a Graph or on an Evaluator, through the op
-    surface the two share; discrete choices (mined indices, weak picks,
-    values behind detach) must be frozen by the caller so the function is
-    smooth in the parameters.
+    ``build(graph, leaves)`` must return the same name -> scalar-loss mapping
+    from any parameter assignment, on a Graph or on an Evaluator, through the
+    op surface the two share; discrete choices (mined indices, weak picks,
+    values behind detach) must be frozen by the caller so each loss is smooth
+    in the parameters.  ``subsets[name]`` names the parameters that loss's
+    report covers; its partials keep ``params`` order.
 
-    The analytic gradient comes from one float64 Graph.  The numeric one
-    comes from one long-double Evaluator pass over 2P replicas for the P
-    parameter coordinates (numbered through ``params`` in order): replica 2j
-    moves coordinate j by +eps and replica 2j+1 by -eps.  Long double keeps
-    the difference quotients clear of float64 rounding of the loss value,
-    which at step 1e-5 leaves ~5e-12 of noise on every numeric partial and
-    would swamp true gradients near the 1e-8 relative-error floor.
+    The analytic gradients come from one float64 Graph, one backward per
+    loss.  The numeric ones come from one long-double Evaluator pass over 2P
+    replicas for the P parameter coordinates (numbered through ``params`` in
+    order): replica 2j moves coordinate j by +eps and replica 2j+1 by -eps,
+    and every loss is read off the same replicas.  Long double keeps the
+    difference quotients clear of float64 rounding of the loss value, which
+    at step 1e-5 leaves ~5e-12 of noise on every numeric partial and would
+    swamp true gradients near the 1e-8 relative-error floor.
     """
-    if not 1e-7 <= eps <= 1e-3:
-        raise ValueError(f"eps {eps} outside [1e-7, 1e-3]")
+    if not EPS_RANGE[0] <= eps <= EPS_RANGE[1]:
+        raise ValueError(f"eps {eps} outside [{EPS_RANGE[0]:g}, {EPS_RANGE[1]:g}]")
     graph = Graph()
     leaves = {k: graph.leaf(v, trainable=True, name=k) for k, v in params.items()}
-    loss = loss_fn(graph, leaves)
-    grads = graph.backward(loss)
-    analytic = {k: grads[leaves[k]] for k in params}
+    losses = build(graph, leaves)
 
     sizes = [np.size(v) for v in params.values()]
     replicas = 2 * sum(sizes)
@@ -526,15 +530,30 @@ def grad_check(loss_fn: Callable[[Graph | Evaluator, Mapping], Node | Stacked],
         copies[2 * (first + coords) + 1, coords] -= eps_wide
         stacked[k] = evaluator.stack(copies.reshape((replicas,) + base.shape), name=k)
         first += size
-    f = np.broadcast_to(loss_fn(evaluator, stacked).value, (replicas,))
-    quotients = ((f[0::2] - f[1::2]) / (2.0 * eps_wide)).astype(np.float64)
-    numeric = {k: part.reshape(np.shape(params[k]))
-               for k, part in zip(params, np.split(quotients, np.cumsum(sizes)[:-1]))}
+    values = build(evaluator, stacked)
 
-    max_err, worst = 0.0, None
-    for k in params:
-        err = relative_error(analytic[k], numeric[k])
-        local = float(err.max()) if err.size else 0.0
-        if local > max_err:
-            max_err, worst = local, k
-    return GradReport(analytic, numeric, max_err, worst, tol)
+    reports = {}
+    for name, loss in losses.items():
+        grads = graph.backward(loss)
+        f = np.broadcast_to(values[name].value, (replicas,))
+        quotients = ((f[0::2] - f[1::2]) / (2.0 * eps_wide)).astype(np.float64)
+        parts = dict(zip(params, np.split(quotients, np.cumsum(sizes)[:-1])))
+        analytic = {k: grads[leaves[k]] for k in params if k in subsets[name]}
+        numeric = {k: parts[k].reshape(np.shape(params[k])) for k in analytic}
+        max_err, worst = 0.0, None
+        for k in analytic:
+            err = relative_error(analytic[k], numeric[k])
+            local = float(err.max()) if err.size else 0.0
+            if local > max_err:
+                max_err, worst = local, k
+        reports[name] = GradReport(analytic, numeric, max_err, worst, tol)
+    return reports
+
+
+def grad_check(loss_fn: Callable[[Graph | Evaluator, Mapping], Node | Stacked],
+               params: Mapping[str, Array],
+               eps: float = 1e-5, tol: float = 1e-4) -> GradReport:
+    """grad_check_losses for one loss, ``loss_fn(graph, leaves)``, over every
+    parameter."""
+    return grad_check_losses(lambda g, lv: {"loss": loss_fn(g, lv)}, params,
+                             {"loss": params}, eps=eps, tol=tol)["loss"]

@@ -16,12 +16,14 @@ import configparser
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import data as datamod
+from .autograd import EPS_RANGE
 from .data import DatasetFormatError, GenConfig
 from .encoders import dict_to_params
 from .losses import MAPPINGS
@@ -120,6 +122,20 @@ def gen_config_from(resolved: dict[str, dict]) -> GenConfig:
 
 def train_config_from(resolved: dict[str, dict]) -> TrainConfig:
     return TrainConfig(**resolved["train"])
+
+
+def gradcheck_config_from(resolved: dict[str, dict]) -> dict:
+    """The gradcheck section, rejected before any check runs if it could
+    not check anything."""
+    section = resolved["gradcheck"]
+    lo, hi = EPS_RANGE
+    if section["points"] < 1:
+        raise ConfigError(f"gradcheck.points must be >= 1, got {section['points']}")
+    if not (math.isfinite(section["tol"]) and section["tol"] > 0):
+        raise ConfigError(f"gradcheck.tol must be finite and positive, got {section['tol']}")
+    if not lo <= section["eps"] <= hi:
+        raise ConfigError(f"gradcheck.eps must be in [{lo:g}, {hi:g}], got {section['eps']}")
+    return section
 
 
 def _fmt(value) -> str:
@@ -335,7 +351,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     resolved = load_config(args.config, args.set)
-    section = resolved["gradcheck"]
+    section = gradcheck_config_from(resolved)
     report = run_battery(points=section["points"], seed=section["seed"],
                          eps=section["eps"], tol=section["tol"])
     rows = [[r.name, r.max_rel_error, r.tol, "pass" if r.passed else "FAIL"]

@@ -1,11 +1,15 @@
 """Gradient verification battery: primitive ops first, then every loss.
 
 Op-level checks pin down which backward rule is wrong when something fails;
-loss-level checks then validate the full graphs the trainer actually builds,
-at many random parameter points.  Losses containing a stop-gradient are
-differentiated against their frozen form (the uncertainty replaced by its
-current value), which is the function their gradient is defined to be; a
-separate bit-exactness check confirms the two forms agree.
+loss-level checks then validate the graph the trainer actually builds, at
+many random parameter points.  Each point takes all five losses (itc, uitc,
+itm, gitm = gitm_txt + gitm_img, and total) from one uitc_gitm
+training.assemble_losses: one float64 Graph with one backward per loss, and
+one long-double stacked pass over the total loss's parameters.  Each loss is
+reported over its own parameter subset (loss_params).  Losses containing a
+stop-gradient are differentiated against their frozen form (the uncertainty
+replaced by its current value), which is the function their gradient is
+defined to be; a separate bit-exactness check confirms the two forms agree.
 """
 
 from __future__ import annotations
@@ -14,11 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Graph, grad_check
-from .encoders import (EmbeddingBatch, ModelDims, init_model, leaf_group,
-                       params_to_dict)
-from .losses import (LossWeights, consistency_uncertainty, itc_loss,
-                     matching_losses, uitc_loss, weak_itc_loss)
+from .autograd import Graph, grad_check, grad_check_losses
+from .encoders import EmbeddingBatch, ModelDims, init_model, params_to_dict
+from .losses import LossWeights, consistency_uncertainty
 from .mining import MiningConfig, build_groups
 from .training import StepData, assemble_losses, encode_step
 
@@ -155,27 +157,13 @@ def random_instance(rng: np.random.Generator, dims: ModelDims = _CHECK_DIMS,
     return LossInstance(params, data, groups, float(g.mean(u_w).value))
 
 
-def _total(g, full, enc, inst):
-    out = assemble_losses(g, full, enc, inst.groups, "uitc_gitm", inst.mapping,
-                          inst.weights, u_override=inst.u_mean)
-    return out.nodes["total"]
-
-
-# Loss name -> (parameter prefixes it is checked over, whether it reads the
-# weak embeddings, builder from (graph, all parameters, encodings, instance)).
+# Loss name -> the parameter prefixes its check covers.
 _LOSSES = {
-    "itc": (("img", "txt", "log_tau"), False,
-            lambda g, p, enc, inst: itc_loss(g, enc[0], enc[1], p["log_tau"])),
-    "uitc": (("img", "txt", "log_tau", "log_gamma"), True,
-             lambda g, p, enc, inst: uitc_loss(g, weak_itc_loss(g, *enc, p["log_tau"]),
-                                               g.constant(inst.u_mean), p["log_gamma"])),
-    "itm": (("img", "txt", "head"), False,
-            lambda g, p, enc, inst: matching_losses(g, leaf_group(p, "head"), inst.groups,
-                                                    enc, ("itm",))["itm"]),
-    "gitm": (("img", "txt", "head"), True,
-             lambda g, p, enc, inst: g.add(*matching_losses(
-                 g, leaf_group(p, "head"), inst.groups, enc, ("gitm_txt", "gitm_img")).values())),
-    "total": (("img", "txt", "head", "log_tau", "log_gamma"), True, _total),
+    "itc": ("img", "txt", "log_tau"),
+    "uitc": ("img", "txt", "log_tau", "log_gamma"),
+    "itm": ("img", "txt", "head"),
+    "gitm": ("img", "txt", "head"),
+    "total": ("img", "txt", "head", "log_tau", "log_gamma"),
 }
 LOSS_NAMES = tuple(_LOSSES)
 
@@ -186,34 +174,53 @@ def _loss_spec(name: str):
     return _LOSSES[name]
 
 
-def loss_builder(name: str, inst: LossInstance):
-    """A grad_check-compatible (graph, leaves) -> scalar node builder."""
-    _, need_weak, build = _loss_spec(name)
+def losses_builder(inst: LossInstance):
+    """(graph, leaves) -> every checked loss, from the trainer's own uitc_gitm
+    assembly at the frozen uncertainty."""
 
-    def fn(g, lv):
+    def build(g, lv):
         # Parameters outside the checked subset stay at their frozen values.
         full = {k: (lv[k] if k in lv else g.constant(v, name=k))
                 for k, v in inst.params.items()}
-        return build(g, full, encode_step(g, full, inst.data, need_weak), inst)
+        nodes = assemble_losses(g, full, encode_step(g, full, inst.data, need_weak=True),
+                                inst.groups, "uitc_gitm", inst.mapping, inst.weights,
+                                u_override=inst.u_mean).nodes
+        return {"itc": nodes["itc"], "uitc": nodes["uitc"], "itm": nodes["itm"],
+                "gitm": g.add(nodes["gitm_txt"], nodes["gitm_img"]),
+                "total": nodes["total"]}
+
+    return build
+
+
+def loss_builder(name: str, inst: LossInstance):
+    """A grad_check-compatible (graph, leaves) -> scalar node builder."""
+    _loss_spec(name)
+    build = losses_builder(inst)
+
+    def fn(g, lv):
+        return build(g, lv)[name]
 
     return fn
 
 
 def loss_params(name: str, inst: LossInstance) -> dict[str, np.ndarray]:
-    prefixes = _loss_spec(name)[0]
+    prefixes = _loss_spec(name)
     return {k: v for k, v in inst.params.items()
             if any(k == p or k.startswith(p + ".") for p in prefixes)}
 
 
 def check_losses(points: int = 100, seed: int = 0, eps: float = 1e-5,
                  tol: float = 1e-4) -> list[CheckResult]:
+    """Every loss at each point, from one graph and one stacked pass over the
+    total loss's parameters; each loss is reported over its own subset."""
     worst = {name: 0.0 for name in LOSS_NAMES}
     for point in range(points):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 505, point]))
         inst = random_instance(rng)
-        for name in LOSS_NAMES:
-            report = grad_check(loss_builder(name, inst), loss_params(name, inst),
-                                eps=eps, tol=tol)
+        reports = grad_check_losses(
+            losses_builder(inst), loss_params("total", inst),
+            {name: loss_params(name, inst) for name in LOSS_NAMES}, eps=eps, tol=tol)
+        for name, report in reports.items():
             worst[name] = max(worst[name], report.max_rel_error)
     return [CheckResult(f"loss:{name}", worst[name], tol) for name in LOSS_NAMES]
 

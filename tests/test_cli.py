@@ -284,6 +284,17 @@ class TestGradcheckCommand:
         assert "op:tanh" in captured.err
         assert "FAIL op:tanh" in captured.out
 
+    @pytest.mark.parametrize("setting", [
+        "points=0", "points=-1", "tol=nan", "tol=inf", "tol=-1", "tol=0",
+        "eps=1", "eps=1e-9", "eps=nan"])
+    def test_section_rejected_before_any_check(self, setting, capsys):
+        """A battery of no points, a tolerance nothing can meet (or everything
+        meets) and an eps outside grad_check's range are config errors."""
+        assert main(["gradcheck", "--set", f"gradcheck.{setting}"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"gradcheck.{setting.split('=')[0]}" in captured.err
+
 
 class TestConfigPlumbing:
     def test_resolved_config_written_and_reloadable(self, workspace, tmp_path):
