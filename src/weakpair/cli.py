@@ -42,18 +42,8 @@ EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME, EXIT_IO = 0, 1, 2, 3
 
 # Defaults double as the key/type schema for every section.
 DEFAULTS: dict[str, dict] = {
-    "gen": {
-        "num_identities": 240,
-        "views_per_identity": 4,
-        "latent_dim": 8,
-        "raw_dim_image": 48,
-        "raw_dim_text": 40,
-        "view_noise": 0.35,
-        "annotation_mask_rate": 0.3,
-        "seed": 100,
-        "train_fraction": 5.0 / 6.0,
-        "split_seed": 100,
-    },
+    # GenConfig's fields, then the split's own keys.
+    "gen": {**dataclasses.asdict(GenConfig()), "train_fraction": 5.0 / 6.0, "split_seed": 100},
     "train": dataclasses.asdict(TrainConfig()),
     "eval": {"eval_seed": 7},
     "ablate": {"grid": "losses", "seeds": "1,2,3,4,5"},
@@ -66,11 +56,8 @@ def _convert(section: str, key: str, raw: str):
         default = DEFAULTS[section][key]
     except KeyError:
         raise ConfigError(f"unknown config key {section}.{key}") from None
-    kind = type(default)
     try:
-        if kind is bool:
-            return raw.lower() in ("1", "true", "yes")
-        return kind(raw)
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}: {exc}") from exc
 
@@ -114,10 +101,10 @@ def write_resolved(resolved: dict[str, dict], out_dir: Path) -> None:
 
 
 def gen_config_from(resolved: dict[str, dict]) -> GenConfig:
-    keys = ("num_identities", "views_per_identity", "latent_dim",
-            "raw_dim_image", "raw_dim_text", "view_noise",
-            "annotation_mask_rate", "seed")
-    return GenConfig(**{k: resolved["gen"][k] for k in keys})
+    """The generator's config; also rejects a split seed the split cannot use."""
+    if resolved["gen"]["split_seed"] < 0:
+        raise ConfigError(f"gen.split_seed must be >= 0, got {resolved['gen']['split_seed']}")
+    return GenConfig(**{f.name: resolved["gen"][f.name] for f in dataclasses.fields(GenConfig)})
 
 
 def train_config_from(resolved: dict[str, dict]) -> TrainConfig:
@@ -296,28 +283,43 @@ def ablation_cells(grid: str) -> list[tuple[str, dict]]:
     raise ConfigError(f"unknown ablation grid {grid!r}")
 
 
+def ablation_seeds(raw) -> list[int]:
+    """The comma-separated ablate.seeds, each a non-negative integer."""
+    try:
+        seeds = [int(s) for s in str(raw).split(",") if s]
+    except ValueError as exc:
+        raise ConfigError(f"ablate.seeds: {exc}") from None
+    if not seeds:
+        raise ConfigError("ablate.seeds must name at least one seed")
+    if min(seeds) < 0:
+        raise ConfigError(f"ablate.seeds must be >= 0, got {min(seeds)}")
+    return seeds
+
+
 def run_ablation(resolved: dict[str, dict]) -> list[list]:
     """Train and evaluate every (cell, seed); append per-cell medians.
 
-    All cells share one generated dataset and split; a failed cell is
-    recorded and the remaining cells still run.
+    Every cell's config is validated before the first training; a cell
+    that then fails at run time is recorded and the remaining cells still
+    run.  All cells share one generated dataset and split.
     """
+    seeds = ablation_seeds(resolved["ablate"]["seeds"])
+    cells = ablation_cells(resolved["ablate"]["grid"])
+    configs = {(cell, seed): TrainConfig(**{**resolved["train"], **patch, "seed": seed})
+               for cell, patch in cells for seed in seeds}
+    for cfg in configs.values():
+        cfg.validate()
     gen_cfg = gen_config_from(resolved)
     full = datamod.generate(gen_cfg)
     train_split, test_split = datamod.split(full, resolved["gen"]["train_fraction"],
                                             resolved["gen"]["split_seed"])
-    seeds = [int(s) for s in str(resolved["ablate"]["seeds"]).split(",") if s]
-    if not seeds:
-        raise ConfigError("ablate.seeds must name at least one seed")
-    cells = ablation_cells(resolved["ablate"]["grid"])
     eval_seed = resolved["eval"]["eval_seed"]
     rows: list[list] = []
-    for cell, patch in cells:
+    for cell, _ in cells:
         per_seed: dict[str, list[float]] = {"r1": [], "r5": [], "r10": [], "map": []}
         for seed in seeds:
-            cfg = TrainConfig(**{**resolved["train"], **patch, "seed": seed})
+            cfg = configs[cell, seed]
             try:
-                cfg.validate()
                 ckpt, _ = train(cfg, train_split)
                 result = evaluate_model(dict_to_params(ckpt.params), test_split,
                                         cfg.mapping, eval_seed=eval_seed)

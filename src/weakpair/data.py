@@ -16,7 +16,7 @@ round-trips IEEE float64 exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,16 +31,18 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class GenConfig:
-    num_identities: int
-    views_per_identity: int
-    latent_dim: int
-    raw_dim_image: int
-    raw_dim_text: int
-    view_noise: float
-    annotation_mask_rate: float
-    seed: int
+    num_identities: int = 240
+    views_per_identity: int = 4
+    latent_dim: int = 8
+    raw_dim_image: int = 48
+    raw_dim_text: int = 40
+    view_noise: float = 0.35
+    annotation_mask_rate: float = 0.3
+    seed: int = 100
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         counts = {
             "num_identities": self.num_identities,
             "views_per_identity": self.views_per_identity,
@@ -130,10 +132,8 @@ def _fmt_vector(v: np.ndarray) -> str:
     return ",".join(format(x, ".17g") for x in v)
 
 
-_CONFIG_FIELDS = ("num_identities", "views_per_identity", "latent_dim",
-                  "raw_dim_image", "raw_dim_text", "view_noise",
-                  "annotation_mask_rate", "seed")
-_FLOAT_FIELDS = {"view_noise", "annotation_mask_rate"}
+_CONFIG_FIELDS = tuple(f.name for f in fields(GenConfig))
+_FLOAT_FIELDS = {f.name for f in fields(GenConfig) if isinstance(f.default, float)}
 
 
 def write(d: DatasetManifest, path: str | Path) -> None:

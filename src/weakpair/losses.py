@@ -25,14 +25,13 @@ total_loss     itc + itm + alpha * uitc + beta * (gitm_txt + gitm_img).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Graph, Node
+from .autograd import Evaluator, Graph, Node
 from .encoders import match_probability
-from .mining import PairGroup
+from .mining import MATCHING_BRANCHES, PairGroup  # noqa: F401  (re-exported)
 
 MAPPINGS = ("exponential", "linear", "power")
 
@@ -40,13 +39,6 @@ MAPPINGS = ("exponential", "linear", "power")
 # Graph.clamped counts how often that actually happened.
 CLAMP_LO = 1e-12
 CLAMP_HI = 1.0 - 1e-12
-
-# u_w value ranges implied by s_w in [-1, 1], per mapping.
-U_BOUNDS = {
-    "exponential": (math.exp(-1.0), math.e),
-    "linear": (0.5, 2.5),
-    "power": (0.25, 6.25),
-}
 
 
 @dataclass
@@ -79,24 +71,29 @@ class LossReport:
                 + weights.beta * (self.gitm_txt + self.gitm_img))
 
 
-def mapping_value(s, mapping: str):
-    """The uncertainty mappings of ``consistency_uncertainty`` in numpy.
+def uncertainty(ops, s, mapping: str):
+    """u = exp(-s), 1.5 - s or (1.5 - s)^2 of consistency s, on an op surface.
 
-    On an array of one or more dimensions it matches the graph bit for bit.
-    A scalar or 0-d input differs under "power": ``1.5 - s`` is then a numpy
-    scalar, whose ``** 2`` calls the C ``pow``, and that can land one ulp
-    away from the graph's ``diff * diff`` (2 of 5,000 uniform draws on
-    [-1, 1]).  ``metrics.query_uncertainty`` maps one Python float at a time
-    and so keeps the scalar result.
+    The one definition of the mapping: the trainer calls it on its Graph,
+    evaluation and U_BOUNDS through mapping_value's float64 Evaluator, so
+    all three get the same bits.
     """
-    s = np.asarray(s, dtype=np.float64)
+    if mapping not in MAPPINGS:
+        raise ValueError(f"unknown uncertainty mapping {mapping!r}")
     if mapping == "exponential":
-        return np.exp(-s)
-    if mapping == "linear":
-        return 1.5 - s
-    if mapping == "power":
-        return (1.5 - s) ** 2
-    raise ValueError(f"unknown uncertainty mapping {mapping!r}")
+        return ops.exp(ops.mul(s, -1.0))
+    diff = ops.add(ops.mul(s, -1.0), 1.5)
+    return diff if mapping == "linear" else ops.mul(diff, diff)
+
+
+def mapping_value(s, mapping: str):
+    """uncertainty() of a float or an array of consistencies, in numpy."""
+    return uncertainty(Evaluator(), s, mapping).value
+
+
+# u_w value ranges implied by s_w in [-1, 1], per mapping (each is decreasing).
+U_BOUNDS = {m: (float(mapping_value(1.0, m)), float(mapping_value(-1.0, m)))
+            for m in MAPPINGS}
 
 
 def itc_loss(g: Graph, f_img: Node, f_txt: Node, log_tau: Node) -> Node:
@@ -123,16 +120,7 @@ def consistency_uncertainty(g: Graph, f_img: Node, f_txt: Node,
     sim_img = g.sum_rows(g.mul(f_img, f_img_w))
     sim_txt = g.sum_rows(g.mul(f_txt, f_txt_w))
     s_w = g.mul(g.add(sim_img, sim_txt), 0.5)
-    if mapping == "exponential":
-        u_w = g.exp(g.mul(s_w, -1.0))
-    elif mapping == "linear":
-        u_w = g.add(g.mul(s_w, -1.0), 1.5)
-    elif mapping == "power":
-        diff = g.add(g.mul(s_w, -1.0), 1.5)
-        u_w = g.mul(diff, diff)
-    else:
-        raise ValueError(f"unknown uncertainty mapping {mapping!r}")
-    return UncertaintyScore(s_w=s_w, u_w=u_w)
+    return UncertaintyScore(s_w=s_w, u_w=uncertainty(g, s_w, mapping))
 
 
 def weak_itc_loss(g: Graph, f_img: Node, f_txt: Node, f_img_w: Node,
@@ -182,22 +170,13 @@ def _rows(g: Graph, rows: list[int], strong: Node, weak: Node | None) -> Node:
     return g.take_rows((strong, weak), rows)
 
 
-# Branch -> the (image row, text row, label) triples that the group of anchor
-# i adds to it, rows as in _rows (a batch of n anchors).
-_BRANCH_PAIRS = {
-    "itm": lambda i, grp, n: [(i, i, 1), (i, grp.itm_neg_text, 0), (grp.itm_neg_image, i, 0)],
-    "gitm_txt": lambda i, grp, n: [(i, n + i, 1)] + [(i, j, 0) for j in grp.neg_texts],
-    "gitm_img": lambda i, grp, n: [(n + i, i, 1)] + [(j, i, 0) for j in grp.neg_images],
-}
-MATCHING_BRANCHES = tuple(_BRANCH_PAIRS)
-
-
 def matching_losses(g: Graph, head, groups: list[PairGroup], enc,
                     branches: tuple[str, ...]) -> dict[str, Node]:
     """Mean matching loss of each branch, every pair scored in one head evaluation.
 
-    enc is (f_img, f_txt, f_img_w, f_txt_w); image and text rows index
-    [f_img; f_img_w] and [f_txt; f_txt_w].  itm classifies each strong pair
+    enc is (f_img, f_txt, f_img_w, f_txt_w); each group's branch_pairs name
+    the pairs, a "weak" index i being row n + i of [f_img; f_img_w] or
+    [f_txt; f_txt_w].  itm classifies each strong pair
     against its two directional hard negatives.  The group-wise text branch
     scores (anchor image, weak text) against the anchor image's K mined
     texts, and the image branch mirrors it; every group contributes 1+K
@@ -208,7 +187,8 @@ def matching_losses(g: Graph, head, groups: list[PairGroup], enc,
     if branches != ("itm",) and not all(grp.neg_texts and grp.neg_images for grp in groups):
         raise ValueError("group has an empty negative set")
     n = f_img.shape[0]
-    pairs = {b: [pair for grp in groups for pair in _BRANCH_PAIRS[b](grp.anchor, grp, n)]
+    pairs = {b: [(i + n if si == "weak" else i, j + n if sj == "weak" else j, label)
+                 for grp in groups for si, i, sj, j, label in grp.branch_pairs(b)]
              for b in branches}
     img, txt, labels = zip(*(pair for b in branches for pair in pairs[b]))
     p_hat = match_probability(g, head, _rows(g, img, f_img, f_img_w),

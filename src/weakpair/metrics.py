@@ -35,6 +35,7 @@ import numpy as np
 from .data import DatasetManifest
 from .encoders import ModelParams, embed_manifest
 from .losses import mapping_value
+from .training import NumericAbort
 
 DEFAULT_RECALL_GRID = tuple(i / 100 for i in range(1, 100)) + (1.0,)
 RISK_COVERAGE_POINTS = 20
@@ -310,26 +311,22 @@ def query_uncertainty(img_emb: np.ndarray, txt_emb: np.ndarray,
 
     Each record's consistency is averaged over all other records of its
     identity; singleton identities are perfectly consistent by convention,
-    which pins their uncertainty to the mapping's floor.  The mapping is
-    applied to one record's consistency at a time, as a Python float.
+    which pins their uncertainty to the mapping's floor.  The consistencies
+    are mapped together, by the trainer's own mapping (losses.uncertainty).
     """
     ids = identities.tolist()
     members = _members(ids)
     groups = [members[identity] for identity in ids]
+    others = [len(rows) - 1 for rows in groups]
     # Every same-identity pair (q, o != q), q ascending, then o ascending.
-    pair_q = np.repeat(np.arange(len(ids)), [len(rows) - 1 for rows in groups])
+    pair_q = np.repeat(np.arange(len(ids)), others)
     pair_o = np.array([o for q, rows in enumerate(groups) for o in rows if o != q],
                       dtype=np.intp)
-    sims = 0.5 * (_row_dots(img_emb[pair_q], img_emb[pair_o])
-                  + _row_dots(txt_emb[pair_q], txt_emb[pair_o]))
-    out = np.empty(len(ids))
-    lo = 0
-    for q, rows in enumerate(groups):
-        others = len(rows) - 1
-        s = math.fsum(sims[lo:lo + others].tolist()) / others if others else 1.0
-        lo += others
-        out[q] = float(mapping_value(s, mapping))
-    return out
+    sims = (0.5 * (_row_dots(img_emb[pair_q], img_emb[pair_o])
+                   + _row_dots(txt_emb[pair_q], txt_emb[pair_o]))).tolist()
+    ends = np.cumsum(others).tolist()
+    consistency = [math.fsum(sims[end - k:end]) / k if k else 1.0 for k, end in zip(others, ends)]
+    return mapping_value(np.array(consistency), mapping)
 
 
 @dataclass
@@ -347,8 +344,14 @@ class EvalResult:
 
 def evaluate_model(params: ModelParams, manifest: DatasetManifest, mapping: str,
                    eval_seed: int = 0, recall_ks=(1, 5, 10)) -> EvalResult:
-    """Embed a dataset and run the full diagnostic battery on it."""
+    """Embed a dataset and run the full diagnostic battery on it.
+
+    An encoder that overflows on a record raises NumericAbort naming it.
+    """
     img, txt, identities, _, zero_rows = embed_manifest(params, manifest)
+    finite = np.isfinite(img).all(axis=1) & np.isfinite(txt).all(axis=1)
+    if not finite.all():
+        raise NumericAbort(f"record {int(np.argmin(finite))}: non-finite embedding")
     scores = txt @ img.T
     relevance = identities[:, None] == identities[None, :]
     uncertainties = query_uncertainty(img, txt, identities, mapping)

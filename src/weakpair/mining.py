@@ -23,6 +23,8 @@ from .data import PairRecord
 from .encoders import EmbeddingBatch
 
 MODES = ("neg3v4", "neg3v6", "custom")
+# Pair matching over strong pairs, and the two group-wise weak branches.
+MATCHING_BRANCHES = ("itm", "gitm_txt", "gitm_img")
 
 
 class MiningStarvationError(RuntimeError):
@@ -136,25 +138,27 @@ class PairGroup:
     neg_texts: list[int]
     neg_images: list[int]
 
+    def branch_pairs(self, branch: str) -> list[tuple[str, int, str, int, int]]:
+        """(image source, image index, text source, text index, label) of each pair
+        the group adds to a branch; a "weak" index i is record i's weak counterpart."""
+        i, texts, images = self.anchor, self.neg_texts, self.neg_images
+        if branch == "itm":
+            return [("batch", i, "batch", i, 1), ("batch", i, "batch", self.itm_neg_text, 0),
+                    ("batch", self.itm_neg_image, "batch", i, 0)]
+        if branch == "gitm_txt":
+            return [("batch", i, "weak", i, 1)] + [("batch", i, "batch", j, 0) for j in texts]
+        if branch == "gitm_img":
+            return [("weak", i, "batch", i, 1)] + [("batch", j, "batch", i, 0) for j in images]
+        raise ValueError(f"unknown matching branch {branch!r}")
+
     def matched_pairs(self) -> list[tuple[str, int, str, int, int]]:
-        """(image source, image index, text source, text index, label)."""
-        i = self.anchor
-        return [("batch", i, "batch", i, 1),
-                ("batch", i, "weak", i, 1),
-                ("weak", i, "batch", i, 1)]
+        return [p for b in MATCHING_BRANCHES for p in self.branch_pairs(b) if p[4] == 1]
 
     def negative_pairs(self) -> list[tuple[str, int, str, int, int]]:
-        i = self.anchor
-        pairs = [("batch", i, "batch", self.itm_neg_text, 0),
-                 ("batch", self.itm_neg_image, "batch", i, 0)]
-        pairs += [("batch", i, "batch", j, 0) for j in self.neg_texts]
-        pairs += [("batch", j, "batch", i, 0) for j in self.neg_images]
-        return pairs
+        return [p for b in MATCHING_BRANCHES for p in self.branch_pairs(b) if p[4] == 0]
 
     def validate(self, identities: np.ndarray, k: int) -> None:
-        matched, negatives = self.matched_pairs(), self.negative_pairs()
-        if len(matched) != 3:
-            raise ValueError(f"group must hold 3 matched pairs, has {len(matched)}")
+        negatives = self.negative_pairs()
         if len(negatives) != 2 + 2 * k:
             raise ValueError(f"group must hold {2 + 2 * k} negatives, has {len(negatives)}")
         anchor_id = identities[self.anchor]

@@ -45,7 +45,7 @@ _MASK64 = (1 << 64) - 1
 
 
 class NumericAbort(RuntimeError):
-    """Training hit a non-finite value or a collapsed embedding."""
+    """Training or evaluation hit a non-finite value or a collapsed embedding."""
 
 
 class CheckpointFormatError(ValueError):
@@ -74,8 +74,13 @@ class TrainConfig:
         for name in ("alpha", "beta", "base_lr", "weight_decay", "tau_init"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("embed_dim", "hidden_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.base_lr <= 0:
@@ -92,7 +97,10 @@ class TrainConfig:
             raise ValueError(f"unknown ablation_mode {self.ablation_mode!r}")
         if self.tau_init <= 0:
             raise ValueError(f"tau_init must be positive, got {self.tau_init}")
-        self.mining()  # raises on an inconsistent mode/k combination
+        try:
+            self.mining()
+        except ValueError as exc:
+            raise ValueError(f"mining_mode/mining_k: {exc}") from None
 
     def mining(self) -> MiningConfig:
         return MiningConfig(self.mining_mode, self.mining_k)

@@ -4,13 +4,14 @@ import csv
 import json
 import time
 
+import numpy as np
 import pytest
 
 from weakpair import data
 from weakpair.autograd import Graph
 from weakpair.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME,
                           ablation_cells, load_config, main)
-from weakpair.encoders import dict_to_params
+from weakpair.encoders import dict_to_params, embed_manifest
 from weakpair.metrics import evaluate_model
 from weakpair.training import load_checkpoint
 
@@ -367,3 +368,47 @@ def test_negative_weight_decay_is_config_error_naming_the_key(workspace, tmp_pat
     assert main(argv) == EXIT_CONFIG
     assert "config error: weight_decay must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "diag"])
+def test_overflowing_encoder_is_runtime_error_naming_the_record(workspace, tmp_path,
+                                                                capsys, command):
+    """A finite checkpoint whose image tower overflows is a numeric failure of
+    the run, not a config error."""
+    payload = json.loads((workspace / "run" / "checkpoint.json").read_text())
+    w2 = payload["params"]["img.w2"]
+    w2["data"] = [1e308] * len(w2["data"])
+    checkpoint = tmp_path / "checkpoint.json"
+    checkpoint.write_text(json.dumps(payload))
+    dataset = workspace / "data" / "test.tsv"
+    img, txt, *_ = embed_manifest(dict_to_params(load_checkpoint(checkpoint).params),
+                                  data.read(dataset))
+    first = np.flatnonzero(~(np.isfinite(img).all(axis=1) & np.isfinite(txt).all(axis=1)))[0]
+    code = main([command, "--checkpoint", str(checkpoint), "--data", str(dataset),
+                 "--out", str(tmp_path / "ev")])
+    assert code == EXIT_RUNTIME
+    assert f"runtime error: record {first}: non-finite embedding" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, setting, named", [
+    ("train", "train.embed_dim=0", "embed_dim must be >= 1"),
+    ("train", "train.hidden_dim=-2", "hidden_dim must be >= 1"),
+    ("train", "train.seed=-1", "seed must be >= 0"),
+    ("gen", "gen.seed=-5", "seed must be >= 0"),
+    ("gen", "gen.split_seed=-5", "gen.split_seed must be >= 0"),
+    ("ablate", "ablate.seeds=1,x", "ablate.seeds: invalid literal"),
+    ("ablate", "ablate.seeds=-3", "ablate.seeds must be >= 0"),
+    ("ablate", "train.mining_k=0", "mining_mode/mining_k"),
+])
+def test_bad_setting_is_config_error_before_any_training(workspace, tmp_path, capsys,
+                                                         monkeypatch, command, setting, named):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("weakpair.cli.train", no_training)
+    argv = [command, "--out", str(tmp_path / "x"), "--set", setting]
+    if command == "train":
+        argv += ["--data", str(workspace / "data" / "train.tsv")]
+    assert main(argv) == EXIT_CONFIG
+    assert f"config error: {named}" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "ablation.csv").exists()

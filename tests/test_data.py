@@ -55,7 +55,7 @@ class TestGenerate:
     @pytest.mark.parametrize("bad", [dict(num_identities=0), dict(latent_dim=0),
                                      dict(view_noise=-0.1),
                                      dict(annotation_mask_rate=1.0),
-                                     dict(annotation_mask_rate=1.2)])
+                                     dict(annotation_mask_rate=1.2), dict(seed=-1)])
     def test_config_validation(self, bad):
         with pytest.raises(ValueError):
             generate(cfg(**bad))
@@ -203,3 +203,11 @@ def test_any_finite_values_round_trip(rows, tmp_path_factory):
     for rec, orig in zip(back.records, d.records):
         np.testing.assert_array_equal(rec.image_raw, orig.image_raw)
         np.testing.assert_array_equal(rec.text_raw, orig.text_raw)
+
+
+def test_header_lists_the_generator_config_in_field_order(tmp_path):
+    write(generate(cfg()), tmp_path / "d.tsv")
+    assert (tmp_path / "d.tsv").read_text().splitlines()[0] == (
+        "#weakpair-dataset v1 split=none num_identities=4 views_per_identity=2 "
+        "latent_dim=3 raw_dim_image=5 raw_dim_text=4 view_noise=0.10000000000000001 "
+        "annotation_mask_rate=0.29999999999999999 seed=42")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weakpair import losses
 from weakpair.autograd import Graph
 from weakpair.encoders import (EmbeddingBatch, ModelDims, init_model, leaf_group,
                                match_probability)
@@ -159,14 +160,30 @@ class TestConsistencyUncertainty:
             assert u.min() >= lo - 1e-9 and u.max() <= hi + 1e-9
 
     def test_mapping_value_matches_graph(self):
+        """Bit for bit, on an array and on each consistency as a float."""
         rng = np.random.default_rng(4)
         for mapping in MAPPINGS:
             g = Graph()
             args = [g.constant(unit_rows(rng, 6, 5)) for _ in range(4)]
             unc = consistency_uncertainty(g, *args, mapping)
-            np.testing.assert_allclose(unc.u_w.value,
-                                       mapping_value(unc.s_w.value, mapping),
-                                       rtol=0, atol=1e-12)
+            got = mapping_value(unc.s_w.value, mapping)
+            assert got.dtype == unc.u_w.value.dtype
+            assert got.tobytes() == unc.u_w.value.tobytes()
+            assert [float(mapping_value(s, mapping)) for s in unc.s_w.value.tolist()] == \
+                   unc.u_w.value.tolist()
+
+    @pytest.mark.parametrize("mapping", MAPPINGS)
+    def test_u_bounds_are_the_mapping_at_both_ends(self, mapping):
+        g = Graph()
+        f = g.constant([[1.0, 0.0], [1.0, 0.0]])
+        f_w = g.constant([[1.0, 0.0], [-1.0, 0.0]])
+        unc = consistency_uncertainty(g, f, f, f_w, f_w, mapping)
+        assert unc.s_w.value.tolist() == [1.0, -1.0]
+        assert U_BOUNDS[mapping] == tuple(unc.u_w.value.tolist())
+
+    def test_u_bounds_values(self):
+        assert U_BOUNDS == {"exponential": (math.exp(-1.0), math.e),
+                            "linear": (0.5, 2.5), "power": (0.25, 6.25)}
 
     def test_unknown_mapping(self):
         g = Graph()
@@ -419,6 +436,41 @@ def test_fused_branches_equal_each_branch_alone(shape):
             fused = matching_losses(g, head, inst.groups, enc, branches)
             assert [float(fused[b].value) for b in branches] == \
                    [alone[MATCHING_BRANCHES.index(b)] for b in branches]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_matching_losses_score_the_pairs_branch_pairs_names(shape, monkeypatch):
+    """The head scores, branch by branch and group by group, the pairs that
+    PairGroup.branch_pairs names, a "weak" source at row n + i, with their
+    labels; and those rows are this file's reference triples."""
+    seen = []
+    take_rows, itm = losses._rows, losses.itm_term
+
+    def rows(g, picked, *sources):
+        seen.append(list(picked))
+        return take_rows(g, picked, *sources)
+
+    def term(g, p_hat, labels):
+        seen.append(labels[:, 0].tolist())
+        return itm(g, p_hat, labels)
+
+    monkeypatch.setattr(losses, "_rows", rows)
+    monkeypatch.setattr(losses, "itm_term", term)
+    for seed in range(5):
+        inst = random_instance(np.random.default_rng(seed), **SHAPES[shape])
+        g = Graph()
+        leaves = {k: g.constant(v) for k, v in inst.params.items()}
+        enc = encode_step(g, leaves, inst.data, need_weak=True)
+        n = enc[0].shape[0]
+        named = {b: [(i + n * (si == "weak"), j + n * (sj == "weak"), label)
+                     for grp in inst.groups for si, i, sj, j, label in grp.branch_pairs(b)]
+                 for b in MATCHING_BRANCHES}
+        assert list(named.values()) == list(branch_pairs(inst.groups, n))
+        for branches in (MATCHING_BRANCHES, ("itm",), ("gitm_txt",), ("gitm_img",),
+                         ("gitm_txt", "gitm_img")):
+            seen.clear()
+            matching_losses(g, leaf_group(leaves, "head"), inst.groups, enc, branches)
+            assert list(zip(*seen)) == [pair for b in branches for pair in named[b]]
 
 
 def test_random_instance_u_mean_is_the_assembled_one():

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakpair.losses import MAPPINGS, mapping_value
+from weakpair.autograd import Graph
+from weakpair.losses import MAPPINGS, consistency_uncertainty, mapping_value
 from weakpair.metrics import (DEFAULT_RECALL_GRID, QueryRanking, RankingResult,
                               _row_dots, average_precision, margin_stats,
                               margin_tuples, mean_average_precision, pr_curve,
@@ -525,16 +526,25 @@ def test_row_dots_match_per_pair_matmul(n, dim, seed, scale):
     assert_bits_equal(_row_dots(a, b), np.array([a[i] @ b[i] for i in range(n)], dtype=float))
 
 
-def test_query_uncertainty_maps_each_record_as_a_scalar():
-    """Under "power" a scalar's ** 2 (C pow) and an array's square can differ
-    by one ulp; uncertainty keeps the scalar result.  Record 1 is [s, 0], so
-    record 0 = [1, 0] sees a consistency of exactly s."""
-    rng = np.random.default_rng(0)
-    values = [0.25, -0.5]
-    for s in rng.uniform(-1.0, 1.0, 20000).tolist():
-        if mapping_value(s, "power") != mapping_value(np.array([s]), "power")[0]:
-            values.append(s)
-    for s in values:
-        emb = np.array([[1.0, 0.0], [s, 0.0]])
-        u = query_uncertainty(emb, emb, np.array([0, 0]), "power")
-        assert_bits_equal(u[0], float(mapping_value(s, "power")))
+@pytest.mark.parametrize("mapping", MAPPINGS)
+def test_query_uncertainty_is_the_trainers_mapping(mapping):
+    """Bit for bit the u_w that consistency_uncertainty records on the graph.
+    Identity q holds the records [1, 0] and [s_q, 0], so each sees a
+    consistency of exactly s_q.  The draws include every witness where
+    numpy's scalar (1.5 - s) ** 2 (C pow) lands one ulp off diff * diff."""
+    draws = np.random.default_rng(0).uniform(-1.0, 1.0, 20000).tolist()
+    witnesses = [s for s in draws if (np.float64(1.5) - s) ** 2 != (1.5 - s) * (1.5 - s)]
+    assert witnesses
+    s = np.array([1.0, -1.0, 0.25, -0.5, *witnesses, *draws[:200]])
+    anchor = np.zeros((s.shape[0], 2))
+    anchor[:, 0] = 1.0
+    weak = np.zeros((s.shape[0], 2))
+    weak[:, 0] = s
+    emb = np.stack([anchor, weak], axis=1).reshape(-1, 2)
+    u = query_uncertainty(emb, emb, np.repeat(np.arange(s.shape[0]), 2), mapping)
+    g = Graph()
+    unc = consistency_uncertainty(g, g.constant(anchor), g.constant(anchor),
+                                  g.constant(weak), g.constant(weak), mapping)
+    assert_bits_equal(unc.s_w.value, s)
+    assert_bits_equal(u[0::2], unc.u_w.value)
+    assert_bits_equal(u[1::2], unc.u_w.value)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from weakpair.data import GenConfig, PairRecord, generate
 from weakpair.encoders import EmbeddingBatch
-from weakpair.mining import (MiningConfig, MiningStarvationError, build_group,
+from weakpair.mining import (MiningConfig, MiningStarvationError, PairGroup, build_group,
                              build_groups, mine_hard_negatives, sample_weak)
 
 
@@ -148,6 +148,18 @@ class TestBuildGroup:
         group = build_group(1, batch, MiningConfig.from_mode("neg3v4"))
         assert all(lbl == 1 for *_, lbl in group.matched_pairs())
         assert all(lbl == 0 for *_, lbl in group.negative_pairs())
+
+    def test_pair_lists_are_the_branches_split_by_label(self):
+        group = PairGroup(1, itm_neg_text=3, itm_neg_image=0, neg_texts=[3, 2],
+                          neg_images=[0, 2])
+        assert group.matched_pairs() == [("batch", 1, "batch", 1, 1), ("batch", 1, "weak", 1, 1),
+                                         ("weak", 1, "batch", 1, 1)]
+        assert group.negative_pairs() == [
+            ("batch", 1, "batch", 3, 0), ("batch", 0, "batch", 1, 0),
+            ("batch", 1, "batch", 3, 0), ("batch", 1, "batch", 2, 0),
+            ("batch", 0, "batch", 1, 0), ("batch", 2, "batch", 1, 0)]
+        with pytest.raises(ValueError, match="unknown matching branch"):
+            group.branch_pairs("gitm")
 
     def test_two_identities_support_k1_not_k2(self):
         batch = random_batch(np.random.default_rng(10), 2)

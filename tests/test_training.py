@@ -197,6 +197,11 @@ class TestFailureContracts:
             TrainConfig(mining_mode="neg3v4", mining_k=2).validate()
         with pytest.raises(ValueError, match="weight_decay"):
             TrainConfig(weight_decay=-1.0).validate()
+        for bad, named in ((dict(seed=-1), "seed"), (dict(embed_dim=0), "embed_dim"),
+                           (dict(hidden_dim=-2), "hidden_dim"),
+                           (dict(mining_k=0), "mining_mode/mining_k")):
+            with pytest.raises(ValueError, match=named):
+                TrainConfig(**bad).validate()
 
 
 def reference_adamw(state, grads, lr, weight_decay):
