@@ -1,8 +1,8 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 The op set is the minimal closure needed by the losses in this package:
-affine maps, elementwise add/multiply, tanh, exp, log, sigmoid, a
-pass-through clamp, row gathers (take_rows), row-wise L2 normalization,
+affine maps, elementwise add/multiply, tanh, exp, log, cross-entropy from
+logits (bce_logits), row gathers (take_rows), row-wise L2 normalization,
 row-cosine matrices, each row's log-softmax at one column
 (log_softmax_at), sum/mean reductions, and detach (stop-gradient).
 
@@ -64,8 +64,8 @@ def _reduce_to(grad: Array, shape: tuple[int, ...]) -> Array:
 
 class _Ops:
     """Every op, once.  A front end supplies _wrap, _values (input values
-    aligned for a multi-input op), _emit, _flag_zero_rows and a clamped
-    counter; contracts read each input's own .shape."""
+    aligned for a multi-input op), _emit and _flag_zero_rows; contracts read
+    each input's own .shape."""
 
     # -- elementwise ops -------------------------------------------------
 
@@ -110,28 +110,18 @@ class _Ops:
         x = self._wrap(x)
         return self._emit("log", (x,), np.log(x.value), lambda g: (g / x.value,))
 
-    def sigmoid(self, x):
-        x = self._wrap(x)
-        # Stable in both tails: exp of a non-positive argument only.
-        e = np.exp(-np.abs(x.value))
-        y = np.where(x.value >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        return self._emit("sigmoid", (x,), y, lambda g: (g * y * (1.0 - y),))
-
-    def clamp(self, x, lo: float, hi: float):
-        """x moved onto [lo, hi]; the gradient passes through unchanged.
-
-        y = x + (clip(x) - x) is exactly x wherever nothing is clipped.  The
-        op is emitted only when some entry moves; otherwise x itself is
-        returned, so a graph without clamping carries no extra node.  Moved
-        entries are counted in self.clamped.
-        """
-        x = self._wrap(x)
-        y = x.value + (np.clip(x.value, lo, hi) - x.value)
-        moved = int(np.count_nonzero(y != x.value))
-        if moved == 0:
-            return x
-        self.clamped += moved
-        return self._emit("clamp", (x,), y, lambda g: (g,))
+    def bce_logits(self, z, labels):
+        """max(z, 0) + log1p(exp(-|z|)) - labels * z: the binary cross-entropy
+        of sigmoid(z) against fixed labels of z's shape, elementwise.  exp
+        sees only non-positive arguments, so both tails stay finite."""
+        z = self._wrap(z)
+        labels = np.asarray(labels)
+        if labels.shape != z.shape:
+            raise GraphError(f"bce_logits labels shape {labels.shape} vs logits {z.shape}")
+        e = np.exp(-np.abs(z.value))
+        y = np.maximum(z.value, 0.0) + np.log1p(e) - labels * z.value
+        p = np.where(z.value >= 0, 1.0 / (1.0 + e), e / (1.0 + e))  # sigmoid(z)
+        return self._emit("bce_logits", (z,), y, lambda g: (g * (p - labels),))
 
     # -- linear / row-wise ops ---------------------------------------------
 
@@ -311,8 +301,6 @@ class Graph(_Ops):
         self.nodes: list[Node] = []
         # (node id, row indices) for every zero-norm row seen by l2_normalize.
         self.zero_norm_rows: list[tuple[int, tuple[int, ...]]] = []
-        # Number of entries that clamp has moved onto its interval.
-        self.clamped = 0
 
     # -- leaves ----------------------------------------------------------
 
@@ -417,7 +405,6 @@ class Evaluator(_Ops):
 
     def __init__(self, dtype=np.float64):
         self.dtype = dtype
-        self.clamped = 0  # over every replica
 
     # -- leaves ----------------------------------------------------------
 

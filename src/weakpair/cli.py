@@ -203,13 +203,13 @@ def cmd_gen(args) -> int:
 
 def train_log_rows(log) -> tuple[list[str], list[list]]:
     header = ["step", "lr", "itc", "uitc", "itm", "gitm_txt", "gitm_img",
-              "total", "mean_s_w", "mean_u_w", "u_min", "u_max", "clamps"]
+              "total", "mean_s_w", "mean_u_w", "u_min", "u_max", "degenerate_weak"]
     rows = []
     for rec in log.steps:
         r = rec.report
         rows.append([rec.step, rec.lr, r.itc, r.uitc, r.itm, r.gitm_txt,
                      r.gitm_img, r.total, r.mean_s_w, r.mean_u_w,
-                     rec.u_min, rec.u_max, rec.clamps])
+                     rec.u_min, rec.u_max, rec.degenerate_weak])
     return header, rows
 
 

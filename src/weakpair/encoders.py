@@ -3,8 +3,8 @@
 Each modality gets its own two-layer tower (affine, tanh, affine) whose
 output rows are L2-normalized, so downstream cosine scores are plain dot
 products.  The fusion head maps a pair of embeddings, together with their
-elementwise product, through a hidden tanh layer to a single logit; its
-sigmoid is the match probability.  The product term gives the head the
+elementwise product, through a hidden tanh layer to a single match logit;
+its sigmoid is the match probability.  The product term gives the head the
 second-order interaction needed to separate hard negatives.
 """
 
@@ -146,9 +146,9 @@ def encode(g: Graph, tower: Mapping[str, Node], raw: Node) -> Node:
     return g.l2_normalize(g.affine(hidden, tower["w2"], tower["b2"]))
 
 
-def match_probability(g: Graph, head: Mapping[str, Node],
-                      f_img: Node, f_txt: Node) -> Node:
-    """Match probability per row, in (0, 1); order of arguments matters."""
+def match_logit(g: Graph, head: Mapping[str, Node],
+                f_img: Node, f_txt: Node) -> Node:
+    """Match logit per row, (n, 1); order of arguments matters."""
     prod = g.mul(f_img, f_txt)
     pre = g.add(g.add(g.affine(f_img, head["w_img"], head["b_hidden"]),
                       g.affine(f_txt, head["w_txt"])),
@@ -157,7 +157,7 @@ def match_probability(g: Graph, head: Mapping[str, Node],
     direct = g.add(g.add(g.affine(f_img, head["v_img"]),
                          g.affine(f_txt, head["v_txt"])),
                    g.affine(prod, head["v_prod"]))
-    return g.sigmoid(g.add(hidden, direct))
+    return g.add(hidden, direct)
 
 
 @dataclass

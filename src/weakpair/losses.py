@@ -15,7 +15,8 @@ uitc_loss      weak-pair contrastive loss regularized by uncertainty:
                model cannot game the weighting path, and gamma = exp(log_gamma)
                kept positive structurally.
 matching_losses
-               binary match/non-match classification, one head evaluation
+               binary match/non-match cross-entropy from the head's logits
+               (Graph.bce_logits), one head evaluation and one cross-entropy
                per step for every requested branch: itm over each strong
                pair plus its two directional hard negatives, and the
                group-wise gitm_txt and gitm_img, each averaging its
@@ -30,15 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Evaluator, Graph, Node
-from .encoders import match_probability
+from .encoders import match_logit
 from .mining import MATCHING_BRANCHES, PairGroup  # noqa: F401  (re-exported)
 
 MAPPINGS = ("exponential", "linear", "power")
-
-# Match probabilities are clamped away from {0, 1} before the logarithm;
-# Graph.clamped counts how often that actually happened.
-CLAMP_LO = 1e-12
-CLAMP_HI = 1.0 - 1e-12
 
 
 @dataclass
@@ -150,12 +146,11 @@ def uitc_loss(g: Graph, itc_weak: Node, u_w: Node, log_gamma: Node) -> Node:
 def itm_term(g: Graph, p_hat: Node, labels) -> Node:
     """Negated log-likelihood -(p log p_hat + (1-p) log(1-p_hat)), elementwise.
 
-    Probabilities outside [1e-12, 1 - 1e-12] are clamped by g.clamp, which
-    adds the offset (clip(v) - v) with a pass-through gradient; no clamp is
-    recorded when nothing moves, so the graph is exact in the common case.
+    The matching loss written on probabilities, as a reference: the trainer
+    scores logits with g.bce_logits, which equals this at p_hat = sigmoid(logit)
+    and stays finite where p_hat would round to 0 or 1.
     """
     y = np.asarray(labels, dtype=np.float64)
-    p_hat = g.clamp(p_hat, CLAMP_LO, CLAMP_HI)
     log_p = g.log(p_hat)
     log_1mp = g.log(g.add(g.constant(1.0), g.mul(p_hat, -1.0)))
     ll = g.add(g.mul(g.constant(y), log_p),
@@ -191,9 +186,8 @@ def matching_losses(g: Graph, head, groups: list[PairGroup], enc,
                  for grp in groups for si, i, sj, j, label in grp.branch_pairs(b)]
              for b in branches}
     img, txt, labels = zip(*(pair for b in branches for pair in pairs[b]))
-    p_hat = match_probability(g, head, _rows(g, img, f_img, f_img_w),
-                              _rows(g, txt, f_txt, f_txt_w))
-    term = itm_term(g, p_hat, np.array(labels, dtype=np.float64)[:, None])
+    logit = match_logit(g, head, _rows(g, img, f_img, f_img_w), _rows(g, txt, f_txt, f_txt_w))
+    term = g.bce_logits(logit, np.array(labels, dtype=np.float64)[:, None])
     if len(branches) == 1:
         return {branches[0]: g.mean(term)}
     ends = np.cumsum([len(pairs[b]) for b in branches])

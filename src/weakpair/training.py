@@ -116,7 +116,7 @@ class StepRecord:
     report: LossReport
     u_min: float
     u_max: float
-    clamps: int
+    degenerate_weak: int  # anchors whose weak counterpart is the anchor itself
     wall_time: float
 
 
@@ -396,7 +396,7 @@ def train(cfg: TrainConfig, data: DatasetManifest,
         else:
             u_min = u_max = float("nan")
         log.steps.append(StepRecord(step, lr, report, u_min, u_max,
-                                    g.clamped, time.perf_counter() - started))
+                                    sd.degenerate_weak, time.perf_counter() - started))
 
     ckpt = Checkpoint(CHECKPOINT_VERSION, cfg, *(
         {k: v.copy() for k, v in _views(layout, flat).items()}

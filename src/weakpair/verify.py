@@ -69,6 +69,7 @@ def _op_cases(rng: np.random.Generator):
     c3 = rng.normal(size=3)
     frozen = rng.normal(size=(3, 4))
     c64 = rng.normal(size=(6, 4))
+    labels = (c64[:3] > 0.0).astype(np.float64)
 
     def weighted(build, const):
         return lambda g, lv: g.sum(g.mul(build(g, lv), g.constant(const)))
@@ -81,7 +82,8 @@ def _op_cases(rng: np.random.Generator):
         ("tanh", {"x": a}, weighted(lambda g, lv: g.tanh(lv["x"]), c34)),
         ("exp", {"x": a}, weighted(lambda g, lv: g.exp(lv["x"]), c34)),
         ("log", {"x": pos}, weighted(lambda g, lv: g.log(lv["x"]), c34)),
-        ("sigmoid", {"x": a}, weighted(lambda g, lv: g.sigmoid(lv["x"]), c34)),
+        ("bce_logits", {"x": a},
+         weighted(lambda g, lv: g.bce_logits(lv["x"], labels), c34)),
         ("l2_normalize", {"x": a},
          weighted(lambda g, lv: g.l2_normalize(lv["x"]), c34)),
         ("cosine_matrix", {"a": a, "b": b},

@@ -6,7 +6,7 @@ import pytest
 from weakpair.autograd import Graph, GraphError, grad_check
 from weakpair.encoders import (EmbeddingBatch, ModelDims, dict_to_params,
                                encode, init_model, init_params, leaf_group,
-                               match_probability, params_to_dict)
+                               match_logit, params_to_dict)
 
 DIMS = ModelDims(raw_dim_image=6, raw_dim_text=5, hidden_dim=4, embed_dim=3)
 
@@ -71,8 +71,8 @@ class TestInit:
         leaves = {k: g.constant(v) for k, v in params_to_dict(model).items()}
         f_img = encode(g, leaf_group(leaves, "img"), g.constant(rng.normal(size=(8, 6))))
         f_txt = encode(g, leaf_group(leaves, "txt"), g.constant(rng.normal(size=(8, 5))))
-        p = match_probability(g, leaf_group(leaves, "head"), f_img, f_txt)
-        assert np.all(np.isfinite(p.value))
+        z = match_logit(g, leaf_group(leaves, "head"), f_img, f_txt)
+        assert z.shape == (8, 1) and np.all(np.isfinite(z.value))
 
     def test_weight_scale_follows_fan_in(self):
         img, _, _ = init_params(0, ModelDims(100, 100, 50, 8))
@@ -85,7 +85,13 @@ class TestInit:
         assert all(np.array_equal(d[k], again[k]) for k in d)
 
 
+def sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 class TestMatchProbability:
+    """The match probability is sigmoid(match_logit)."""
+
     def test_zero_head_gives_half(self):
         import dataclasses
         model = init_model(1, DIMS)
@@ -95,8 +101,9 @@ class TestMatchProbability:
         g = Graph()
         head, _ = tower_nodes(g, model, "head")
         f = g.constant(np.eye(3)[:2])
-        np.testing.assert_array_equal(match_probability(g, head, f, f).value,
-                                      [[0.5], [0.5]])
+        z = match_logit(g, head, f, f).value
+        np.testing.assert_array_equal(z, [[0.0], [0.0]])
+        np.testing.assert_array_equal(sigmoid(z), [[0.5], [0.5]])
 
     def test_bounded_open_interval(self):
         rng = np.random.default_rng(8)
@@ -105,7 +112,7 @@ class TestMatchProbability:
         head, _ = tower_nodes(g, model, "head")
         rows = rng.normal(size=(1000, 3))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        p = match_probability(g, head, g.constant(rows), g.constant(rows)).value
+        p = sigmoid(match_logit(g, head, g.constant(rows), g.constant(rows)).value)
         assert p.min() > 0.0 and p.max() < 1.0
 
     def test_order_matters(self):
@@ -116,9 +123,9 @@ class TestMatchProbability:
         head, _ = tower_nodes(g, model, "head")
         a = g.constant(rng.normal(size=(1, 3)))
         b = g.constant(rng.normal(size=(1, 3)))
-        p_ab = match_probability(g, head, a, b).value
-        p_ba = match_probability(g, head, b, a).value
-        assert not np.array_equal(p_ab, p_ba)
+        z_ab = match_logit(g, head, a, b).value
+        z_ba = match_logit(g, head, b, a).value
+        assert not np.array_equal(z_ab, z_ba)
 
     def test_head_gradients(self):
         rng = np.random.default_rng(10)
@@ -130,10 +137,11 @@ class TestMatchProbability:
                        if k.startswith("head.")}
         perturbed = {k: v + rng.normal(0.0, 0.3, size=v.shape)
                      for k, v in head_params.items()}
+        labels = np.array([[1.0], [0.0], [1.0]])
 
         def loss_fn(g, lv):
-            p = match_probability(g, lv, g.constant(f_img), g.constant(f_txt))
-            return g.mean(g.mul(p, p))
+            z = match_logit(g, lv, g.constant(f_img), g.constant(f_txt))
+            return g.mean(g.bce_logits(z, labels))
 
         report = grad_check(loss_fn, perturbed, eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_error

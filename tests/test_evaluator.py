@@ -5,7 +5,6 @@ import pytest
 
 from weakpair import autograd
 from weakpair.autograd import Evaluator, Graph, GraphError, grad_check
-from weakpair.losses import CLAMP_HI, CLAMP_LO, itm_term
 from weakpair.verify import (LOSS_NAMES, _op_cases, loss_builder, loss_params,
                              random_instance)
 
@@ -46,13 +45,11 @@ def assert_bitwise_equal(got, want):
 
 def test_every_op_has_a_battery_case():
     """The shared op surface is exactly the ops _op_cases probes, so a new op
-    cannot skip the gradient battery or the stacked-equality tests below.
-    clamp is the one exception: its straight-through gradient is by design
-    not the derivative of clip, and TestClamp covers it."""
+    cannot skip the gradient battery or the stacked-equality tests below."""
     ops = {name for name, member in vars(autograd._Ops).items()
            if callable(member) and not name.startswith("_")}
     assert len(set(_OP_NAMES)) == len(_OP_NAMES)
-    assert ops == set(_OP_NAMES) | {"clamp"}
+    assert ops == set(_OP_NAMES)
     # Neither front end defines an op of its own.
     assert not ops & (set(vars(Graph)) | set(vars(Evaluator)))
 
@@ -62,6 +59,7 @@ _CONTRACT_BREAKS = {
     "stacked_row_plus_matrix": ((3,), lambda g, x: g.add(x, g.constant(np.ones((2, 3))))),
     "take_rows_out_of_range": ((3, 2), lambda g, x: g.take_rows((x,), [0, 3])),
     "log_softmax_at_wrong_column": ((3, 3), lambda g, x: g.log_softmax_at(x, [0, 3, 1])),
+    "bce_logits_labels_shape": ((3, 1), lambda g, x: g.bce_logits(x, np.ones(3))),
 }
 
 
@@ -147,46 +145,6 @@ def test_mixed_stacked_and_shared_operands():
     copies = replicas_of(params, 3, rng)
     for replica, point in zip(stacked_values(fn, copies), copies):
         assert_bitwise_equal(replica, graph_value(fn, point))
-
-
-class TestClamp:
-    def test_value_and_pass_through_gradient(self):
-        g = Graph()
-        x = g.leaf([-0.5, 0.5, 2.0], trainable=True)
-        y = g.clamp(x, 0.0, 1.0)
-        np.testing.assert_array_equal(y.value, [0.0, 0.5, 1.0])
-        grads = g.backward(g.sum(g.mul(y, g.constant([2.0, 3.0, 5.0]))))
-        np.testing.assert_array_equal(grads[x], [2.0, 3.0, 5.0])
-
-    def test_not_recorded_when_nothing_moves(self):
-        g = Graph()
-        x = g.constant([0.2, 0.7])
-        before = len(g.nodes)
-        assert g.clamp(x, 0.0, 1.0) is x and len(g.nodes) == before
-
-    def test_replicas_that_clamp_and_replicas_that_do_not(self):
-        """Replica 0 clamps nothing; 1 saturates high, 2 low."""
-        labels = np.array([[1.0], [0.0], [1.0]])
-
-        def fn(g, lv):
-            return g.sum(itm_term(g, g.sigmoid(lv["x"]), labels))
-
-        base = np.array([[0.3], [-1.2], [2.0]])
-        copies = [{"x": base}, {"x": base + [[45.0], [0.0], [0.0]]},
-                  {"x": base + [[0.0], [-45.0], [0.0]]}]
-        clamp_nodes = []
-        for point in copies:
-            g = Graph()
-            p_hat = g.sigmoid(g.constant(point["x"]))
-            itm_term(g, p_hat, labels)
-            clamp_nodes.append(sum(node.op == "clamp" for node in g.nodes))
-            outside = (p_hat.value < CLAMP_LO) | (p_hat.value > CLAMP_HI)
-            assert outside.any() == (clamp_nodes[-1] == 1)
-        assert clamp_nodes == [0, 1, 1]
-        for replica, point in zip(stacked_values(fn, copies), copies):
-            assert_bitwise_equal(replica, graph_value(fn, point))
-        for replica, point in zip(stacked_values(fn, copies, np.longdouble), copies):
-            assert_bitwise_equal(replica, plain_value(fn, point, np.longdouble))
 
 
 def test_grad_check_builds_one_graph_and_one_stacked_pass(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from weakpair import losses
 from weakpair.autograd import Graph
 from weakpair.encoders import (EmbeddingBatch, ModelDims, init_model, leaf_group,
-                               match_probability)
+                               match_logit)
 from weakpair.losses import (LossReport, LossWeights, MAPPINGS, MATCHING_BRANCHES,
                              U_BOUNDS, consistency_uncertainty, itc_loss,
                              itm_term, mapping_value, matching_losses,
@@ -253,23 +253,57 @@ class TestItmTerm:
         term = itm_term(g, g.constant([[1.0 - 1e-9]]), [[1.0]])
         assert 0.0 < float(term.value[0, 0]) < 1e-8
 
-    def test_clamp_counter(self):
-        g = Graph()
-        term = itm_term(g, g.constant([[1.0], [0.5]]), [[1.0], [1.0]])
-        assert g.clamped == 1
-        assert np.all(np.isfinite(term.value))
-        # unclamped rows are untouched
-        assert abs(float(term.value[1, 0]) - math.log(2.0)) <= 1e-12
-        # the count runs over every clamp of the graph
-        itm_term(g, g.constant([[0.0], [0.5], [1.0]]), [[0.0], [1.0], [1.0]])
-        assert g.clamped == 3
-
     def test_crafted_probabilities(self):
         """0.9 on the positive, 0.1 on two negatives -> ln(1/0.9)."""
         g = Graph()
         term = itm_term(g, g.constant([[0.9], [0.1], [0.1]]),
                         [[1.0], [0.0], [0.0]])
         assert abs(float(g.mean(term).value) - math.log(1.0 / 0.9)) <= 1e-12
+
+
+def sigmoid(z):
+    """Stable in both tails: exp of a non-positive argument only."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+class TestBceLogits:
+    """g.bce_logits, the trainer's matching loss, against itm_term at
+    p_hat = sigmoid(z)."""
+
+    Z = np.linspace(-10.0, 10.0, 401)[:, None]
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_equals_itm_term_of_sigmoid(self, label):
+        g = Graph()
+        labels = np.full(self.Z.shape, label)
+        fused = g.bce_logits(g.constant(self.Z), labels).value
+        composed = itm_term(g, g.constant(sigmoid(self.Z)), labels).value
+        np.testing.assert_allclose(fused, composed, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_gradient_is_sigmoid_minus_label(self, label):
+        g = Graph()
+        z = g.leaf(self.Z, trainable=True)
+        labels = np.full(self.Z.shape, label)
+        grad = g.backward(g.sum(g.bce_logits(z, labels)))[z]
+        np.testing.assert_allclose(grad, sigmoid(self.Z) - labels, rtol=0.0, atol=2.3e-16)
+
+    def test_saturated_logits_stay_exact_and_finite(self):
+        """Where sigmoid rounds to 0 or 1 the loss is the margin itself, or 0."""
+        g = Graph()
+        z = g.leaf([[800.0], [800.0], [-800.0], [-800.0]], trainable=True)
+        labels = np.array([[1.0], [0.0], [1.0], [0.0]])
+        term = g.bce_logits(z, labels)
+        assert term.value.tolist() == [[0.0], [800.0], [800.0], [0.0]]
+        grad = g.backward(g.sum(term))[z]
+        assert np.all(np.isfinite(grad))
+        assert grad.tolist() == [[0.0], [1.0], [-1.0], [0.0]]
+
+    def test_half_probability_at_zero_logit(self):
+        g = Graph()
+        term = g.bce_logits(g.constant([[0.0], [0.0]]), [[1.0], [0.0]])
+        np.testing.assert_array_equal(term.value, [[math.log(2.0)], [math.log(2.0)]])
 
 
 def zero_head_nodes(g):
@@ -410,9 +444,9 @@ def branch_pairs(groups, n):
 def branch_alone(g, head, pairs, f_img, f_txt, f_img_w, f_txt_w):
     """One branch's mean loss from a head evaluation of its own."""
     img, txt, labels = zip(*pairs)
-    p_hat = match_probability(g, head, g.take_rows((f_img, f_img_w), img),
-                              g.take_rows((f_txt, f_txt_w), txt))
-    return g.mean(itm_term(g, p_hat, np.array(labels, dtype=np.float64)[:, None]))
+    logit = match_logit(g, head, g.take_rows((f_img, f_img_w), img),
+                        g.take_rows((f_txt, f_txt_w), txt))
+    return g.mean(g.bce_logits(logit, np.array(labels, dtype=np.float64)[:, None]))
 
 
 # The trainer's default widths, batch and K, and the gradient battery's.
@@ -444,18 +478,18 @@ def test_matching_losses_score_the_pairs_branch_pairs_names(shape, monkeypatch):
     PairGroup.branch_pairs names, a "weak" source at row n + i, with their
     labels; and those rows are this file's reference triples."""
     seen = []
-    take_rows, itm = losses._rows, losses.itm_term
+    take_rows, bce = losses._rows, Graph.bce_logits
 
     def rows(g, picked, *sources):
         seen.append(list(picked))
         return take_rows(g, picked, *sources)
 
-    def term(g, p_hat, labels):
+    def term(g, logit, labels):
         seen.append(labels[:, 0].tolist())
-        return itm(g, p_hat, labels)
+        return bce(g, logit, labels)
 
     monkeypatch.setattr(losses, "_rows", rows)
-    monkeypatch.setattr(losses, "itm_term", term)
+    monkeypatch.setattr(Graph, "bce_logits", term)
     for seed in range(5):
         inst = random_instance(np.random.default_rng(seed), **SHAPES[shape])
         g = Graph()

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from weakpair import losses, training
+from weakpair import cli, training
 from weakpair.data import GenConfig, generate
 from weakpair.encoders import ModelDims, init_model, params_to_dict
 from weakpair.losses import U_BOUNDS
@@ -142,31 +142,43 @@ class TestTrainBasics:
         assert all(r.report.gitm_txt == 0.0 for r in log.steps)
         assert any(r.report.uitc != 0.0 for r in log.steps)
 
-    @pytest.mark.parametrize("mode, nodes", [("baseline", 75), ("uitc", 143),
-                                             ("uitc_gitm", 152)])
+    @pytest.mark.parametrize("mode, nodes", [("baseline", 62), ("uitc", 130),
+                                             ("uitc_gitm", 139)])
     def test_nodes_per_step(self, mode, nodes, monkeypatch):
-        """Graph size of every step of a run that clamps nothing."""
+        """Graph size of every step; no op depends on the values."""
         sizes = read_each_step_graph(monkeypatch, lambda g: len(g.nodes))
         _, log = train(small_cfg(ablation_mode=mode), dataset())
-        assert all(rec.clamps == 0 for rec in log.steps)
         assert sizes == [nodes] * len(log.steps)
 
     @pytest.mark.parametrize("mode", training.ABLATION_MODES)
     def test_one_head_evaluation_per_step(self, mode, monkeypatch):
-        """Every matching pair of a step goes through a single sigmoid."""
-        sigmoids = read_each_step_graph(
-            monkeypatch, lambda g: sum(node.op == "sigmoid" for node in g.nodes))
+        """Every matching pair of a step goes through a single bce_logits."""
+        fused = read_each_step_graph(
+            monkeypatch, lambda g: sum(node.op == "bce_logits" for node in g.nodes))
         _, log = train(small_cfg(ablation_mode=mode), dataset())
-        assert sigmoids == [1] * len(log.steps)
+        assert fused == [1] * len(log.steps)
 
-    def test_clamps_logged_from_the_step_graph(self, monkeypatch):
-        """A clamp interval narrow enough to bite: each step logs its graph's count."""
-        clamped = read_each_step_graph(monkeypatch, lambda g: g.clamped)
-        monkeypatch.setattr(losses, "CLAMP_LO", 0.45)
-        monkeypatch.setattr(losses, "CLAMP_HI", 0.55)
-        _, log = train(small_cfg(), dataset())
-        assert [rec.clamps for rec in log.steps] == clamped
-        assert min(clamped) > 0
+    def test_degenerate_weak_logged_from_step_data(self, monkeypatch):
+        """Identities with one record stand in as their own weak counterpart:
+        each step logs its StepData's count, and train_log.csv writes it."""
+        full = dataset()
+        kept = [r for r in full.records if r.identity % 3 or r.view == 0]
+        d = dataclasses.replace(full, records=kept)
+        counts = []
+        step_data = training._step_data
+
+        def counting(*args, **kwargs):
+            sd = step_data(*args, **kwargs)
+            counts.append(sd.degenerate_weak)
+            return sd
+
+        monkeypatch.setattr(training, "_step_data", counting)
+        _, log = train(small_cfg(), d)
+        assert [rec.degenerate_weak for rec in log.steps] == counts
+        assert sum(counts) > 0
+        header, rows = cli.train_log_rows(log)
+        column = header.index("degenerate_weak")
+        assert [row[column] for row in rows] == counts
 
     def test_too_few_identities(self):
         with pytest.raises(ValueError):
