@@ -53,6 +53,13 @@ def _sum(v: Array, ndim: int) -> Array:
     return np.asarray(v.reshape(lead + (-1,)).sum(axis=-1))
 
 
+def _finite(value, name: str | None, dtype=np.float64) -> Array:
+    arr = np.asarray(value, dtype=dtype)
+    if not np.all(np.isfinite(arr)):
+        raise GraphError(f"non-finite leaf {name or ''!r}")
+    return arr
+
+
 def _reduce_to(grad: Array, shape: tuple[int, ...]) -> Array:
     if shape == () and grad.shape != ():
         return np.asarray(grad.sum())
@@ -305,10 +312,7 @@ class Graph(_Ops):
     # -- leaves ----------------------------------------------------------
 
     def leaf(self, value, trainable: bool = False, name: str | None = None) -> Node:
-        arr = np.asarray(value, dtype=np.float64)
-        if not np.isfinite(arr).all():
-            raise GraphError(f"non-finite leaf {name or ''!r}")
-        return self._append("leaf", (), arr, trainable, trainable, None, name)
+        return self._append("leaf", (), _finite(value, name), trainable, trainable, None, name)
 
     def constant(self, value, name: str | None = None) -> Node:
         return self.leaf(value, trainable=False, name=name)
@@ -322,11 +326,13 @@ class Graph(_Ops):
         return node.id < len(self.nodes) and self.nodes[node.id] is node
 
     def _wrap(self, value) -> Node:
+        """A node as is; a value as an unrecorded constant (no gradient, so
+        backward never looks it up)."""
         if isinstance(value, Node):
             if not self._owns(value):
                 raise GraphError("node belongs to a different graph")
             return value
-        return self.constant(value)
+        return Node(-1, "leaf", (), _finite(value, None), False, False, None)
 
     # -- the op surface's hooks ------------------------------------------
 
@@ -419,10 +425,7 @@ class Evaluator(_Ops):
         return self._leaf(value, False, name)
 
     def _leaf(self, value, stacked: bool, name: str | None) -> Stacked:
-        arr = np.asarray(value, dtype=self.dtype)
-        if not np.all(np.isfinite(arr)):
-            raise GraphError(f"non-finite leaf {name or ''!r}")
-        return Stacked(arr, stacked)
+        return Stacked(_finite(value, name, self.dtype), stacked)
 
     def _wrap(self, value) -> Stacked:
         return value if isinstance(value, Stacked) else self.constant(value)

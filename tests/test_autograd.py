@@ -225,6 +225,18 @@ class TestShapesAndSugar:
         np.testing.assert_array_equal(out.value, [[3.0, 5.0], [7.0, 9.0]])
         np.testing.assert_array_equal(g.backward(g.sum(out))[x], np.full((2, 2), 2.0))
 
+    def test_value_operands_are_not_recorded(self):
+        """A float or array operand is a constant of the op alone: one node
+        per op, and a non-finite value is still rejected."""
+        g = Graph()
+        x = g.leaf([1.0, 2.0], trainable=True)
+        out = g.add(g.mul(x, -1.0), np.array([0.5, 1.5]))
+        assert [node.op for node in g.nodes] == ["leaf", "mul", "add"]
+        assert not out.inputs[1].needs_grad
+        np.testing.assert_array_equal(g.backward(g.sum(out))[x], [-1.0, -1.0])
+        with pytest.raises(GraphError, match="non-finite"):
+            g.mul(x, math.inf)
+
     def test_shape_mismatch_rejected(self):
         g = Graph()
         with pytest.raises(GraphError):

@@ -142,8 +142,8 @@ class TestTrainBasics:
         assert all(r.report.gitm_txt == 0.0 for r in log.steps)
         assert any(r.report.uitc != 0.0 for r in log.steps)
 
-    @pytest.mark.parametrize("mode, nodes", [("baseline", 62), ("uitc", 130),
-                                             ("uitc_gitm", 139)])
+    @pytest.mark.parametrize("mode, nodes", [("baseline", 60), ("uitc", 118),
+                                             ("uitc_gitm", 126)])
     def test_nodes_per_step(self, mode, nodes, monkeypatch):
         """Graph size of every step; no op depends on the values."""
         sizes = read_each_step_graph(monkeypatch, lambda g: len(g.nodes))
