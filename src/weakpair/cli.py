@@ -101,9 +101,12 @@ def write_resolved(resolved: dict[str, dict], out_dir: Path) -> None:
 
 
 def gen_config_from(resolved: dict[str, dict]) -> GenConfig:
-    """The generator's config; also rejects a split seed the split cannot use."""
+    """The generator's config; also rejects a split the split cannot make."""
     if resolved["gen"]["split_seed"] < 0:
         raise ConfigError(f"gen.split_seed must be >= 0, got {resolved['gen']['split_seed']}")
+    if not 0.0 < resolved["gen"]["train_fraction"] < 1.0:
+        raise ConfigError("gen.train_fraction must be in (0, 1), "
+                          f"got {resolved['gen']['train_fraction']}")
     return GenConfig(**{f.name: resolved["gen"][f.name] for f in dataclasses.fields(GenConfig)})
 
 

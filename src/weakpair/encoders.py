@@ -193,8 +193,11 @@ def embed_manifest(params: ModelParams, manifest: DatasetManifest
     leaves = {k: g.constant(v, name=k) for k, v in params_to_dict(params).items()}
     raw_img = np.stack([r.image_raw for r in manifest.records])
     raw_txt = np.stack([r.text_raw for r in manifest.records])
-    f_img = encode(g, leaf_group(leaves, "img"), g.constant(raw_img))
-    f_txt = encode(g, leaf_group(leaves, "txt"), g.constant(raw_txt))
+    # An overflowing tower yields non-finite rows; the caller's check names
+    # the first such record, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_img = encode(g, leaf_group(leaves, "img"), g.constant(raw_img))
+        f_txt = encode(g, leaf_group(leaves, "txt"), g.constant(raw_txt))
     identities = np.array([r.identity for r in manifest.records])
     views = np.array([r.view for r in manifest.records])
     zero_rows = sum(len(rows) for _, rows in g.zero_norm_rows)

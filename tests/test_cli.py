@@ -3,6 +3,7 @@
 import csv
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -384,10 +385,32 @@ def test_overflowing_encoder_is_runtime_error_naming_the_record(workspace, tmp_p
     img, txt, *_ = embed_manifest(dict_to_params(load_checkpoint(checkpoint).params),
                                   data.read(dataset))
     first = np.flatnonzero(~(np.isfinite(img).all(axis=1) & np.isfinite(txt).all(axis=1)))[0]
-    code = main([command, "--checkpoint", str(checkpoint), "--data", str(dataset),
-                 "--out", str(tmp_path / "ev")])
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--checkpoint", str(checkpoint), "--data", str(dataset),
+                     "--out", str(tmp_path / "ev")])
     assert code == EXIT_RUNTIME
-    assert f"runtime error: record {first}: non-finite embedding" in capsys.readouterr().err
+    # The error line alone: no numpy warning ahead of it.
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"runtime error: record {first}: non-finite embedding\n"
+
+
+@pytest.mark.parametrize("command", ["gen", "ablate"])
+@pytest.mark.parametrize("fraction", ["1.5", "0", "nan"])
+def test_bad_train_fraction_is_config_error_before_generating(tmp_path, capsys, monkeypatch,
+                                                              command, fraction):
+    """Rejected with the key's full name before any data is generated; gen
+    leaves no output directory behind."""
+    def no_generation(*args, **kwargs):
+        raise AssertionError("dataset generated")
+
+    monkeypatch.setattr("weakpair.cli.datamod.generate", no_generation)
+    argv = [command, "--out", str(tmp_path / "x"), "--set", f"gen.train_fraction={fraction}"]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error: gen.train_fraction must be in (0, 1)" in capsys.readouterr().err
+    if command == "gen":
+        assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command, setting, named", [
