@@ -101,7 +101,7 @@ def write_resolved(resolved: dict[str, dict], out_dir: Path) -> None:
 
 
 def gen_config_from(resolved: dict[str, dict]) -> GenConfig:
-    """The generator's config; also rejects a split the split cannot make."""
+    """The generator's config; also rejects split settings data.split cannot use."""
     if resolved["gen"]["split_seed"] < 0:
         raise ConfigError(f"gen.split_seed must be >= 0, got {resolved['gen']['split_seed']}")
     if not 0.0 < resolved["gen"]["train_fraction"] < 1.0:

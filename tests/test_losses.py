@@ -300,11 +300,6 @@ class TestBceLogits:
         assert np.all(np.isfinite(grad))
         assert grad.tolist() == [[0.0], [1.0], [-1.0], [0.0]]
 
-    def test_half_probability_at_zero_logit(self):
-        g = Graph()
-        term = g.bce_logits(g.constant([[0.0], [0.0]]), [[1.0], [0.0]])
-        np.testing.assert_array_equal(term.value, [[math.log(2.0)], [math.log(2.0)]])
-
 
 def zero_head_nodes(g):
     import dataclasses

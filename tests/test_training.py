@@ -142,10 +142,10 @@ class TestTrainBasics:
         assert all(r.report.gitm_txt == 0.0 for r in log.steps)
         assert any(r.report.uitc != 0.0 for r in log.steps)
 
-    @pytest.mark.parametrize("mode, nodes", [("baseline", 60), ("uitc", 118),
-                                             ("uitc_gitm", 126)])
-    def test_nodes_per_step(self, mode, nodes, monkeypatch):
+    @pytest.mark.parametrize("mode", training.ABLATION_MODES)
+    def test_nodes_per_step(self, mode, monkeypatch):
         """Graph size of every step; no op depends on the values."""
+        nodes = {"baseline": 60, "uitc": 118, "uitc_gitm": 126}[mode]
         sizes = read_each_step_graph(monkeypatch, lambda g: len(g.nodes))
         _, log = train(small_cfg(ablation_mode=mode), dataset())
         assert sizes == [nodes] * len(log.steps)
