@@ -4,7 +4,7 @@ The op set is the minimal closure needed by the losses in this package:
 affine maps, elementwise add/multiply, tanh, exp, log, cross-entropy from
 logits (bce_logits), row gathers (take_rows), row-wise L2 normalization,
 row-cosine matrices, each row's log-softmax at one column
-(log_softmax_at), sum/mean reductions, and detach (stop-gradient).
+(log_softmax_at) and sum/mean reductions.
 
 Every op is written once, in _Ops: it checks its contract on each input's
 .shape (per replica, for a stacked value), computes its value over trailing
@@ -263,11 +263,6 @@ class _Ops:
         return self._emit("sum_rows", (x,), x.value.sum(axis=-1),
                           lambda g: (np.repeat(g[..., None], cols, axis=-1),))
 
-    def detach(self, x):
-        """Value passes through; gradient through this node is exactly zero."""
-        x = self._wrap(x)
-        return self._emit("detach", (x,), x.value, None)
-
 
 # -- recorded graphs -----------------------------------------------------------
 
@@ -305,6 +300,7 @@ class Graph(_Ops):
     """
 
     def __init__(self):
+        self.dtype = np.float64
         self.nodes: list[Node] = []
         # (node id, row indices) for every zero-norm row seen by l2_normalize.
         self.zero_norm_rows: list[tuple[int, tuple[int, ...]]] = []
@@ -342,7 +338,7 @@ class Graph(_Ops):
 
     def _emit(self, op: str, inputs: tuple[Node, ...], value: Array, vjp) -> Node:
         for inp in inputs:
-            if inp.needs_grad and vjp is not None:
+            if inp.needs_grad:
                 return self._append(op, inputs, value, False, True, vjp)
         return self._append(op, inputs, value, False, False, vjp)
 
@@ -355,12 +351,9 @@ class Graph(_Ops):
     def backward(self, loss: Node) -> dict[Node, Array]:
         """Gradients of a scalar loss for every trainable leaf.
 
-        Detached paths contribute exactly zero: their vjp is never invoked,
-        so the result is bit-identical to differentiating a graph where the
-        detached value is a constant.  A vjp may return None for an input
-        that needs no gradient (add, mul and affine do, rather than compute
-        an adjoint for a constant); such inputs, and None entries, are
-        skipped.
+        A vjp may return None for an input that needs no gradient (add, mul
+        and affine do, rather than compute an adjoint for a constant); such
+        inputs, and None entries, are skipped.
         """
         if not self._owns(loss):
             raise GraphError("loss node belongs to a different graph")
@@ -487,10 +480,10 @@ def grad_check_losses(build: Callable[[Graph | Evaluator, Mapping],
 
     ``build(graph, leaves)`` must return the same name -> scalar-loss mapping
     from any parameter assignment, on a Graph or on an Evaluator, through the
-    op surface the two share; discrete choices (mined indices, weak picks,
-    values behind detach) must be frozen by the caller so each loss is smooth
-    in the parameters.  ``subsets[name]`` names the parameters that loss's
-    report covers; its partials keep ``params`` order.
+    op surface the two share; discrete choices (mined indices, weak picks)
+    and the uncertainty weight must be frozen by the caller so each loss is
+    smooth in the parameters.  ``subsets[name]`` names the parameters that
+    loss's report covers; its partials keep ``params`` order.
 
     The analytic gradients come from one float64 Graph, one backward per
     loss.  The numeric ones come from one long-double Evaluator pass over 2P

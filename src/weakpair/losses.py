@@ -8,10 +8,11 @@ itc_loss       temperature-scaled softmax cross-entropy over in-batch
                from one fused log-softmax (Graph.log_softmax_at) per direction.
 consistency_uncertainty
                per-anchor consistency s_w = (cos(f_I, f_Iw) + cos(f_T, f_Tw)) / 2
-               and its uncertainty u_w under a selectable monotone mapping.
+               and its uncertainty u_w under a selectable monotone mapping;
+               batch_uncertainty gives both, and u_w's mean, as values.
 weak_itc_loss  contrastive loss of the two weak pairings, (I, T_w) and (I_w, T).
 uitc_loss      weak-pair contrastive loss regularized by uncertainty:
-               L / (gamma * u_w) + gamma * u_w, with u_w detached so the
+               L / (gamma * u_w) + gamma * u_w, with u_w read by value so the
                model cannot game the weighting path, and gamma = exp(log_gamma)
                kept positive structurally.
 matching_losses
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Evaluator, Graph, Node
+from .autograd import Array, Evaluator, Graph, Node, Stacked
 from .encoders import match_logit
 from .mining import MATCHING_BRANCHES, PairGroup  # noqa: F401  (re-exported)
 
@@ -119,6 +120,15 @@ def consistency_uncertainty(g: Graph, f_img: Node, f_txt: Node,
     return UncertaintyScore(s_w=s_w, u_w=uncertainty(g, s_w, mapping))
 
 
+def batch_uncertainty(f_img: Array, f_txt: Array, f_img_w: Array, f_txt_w: Array,
+                      mapping: str) -> tuple[Array, Array, float]:
+    """s_w, u_w and u_w's batch mean from embedding values: the bits a graph
+    would record, off the graph (a float64 Evaluator), so no gradient flows."""
+    ev = Evaluator()
+    unc = consistency_uncertainty(ev, f_img, f_txt, f_img_w, f_txt_w, mapping)
+    return unc.s_w.value, unc.u_w.value, float(ev.mean(unc.u_w).value)
+
+
 def weak_itc_loss(g: Graph, f_img: Node, f_txt: Node, f_img_w: Node,
                   f_txt_w: Node, log_tau: Node) -> Node:
     """Mean of itc over (anchor image, weak text) and (weak image, anchor text)."""
@@ -126,21 +136,21 @@ def weak_itc_loss(g: Graph, f_img: Node, f_txt: Node, f_img_w: Node,
                        itc_loss(g, f_img_w, f_txt, log_tau)), 0.5)
 
 
-def uitc_loss(g: Graph, itc_weak: Node, u_w: Node, log_gamma: Node) -> Node:
-    """itc_weak / (gamma * u_w) + gamma * u_w with u_w detached.
+def uitc_loss(g: Graph, itc_weak: Node, u_w: Node | float, log_gamma: Node) -> Node:
+    """itc_weak / (gamma * u_w) + gamma * u_w, with u_w read by value.
 
-    The division is composed as exp(-log(.)) so the op set stays closed;
-    gamma is structurally positive and u_w must be (all three mappings
-    guarantee it; anything else is a caller bug, not a numeric accident).
+    u_w, a float or a constant node, enters as a value operand in the front
+    end's dtype, so no gradient reaches it; 1/u_w is exp(-log(u_w)).  gamma
+    is structurally positive and u_w must be (all three mappings guarantee
+    it; anything else is a caller bug, not a numeric accident).
     """
-    if np.any(u_w.value <= 0.0):
+    u = np.asarray(u_w.value if isinstance(u_w, (Node, Stacked)) else u_w, dtype=g.dtype)
+    if np.any(u <= 0.0):
         raise ValueError("uncertainty must be positive")
-    u_const = g.detach(u_w)
     inv_gamma = g.exp(g.mul(log_gamma, -1.0))
-    inv_u = g.exp(g.mul(g.log(u_const), -1.0))
     gamma = g.exp(log_gamma)
-    return g.add(g.mul(g.mul(itc_weak, inv_gamma), inv_u),
-                 g.mul(gamma, u_const))
+    return g.add(g.mul(g.mul(itc_weak, inv_gamma), np.exp(-np.log(u))),
+                 g.mul(gamma, u))
 
 
 def itm_term(g: Graph, p_hat: Node, labels) -> Node:

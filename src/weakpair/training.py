@@ -28,8 +28,8 @@ from .data import DatasetManifest, PairRecord
 from .encoders import (EmbeddingBatch, ModelDims, encode, init_model,
                        leaf_group, params_to_dict)
 from .losses import (LossReport, LossWeights, MAPPINGS, MATCHING_BRANCHES,
-                     consistency_uncertainty, itc_loss, matching_losses,
-                     total_loss, uitc_loss, weak_itc_loss)
+                     batch_uncertainty, itc_loss, matching_losses, total_loss,
+                     uitc_loss, weak_itc_loss)
 from .mining import (MiningConfig, MiningStarvationError, PairGroup,
                      build_groups, sample_weak)
 
@@ -224,9 +224,10 @@ def assemble_losses(g: Graph, leaves, enc, groups: list[PairGroup], mode: str,
     """Build the mode's loss nodes from already-encoded embeddings.
 
     groups must be mined beforehand (from the same embeddings) so rebuilding
-    with perturbed parameters keeps the discrete structure fixed.  With
-    u_override the uncertainty subgraph is replaced by that constant, which
-    is the frozen form used by finite-difference checks.
+    with perturbed parameters keeps the discrete structure fixed.  The
+    uncertainty weight is a value (batch_uncertainty), never a node; with
+    u_override it is that constant instead, the frozen form used by
+    finite-difference checks.
     """
     f_img, f_txt, f_img_w, f_txt_w = enc
     nodes: dict[str, Node | None] = {
@@ -239,14 +240,10 @@ def assemble_losses(g: Graph, leaves, enc, groups: list[PairGroup], mode: str,
     if mode in ("uitc", "uitc_gitm"):
         weak_itc = weak_itc_loss(g, f_img, f_txt, f_img_w, f_txt_w, leaves["log_tau"])
         if u_override is None:
-            unc = consistency_uncertainty(g, f_img, f_txt, f_img_w, f_txt_w, mapping)
-            s_values, u_values = unc.s_w.value, unc.u_w.value
-            u_node = g.mean(unc.u_w)
-            u_mean = float(u_node.value)
+            s_values, u_values, u_mean = batch_uncertainty(*(f.value for f in enc), mapping)
         else:
-            u_node = g.constant(u_override)
             u_mean = u_override
-        nodes["uitc"] = uitc_loss(g, weak_itc, u_node, leaves["log_gamma"])
+        nodes["uitc"] = uitc_loss(g, weak_itc, u_mean, leaves["log_gamma"])
     nodes["total"] = total_loss(g, nodes["itc"], nodes["itm"], nodes["uitc"],
                                 nodes["gitm_txt"], nodes["gitm_img"], weights)
     return AssembledLosses(nodes, s_values, u_values, u_mean)

@@ -141,17 +141,6 @@ class TestBackward:
         x = g.leaf(3.0, trainable=True)
         assert g.backward(g.mul(x, x))[x] == 6.0
 
-    def test_detach_blocks_gradient(self):
-        g = Graph()
-        x = g.leaf(3.0, trainable=True)
-        assert g.backward(g.mul(g.detach(x), x))[x] == 3.0
-
-    def test_detach_gradient_is_exactly_zero(self):
-        g = Graph()
-        x = g.leaf([1.0, -2.0], trainable=True)
-        loss = g.sum(g.mul(g.detach(x), g.constant([5.0, 7.0])))
-        np.testing.assert_array_equal(g.backward(loss)[x], [0.0, 0.0])
-
     def test_unused_leaf_gets_zero_gradient(self):
         g = Graph()
         x = g.leaf(2.0, trainable=True)
@@ -198,23 +187,6 @@ class TestGradCheck:
     def test_eps_range_enforced(self):
         with pytest.raises(ValueError):
             grad_check(lambda g, lv: g.sum(lv["x"]), {"x": np.ones(2)}, eps=1e-2)
-
-    def test_detach_constant_substitution(self):
-        """Gradients with detach equal those with the value as a literal."""
-        rng = np.random.default_rng(5)
-        value = rng.normal(size=(2, 3))
-
-        g1 = Graph()
-        x1 = g1.leaf(value, trainable=True)
-        detached_inner = g1.detach(g1.tanh(x1))
-        loss1 = g1.sum(g1.mul(detached_inner, g1.mul(x1, x1)))
-        grad1 = g1.backward(loss1)[x1]
-
-        g2 = Graph()
-        x2 = g2.leaf(value, trainable=True)
-        loss2 = g2.sum(g2.mul(g2.constant(np.tanh(value)), g2.mul(x2, x2)))
-        grad2 = g2.backward(loss2)[x2]
-        np.testing.assert_array_equal(grad1, grad2)
 
 
 class TestShapesAndSugar:

@@ -227,6 +227,22 @@ class TestUitcLoss:
             assert value > previous
             previous = value
 
+    def test_trainable_uncertainty_gets_no_gradient(self):
+        """u_w is read by value: a trainable u_w leaf gets an exact zero, and
+        the other gradients equal those with u_w a constant, bit for bit."""
+        rng = np.random.default_rng(3)
+        for weak, u, log_gamma in rng.uniform([0.1, 0.4, -1.0], [4.0, 2.7, 1.0], size=(20, 3)):
+            grads = []
+            for make_u in (lambda g: g.leaf(u, trainable=True), lambda g: g.constant(u)):
+                g = Graph()
+                leaves = (g.leaf(weak, trainable=True), make_u(g), g.leaf(log_gamma, trainable=True))
+                got = g.backward(uitc_loss(g, *leaves))
+                grads.append([got.get(leaf) for leaf in leaves])
+            (weak_t, u_t, gamma_t), (weak_c, u_c, gamma_c) = grads
+            assert u_t.shape == () and u_t == 0.0 and u_c is None
+            assert weak_t.tobytes() == weak_c.tobytes()
+            assert gamma_t.tobytes() == gamma_c.tobytes()
+
     def test_stop_gradient_bitexact(self):
         rng = np.random.default_rng(np.random.SeedSequence([9, 505, 0]))
         for _ in range(5):

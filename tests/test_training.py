@@ -34,12 +34,12 @@ def small_cfg(**overrides):
 
 
 def read_each_step_graph(monkeypatch, read):
-    """read(graph) of every step graph the trainer differentiates, in order."""
+    """read(graph, loss) of every step graph the trainer differentiates, in order."""
     seen = []
 
     class Reading(training.Graph):
         def backward(self, loss):
-            seen.append(read(self))
+            seen.append(read(self, loss))
             return super().backward(loss)
 
     monkeypatch.setattr(training, "Graph", Reading)
@@ -145,16 +145,34 @@ class TestTrainBasics:
     @pytest.mark.parametrize("mode", training.ABLATION_MODES)
     def test_nodes_per_step(self, mode, monkeypatch):
         """Graph size of every step; no op depends on the values."""
-        nodes = {"baseline": 60, "uitc": 118, "uitc_gitm": 126}[mode]
-        sizes = read_each_step_graph(monkeypatch, lambda g: len(g.nodes))
+        nodes = {"baseline": 60, "uitc": 105, "uitc_gitm": 113}[mode]
+        sizes = read_each_step_graph(monkeypatch, lambda g, loss: len(g.nodes))
         _, log = train(small_cfg(ablation_mode=mode), dataset())
         assert sizes == [nodes] * len(log.steps)
+
+    @pytest.mark.parametrize("mode", training.ABLATION_MODES)
+    def test_every_op_node_reaches_the_loss(self, mode, monkeypatch):
+        """Backward visits every op a step records: each is an ancestor of
+        the total loss through inputs that need a gradient."""
+
+        def unreached(g, loss):
+            reached, stack = {loss.id}, [loss]
+            while stack:
+                for inp in stack.pop().inputs:
+                    if inp.needs_grad and inp.id not in reached:
+                        reached.add(inp.id)
+                        stack.append(inp)
+            return [node.op for node in g.nodes if node.op != "leaf" and node.id not in reached]
+
+        dead = read_each_step_graph(monkeypatch, unreached)
+        _, log = train(small_cfg(ablation_mode=mode), dataset())
+        assert dead == [[]] * len(log.steps)
 
     @pytest.mark.parametrize("mode", training.ABLATION_MODES)
     def test_one_head_evaluation_per_step(self, mode, monkeypatch):
         """Every matching pair of a step goes through a single bce_logits."""
         fused = read_each_step_graph(
-            monkeypatch, lambda g: sum(node.op == "bce_logits" for node in g.nodes))
+            monkeypatch, lambda g, loss: sum(node.op == "bce_logits" for node in g.nodes))
         _, log = train(small_cfg(ablation_mode=mode), dataset())
         assert fused == [1] * len(log.steps)
 
