@@ -168,10 +168,20 @@ def read(path: str | Path) -> DatasetManifest:
         kv[key] = value
     try:
         split_tag = kv.pop("split")
-        cfg = GenConfig(**{name: (float(kv[name]) if name in _FLOAT_FIELDS else int(kv[name]))
-                           for name in _CONFIG_FIELDS})
+        texts = {name: kv[name] for name in _CONFIG_FIELDS}
     except KeyError as exc:
         raise DatasetFormatError(f"{path}: header missing {exc}") from exc
+    values = {}
+    for name, text in texts.items():
+        try:
+            values[name] = float(text) if name in _FLOAT_FIELDS else int(text)
+        except ValueError as exc:
+            raise DatasetFormatError(f"{path}: header {name}: {exc}") from None
+    cfg = GenConfig(**values)
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise DatasetFormatError(f"{path}: header: {exc}") from None
 
     records: list[PairRecord] = []
     seen: set[tuple[int, int]] = set()

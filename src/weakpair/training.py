@@ -481,11 +481,23 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointFormatError(
             f"{path}: version {payload['format_version']}, expected {CHECKPOINT_VERSION}")
     try:
-        known = {f.name for f in fields(TrainConfig)}
-        unknown = set(payload["config"]) - known
+        kinds = {f.name: type(f.default) for f in fields(TrainConfig)}
+        unknown = set(payload["config"]) - set(kinds)
         if unknown:
             raise CheckpointFormatError(f"unknown config keys {sorted(unknown)}")
+        for key, value in payload["config"].items():
+            if type(value) not in ((int, float) if kinds[key] is float else (kinds[key],)):
+                raise CheckpointFormatError(
+                    f"config: {key} must be {kinds[key].__name__}, got {value!r}")
         cfg = TrainConfig(**payload["config"])
+        try:
+            cfg.validate()
+        except ValueError as exc:
+            raise CheckpointFormatError(f"config: {exc}") from None
+        for name in ("step", "opt_t"):
+            value = payload[name]
+            if type(value) is not int or value < 0:
+                raise CheckpointFormatError(f"{name} must be an integer >= 0, got {value!r}")
         ckpt = Checkpoint(
             version=payload["format_version"],
             config=cfg,

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import time
 import warnings
 
@@ -154,6 +155,10 @@ class TestEval:
         ("transposed_shape", "txt.w2"),
         ("nan_dataset_entry", "record 3"),
         ("raw_width_mismatch", "image raw width 12, but checkpoint"),
+        ("config_mapping", "config: unknown mapping 'cubic'"),
+        ("config_step", "step must be an integer >= 0, got 'x'"),
+        ("header_not_a_number", "header view_noise: could not convert"),
+        ("header_out_of_range", "header: raw_dim_image must be >= 1, got -1"),
     ])
     def test_malformed_input_exits_io_naming_it(self, workspace, tmp_path, capsys,
                                                 case, named):
@@ -166,6 +171,12 @@ class TestEval:
             lines[4] = "\t".join(fields)
             dataset = tmp_path / "test.tsv"
             dataset.write_text("\n".join(lines) + "\n")
+        elif case.startswith("header_"):
+            key, value = {"header_not_a_number": ("view_noise", "xyz"),
+                          "header_out_of_range": ("raw_dim_image", "-1")}[case]
+            text = re.sub(rf"{key}=\S+", f"{key}={value}", dataset.read_text(), count=1)
+            dataset = tmp_path / "test.tsv"
+            dataset.write_text(text)
         elif case == "raw_width_mismatch":
             assert main(["gen", "--out", str(tmp_path / "wide"), *SMALL_GEN,
                          "--set", "gen.raw_dim_image=12"]) == EXIT_OK
@@ -173,7 +184,11 @@ class TestEval:
         else:
             payload = json.loads(checkpoint.read_text())
             params = payload["params"]
-            if case == "missing_param":
+            if case == "config_mapping":
+                payload["config"]["mapping"] = "cubic"
+            elif case == "config_step":
+                payload["step"] = "x"
+            elif case == "missing_param":
                 del params["head.w_out"]
             elif case == "nan_param":
                 params["img.b1"]["data"][0] = float("nan")

@@ -1,5 +1,7 @@
 """Dataset synthesis, splitting, and file round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,19 @@ class TestIO:
         path = tmp_path / "data.tsv"
         path.write_text("1\t0\t1.0\t2.0\n")
         with pytest.raises(DatasetFormatError, match="header"):
+            read(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("num_identities", "abc", "header num_identities: invalid literal"),
+        ("view_noise", "xyz", "header view_noise: could not convert"),
+        ("raw_dim_image", "-1", "header: raw_dim_image must be >= 1, got -1"),
+        ("annotation_mask_rate", "1.5", r"header: annotation_mask_rate must be in \[0, 1\)"),
+    ])
+    def test_bad_header_value_names_the_key(self, tmp_path, key, value, message):
+        path = tmp_path / "data.tsv"
+        write(generate(cfg()), path)
+        path.write_text(re.sub(rf"{key}=\S+", f"{key}={value}", path.read_text(), count=1))
+        with pytest.raises(DatasetFormatError, match=message):
             read(path)
 
 

@@ -364,6 +364,27 @@ class TestCheckpointing:
         with pytest.raises(CheckpointFormatError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("config", "mapping", "cubic", "config: unknown mapping 'cubic'"),
+        ("config", "ablation_mode", "bogus", "config: unknown ablation_mode 'bogus'"),
+        ("config", "tau_init", -1.0, "config: tau_init must be positive"),
+        ("config", "alpha", "x", "config: alpha must be float, got 'x'"),
+        ("config", "epochs", 2.5, "config: epochs must be int, got 2.5"),
+        (None, "step", "x", "step must be an integer >= 0, got 'x'"),
+        (None, "opt_t", -1, "opt_t must be an integer >= 0, got -1"),
+        (None, "step", 2.0, "step must be an integer >= 0, got 2.0"),
+    ])
+    def test_invalid_state_names_the_key(self, tmp_path, section, key, value, message):
+        ckpt, _ = train(small_cfg(epochs=1), dataset())
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        import json
+        payload = json.loads(path.read_text())
+        (payload[section] if section else payload)[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointFormatError, match=f"^{re.escape(str(path))}: {message}"):
+            load_checkpoint(path)
+
     def test_resume_config_must_match(self):
         d = dataset()
         mid, _ = train(small_cfg(), d, stop_at_step=2)
