@@ -355,7 +355,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    resolved = load_config(args.config, args.set)
+    resolved = load_config(args.config, args.set, args.seed, "gradcheck")
     section = gradcheck_config_from(resolved)
     report = run_battery(points=section["points"], seed=section["seed"],
                          eps=section["eps"], tol=section["tol"])
@@ -388,12 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Uncertainty-aware weak-pair metric learning workbench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, checkpoint=False, out_required=True):
+    def common(name, help, data=False, checkpoint=False, out_required=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--set", action="append", default=[],
                        metavar="SECTION.KEY=VALUE", help="override one config key")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the command's primary seed")
+        # Only a command whose section has a seed key takes --seed.
+        if "seed" in DEFAULTS.get(name, {}):
+            p.add_argument("--seed", type=int, default=None, help=f"override {name}.seed")
         if data:
             p.add_argument("--data", required=True, help="dataset file")
         if checkpoint:
@@ -402,18 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", required=True, help="output directory")
         else:
             p.add_argument("--out", default=None, help="output directory")
+        return p
 
-    common(sub.add_parser("gen", help="generate and split a synthetic dataset"))
-    common(sub.add_parser("train", help="train a model on a dataset"), data=True)
-    eval_parser = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(eval_parser, data=True, checkpoint=True)
-    eval_parser.add_argument("--train-data", default=None,
-                             help="cross-check for identity leakage against "
-                                  "this training dataset")
-    common(sub.add_parser("ablate", help="run an ablation grid"))
-    common(sub.add_parser("gradcheck", help="verify gradients"), out_required=False)
-    common(sub.add_parser("diag", help="re-emit diagnostic curves"),
-           data=True, checkpoint=True)
+    common("gen", "generate and split a synthetic dataset")
+    common("train", "train a model on a dataset", data=True)
+    common("eval", "evaluate a checkpoint", data=True, checkpoint=True).add_argument(
+        "--train-data", default=None,
+        help="cross-check for identity leakage against this training dataset")
+    common("ablate", "run an ablation grid")
+    common("gradcheck", "verify gradients", out_required=False)
+    common("diag", "re-emit diagnostic curves", data=True, checkpoint=True)
     return parser
 
 

@@ -165,6 +165,10 @@ def read(path: str | Path) -> DatasetManifest:
         if "=" not in token:
             raise DatasetFormatError(f"{path}: malformed header token {token!r}")
         key, _, value = token.partition("=")
+        if key not in ("split", *_CONFIG_FIELDS):
+            raise DatasetFormatError(f"{path}: unknown header key {key!r}")
+        if key in kv:
+            raise DatasetFormatError(f"{path}: repeated header key {key!r}")
         kv[key] = value
     try:
         split_tag = kv.pop("split")

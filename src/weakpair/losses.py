@@ -18,10 +18,10 @@ uitc_loss      weak-pair contrastive loss regularized by uncertainty:
 matching_losses
                binary match/non-match cross-entropy from the head's logits
                (Graph.bce_logits), one head evaluation and one cross-entropy
-               per step for every requested branch: itm over each strong
-               pair plus its two directional hard negatives, and the
-               group-wise gitm_txt and gitm_img, each averaging its
-               weak-positive term with K mined negatives, weights 1/(1+K).
+               per step for every branch, on PairGroups.pair_rows' indices:
+               itm over each strong pair plus its two directional hard
+               negatives, and the group-wise gitm_txt and gitm_img, each
+               averaging its weak-positive term with K mined negatives.
 total_loss     itc + itm + alpha * uitc + beta * (gitm_txt + gitm_img).
 """
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .autograd import Array, Evaluator, Graph, Node, Stacked
 from .encoders import match_logit
-from .mining import MATCHING_BRANCHES, PairGroup  # noqa: F401  (re-exported)
+from .mining import MATCHING_BRANCHES, PairGroups  # noqa: F401  (re-exported)
 
 MAPPINGS = ("exponential", "linear", "power")
 
@@ -168,41 +168,35 @@ def itm_term(g: Graph, p_hat: Node, labels) -> Node:
     return g.mul(ll, -1.0)
 
 
-def _rows(g: Graph, rows: list[int], strong: Node, weak: Node | None) -> Node:
+def _rows(g: Graph, rows: np.ndarray, strong: Node, weak: Node | None) -> Node:
     """Rows of [strong; weak] (n + j is weak row j); no weak row, no weak source."""
-    if max(rows, default=0) < strong.shape[0]:
+    if rows.max(initial=0) < strong.shape[0]:
         return g.take_rows((strong,), rows)
     return g.take_rows((strong, weak), rows)
 
 
-def matching_losses(g: Graph, head, groups: list[PairGroup], enc,
+def matching_losses(g: Graph, head, groups: PairGroups, enc,
                     branches: tuple[str, ...]) -> dict[str, Node]:
     """Mean matching loss of each branch, every pair scored in one head evaluation.
 
-    enc is (f_img, f_txt, f_img_w, f_txt_w); each group's branch_pairs name
-    the pairs, a "weak" index i being row n + i of [f_img; f_img_w] or
-    [f_txt; f_txt_w].  itm classifies each strong pair
-    against its two directional hard negatives.  The group-wise text branch
-    scores (anchor image, weak text) against the anchor image's K mined
-    texts, and the image branch mirrors it; every group contributes 1+K
+    enc is (f_img, f_txt, f_img_w, f_txt_w); groups.pair_rows gives each
+    branch's rows of [f_img; f_img_w] and [f_txt; f_txt_w], and its labels.
+    itm classifies each strong pair against its two directional hard
+    negatives.  gitm_txt scores (anchor image, weak text) against the anchor
+    image's K mined texts, and gitm_img mirrors it; every group adds 1+K
     equally weighted terms per branch, so a branch's flat mean equals the
     mean of its per-group 1/(1+K)-weighted means.
     """
     f_img, f_txt, f_img_w, f_txt_w = enc
-    if branches != ("itm",) and not all(grp.neg_texts and grp.neg_images for grp in groups):
-        raise ValueError("group has an empty negative set")
-    n = f_img.shape[0]
-    pairs = {b: [(i + n if si == "weak" else i, j + n if sj == "weak" else j, label)
-                 for grp in groups for si, i, sj, j, label in grp.branch_pairs(b)]
-             for b in branches}
-    img, txt, labels = zip(*(pair for b in branches for pair in pairs[b]))
+    rows = [groups.pair_rows(b) for b in branches]
+    img, txt, labels = (np.concatenate(column) for column in zip(*rows))
     logit = match_logit(g, head, _rows(g, img, f_img, f_img_w), _rows(g, txt, f_txt, f_txt_w))
-    term = g.bce_logits(logit, np.array(labels, dtype=np.float64)[:, None])
+    term = g.bce_logits(logit, labels.astype(np.float64)[:, None])
     if len(branches) == 1:
         return {branches[0]: g.mean(term)}
-    ends = np.cumsum([len(pairs[b]) for b in branches])
-    return {b: g.mean(g.take_rows((term,), np.arange(end - len(pairs[b]), end)))
-            for b, end in zip(branches, ends)}
+    bounds = np.cumsum([0] + [len(branch_labels) for *_, branch_labels in rows])
+    return {b: g.mean(g.take_rows((term,), np.arange(start, end)))
+            for b, start, end in zip(branches, bounds[:-1], bounds[1:])}
 
 
 def total_loss(g: Graph, itc: Node, itm: Node, uitc: Node | None,

@@ -3,7 +3,9 @@
 A group for anchor i bundles the strong pair (I_i, T_i), the two weak pairs
 (I_i, T_i_w) and (I_i_w, T_i), the two directional hard negatives used by
 plain pair matching, and the top-K mined negatives attached to each weak
-branch: 3 matched pairs versus 2 + 2K negatives in total.
+branch: 3 matched pairs versus 2 + 2K negatives in total.  A step's groups
+are its two mined (n, K) index arrays; PairGroups.pair_rows defines the
+rows each matching branch scores.
 
 Mining only ever considers candidates whose identity differs from the
 anchor's, scores them with the current cross-modal cosines, and breaks ties
@@ -22,7 +24,9 @@ import numpy as np
 from .data import PairRecord
 from .encoders import EmbeddingBatch
 
-MODES = ("neg3v4", "neg3v6", "custom")
+# The group size k that each fixed mining mode implies; custom takes any k.
+_MODE_K = {"neg3v4": 1, "neg3v6": 2}
+MODES = (*_MODE_K, "custom")
 # Pair matching over strong pairs, and the two group-wise weak branches.
 MATCHING_BRANCHES = ("itm", "gitm_txt", "gitm_img")
 
@@ -39,7 +43,7 @@ class MiningConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mining mode {self.mode!r}")
-        expected = {"neg3v4": 1, "neg3v6": 2}.get(self.mode)
+        expected = _MODE_K.get(self.mode)
         if expected is not None and self.k != expected:
             raise ValueError(f"mode {self.mode} requires k={expected}, got {self.k}")
         if self.k < 1:
@@ -47,13 +51,9 @@ class MiningConfig:
 
     @classmethod
     def from_mode(cls, mode: str, k: int | None = None) -> "MiningConfig":
-        if mode == "neg3v4":
-            return cls("neg3v4", 1)
-        if mode == "neg3v6":
-            return cls("neg3v6", 2)
-        if k is None:
+        if mode == "custom" and k is None:
             raise ValueError("custom mining mode needs an explicit k")
-        return cls("custom", k)
+        return cls(mode, _MODE_K.get(mode, k))
 
 
 @dataclass
@@ -128,28 +128,56 @@ def mine_hard_negatives(batch: EmbeddingBatch, anchor: int, direction: str,
     return _mine(batch, np.array([anchor]), direction, k)[0].tolist()
 
 
-@dataclass
-class PairGroup:
-    """Index structure of one anchor's matched pairs and mined negatives."""
+@dataclass(frozen=True)
+class PairGroups:
+    """One step's mined negatives and the pairs each anchor's group scores.
 
-    anchor: int
-    itm_neg_text: int
-    itm_neg_image: int
-    neg_texts: list[int]
-    neg_images: list[int]
+    Row i of neg_texts holds the top-k texts mined against image i, row i of
+    neg_images the top-k images mined against text i; column 0 is the pair
+    matching negative.  anchors selects the groups to score: every anchor,
+    unless indexed, sliced or iterated into one-group views.  Rows always
+    index the whole batch of n, so anchor i's weak counterpart is row n + i.
+    """
+
+    neg_texts: np.ndarray
+    neg_images: np.ndarray
+    anchors: np.ndarray
+
+    def __getitem__(self, key) -> "PairGroups":
+        return PairGroups(self.neg_texts, self.neg_images, np.atleast_1d(self.anchors[key]))
+
+    @property
+    def anchor(self) -> int:
+        return self.anchors.item()
+
+    def pair_rows(self, branch: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(image rows, text rows, labels) of a branch's pairs, group by group.
+
+        Each group's matched pair comes first, then its negatives.  itm pairs
+        (I_i, T_i) with (I_i, top text) and (top image, T_i); gitm_txt pairs
+        (I_i, T_i_w) with (I_i, each mined text); gitm_img mirrors gitm_txt.
+        """
+        a = self.anchors[:, None]
+        weak = a + self.neg_texts.shape[0]
+        texts, images = self.neg_texts[self.anchors], self.neg_images[self.anchors]
+        if branch == "itm":
+            img, txt = [a, a, images[:, :1]], [a, texts[:, :1], a]
+        elif branch == "gitm_txt":
+            img, txt = [a], [weak, texts]
+        elif branch == "gitm_img":
+            img, txt = [weak, images], [a]
+        else:
+            raise ValueError(f"unknown matching branch {branch!r}")
+        img, txt = np.broadcast_arrays(np.hstack(img), np.hstack(txt))
+        labels = np.broadcast_to(np.eye(1, img.shape[1], dtype=int), img.shape)
+        return img.ravel(), txt.ravel(), labels.ravel()
 
     def branch_pairs(self, branch: str) -> list[tuple[str, int, str, int, int]]:
-        """(image source, image index, text source, text index, label) of each pair
-        the group adds to a branch; a "weak" index i is record i's weak counterpart."""
-        i, texts, images = self.anchor, self.neg_texts, self.neg_images
-        if branch == "itm":
-            return [("batch", i, "batch", i, 1), ("batch", i, "batch", self.itm_neg_text, 0),
-                    ("batch", self.itm_neg_image, "batch", i, 0)]
-        if branch == "gitm_txt":
-            return [("batch", i, "weak", i, 1)] + [("batch", i, "batch", j, 0) for j in texts]
-        if branch == "gitm_img":
-            return [("weak", i, "batch", i, 1)] + [("batch", j, "batch", i, 0) for j in images]
-        raise ValueError(f"unknown matching branch {branch!r}")
+        """pair_rows as (image source, image index, text source, text index, label)
+        tuples, a "weak" index i standing for row n + i."""
+        n, source = self.neg_texts.shape[0], ("batch", "weak")
+        return [(source[img // n], img % n, source[txt // n], txt % n, label)
+                for img, txt, label in zip(*(c.tolist() for c in self.pair_rows(branch)))]
 
     def matched_pairs(self) -> list[tuple[str, int, str, int, int]]:
         return [p for b in MATCHING_BRANCHES for p in self.branch_pairs(b) if p[4] == 1]
@@ -157,45 +185,18 @@ class PairGroup:
     def negative_pairs(self) -> list[tuple[str, int, str, int, int]]:
         return [p for b in MATCHING_BRANCHES for p in self.branch_pairs(b) if p[4] == 0]
 
-    def validate(self, identities: np.ndarray, k: int) -> None:
-        negatives = self.negative_pairs()
-        if len(negatives) != 2 + 2 * k:
-            raise ValueError(f"group must hold {2 + 2 * k} negatives, has {len(negatives)}")
-        anchor_id = identities[self.anchor]
-        for _, img, _, txt, _ in negatives:
-            other = txt if img == self.anchor else img
-            if identities[other] == anchor_id:
-                raise ValueError(f"negative {other} shares anchor identity {anchor_id}")
 
-
-def build_group(anchor: int, batch: EmbeddingBatch, cfg: MiningConfig) -> PairGroup:
-    """Assemble one anchor's group from the current embeddings.
-
-    The pair-matching negatives are the top-1 mined candidates, so they
-    coincide with the first entries of the weak-branch top-k lists.
-    """
-    neg_texts = mine_hard_negatives(batch, anchor, "image_to_text", cfg.k)
-    neg_images = mine_hard_negatives(batch, anchor, "text_to_image", cfg.k)
-    group = PairGroup(anchor, itm_neg_text=neg_texts[0], itm_neg_image=neg_images[0],
-                      neg_texts=neg_texts, neg_images=neg_images)
-    group.validate(batch.identities, cfg.k)
-    return group
-
-
-def build_groups(batch: EmbeddingBatch, cfg: MiningConfig) -> list[PairGroup]:
-    """Every anchor's group, equal to build_group per anchor, mined in one pass."""
+def build_groups(batch: EmbeddingBatch, cfg: MiningConfig) -> PairGroups:
+    """Every anchor's group, mined in one pass from the current embeddings."""
     ids = batch.identities
     anchors = np.arange(ids.shape[0])
     neg_texts = _mine(batch, anchors, "image_to_text", cfg.k)
     neg_images = _mine(batch, anchors, "text_to_image", cfg.k)
-    # PairGroup.validate's identity exclusion, once for the whole step.
+    # The identity exclusion mining promises, checked once for the whole step.
     negatives = np.concatenate([neg_texts, neg_images], axis=1)
     clash = ids[negatives] == ids[:, None]
     if clash.any():
         anchor, col = np.argwhere(clash)[0]
         raise ValueError(
             f"negative {negatives[anchor, col]} shares anchor identity {ids[anchor]}")
-    return [PairGroup(i, itm_neg_text=texts[0], itm_neg_image=images[0],
-                      neg_texts=texts, neg_images=images)
-            for i, (texts, images) in enumerate(zip(neg_texts.tolist(),
-                                                     neg_images.tolist()))]
+    return PairGroups(neg_texts, neg_images, anchors)

@@ -30,7 +30,7 @@ from .encoders import (EmbeddingBatch, ModelDims, encode, init_model,
 from .losses import (LossReport, LossWeights, MAPPINGS, MATCHING_BRANCHES,
                      batch_uncertainty, itc_loss, matching_losses, total_loss,
                      uitc_loss, weak_itc_loss)
-from .mining import (MiningConfig, MiningStarvationError, PairGroup,
+from .mining import (MiningConfig, MiningStarvationError, PairGroups,
                      build_groups, sample_weak)
 
 CHECKPOINT_VERSION = 1
@@ -218,7 +218,7 @@ def encode_step(g: Graph, leaves, data: StepData, need_weak: bool
     return f_img, f_txt, f_img_w, f_txt_w
 
 
-def assemble_losses(g: Graph, leaves, enc, groups: list[PairGroup], mode: str,
+def assemble_losses(g: Graph, leaves, enc, groups: PairGroups, mode: str,
                     mapping: str, weights: LossWeights,
                     u_override: float | None = None) -> AssembledLosses:
     """Build the mode's loss nodes from already-encoded embeddings.

@@ -21,7 +21,7 @@ import numpy as np
 from .autograd import Graph, grad_check, grad_check_losses
 from .encoders import EmbeddingBatch, ModelDims, init_model, params_to_dict
 from .losses import LossWeights, batch_uncertainty
-from .mining import MiningConfig, build_groups
+from .mining import MiningConfig, PairGroups, build_groups
 from .training import StepData, assemble_losses, encode_step
 
 _CHECK_DIMS = ModelDims(raw_dim_image=4, raw_dim_text=3, hidden_dim=4, embed_dim=3)
@@ -120,7 +120,7 @@ class LossInstance:
 
     params: dict[str, np.ndarray]
     data: StepData
-    groups: list
+    groups: PairGroups
     u_mean: float
     mapping: str = "exponential"
     weights: LossWeights = field(default_factory=LossWeights)

@@ -159,6 +159,8 @@ class TestEval:
         ("config_step", "step must be an integer >= 0, got 'x'"),
         ("header_not_a_number", "header view_noise: could not convert"),
         ("header_out_of_range", "header: raw_dim_image must be >= 1, got -1"),
+        ("header_unknown_key", "unknown header key 'colour'"),
+        ("header_repeated_key", "repeated header key 'seed'"),
     ])
     def test_malformed_input_exits_io_naming_it(self, workspace, tmp_path, capsys,
                                                 case, named):
@@ -172,9 +174,12 @@ class TestEval:
             dataset = tmp_path / "test.tsv"
             dataset.write_text("\n".join(lines) + "\n")
         elif case.startswith("header_"):
-            key, value = {"header_not_a_number": ("view_noise", "xyz"),
-                          "header_out_of_range": ("raw_dim_image", "-1")}[case]
-            text = re.sub(rf"{key}=\S+", f"{key}={value}", dataset.read_text(), count=1)
+            pattern, replacement = {
+                "header_not_a_number": (r"view_noise=\S+", "view_noise=xyz"),
+                "header_out_of_range": (r"raw_dim_image=\S+", "raw_dim_image=-1"),
+                "header_unknown_key": (r"seed=\S+", r"\g<0> colour=red"),
+                "header_repeated_key": (r"seed=\S+", r"\g<0> seed=5")}[case]
+            text = re.sub(pattern, replacement, dataset.read_text(), count=1)
             dataset = tmp_path / "test.tsv"
             dataset.write_text(text)
         elif case == "raw_width_mismatch":
@@ -332,6 +337,26 @@ class TestConfigPlumbing:
         a = (tmp_path / "s1" / "train.tsv").read_bytes()
         assert a == (tmp_path / "s2" / "train.tsv").read_bytes()
         assert a != (tmp_path / "s3" / "train.tsv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["gen", "train", "gradcheck"])
+    def test_seed_flag_sets_the_command_seed(self, workspace, tmp_path, command):
+        argv = {"gen": SMALL_GEN,
+                "train": ["--data", str(workspace / "data" / "train.tsv"), *SMALL_TRAIN,
+                          "--set", "train.epochs=1"],
+                "gradcheck": ["--set", "gradcheck.points=1"]}[command]
+        assert main([command, *argv, "--seed", "5", "--out", str(tmp_path / "o")]) == EXIT_OK
+        assert load_config(str(tmp_path / "o" / "resolved.cfg"), [])[command]["seed"] == 5
+
+    @pytest.mark.parametrize("command", ["eval", "diag", "ablate"])
+    def test_seed_flag_rejected_without_a_seed_key(self, workspace, tmp_path, command, capsys):
+        inputs = ["--checkpoint", str(workspace / "run" / "checkpoint.json"),
+                  "--data", str(workspace / "data" / "test.tsv")]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *(inputs if command != "ablate" else []),
+                  "--out", str(tmp_path / "o"), "--seed", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestLeakageCrossCheck:

@@ -196,6 +196,20 @@ class TestIO:
         with pytest.raises(DatasetFormatError, match=message):
             read(path)
 
+    @pytest.mark.parametrize("extra, message", [
+        ("colour=red", "unknown header key 'colour'"),
+        ("seed=5", "repeated header key 'seed'"),
+        ("split=test", "repeated header key 'split'"),
+    ])
+    def test_header_key_unknown_or_repeated(self, tmp_path, extra, message):
+        """A header key is one of the written ones, and appears once."""
+        path = tmp_path / "data.tsv"
+        write(generate(cfg()), path)
+        header, rest = path.read_text().split("\n", 1)
+        path.write_text(f"{header} {extra}\n{rest}")
+        with pytest.raises(DatasetFormatError, match=message):
+            read(path)
+
 
 from hypothesis import given, settings, strategies as st
 

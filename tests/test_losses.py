@@ -434,7 +434,7 @@ def test_gitm_batched_equals_mean_of_group_losses():
         txt_b, img_b = matching_losses(g, head, groups, enc, ("gitm_txt", "gitm_img")).values()
         txts, imgs = [], []
         for group in groups:
-            t, i = matching_losses(g, head, [group], enc, ("gitm_txt", "gitm_img")).values()
+            t, i = matching_losses(g, head, group, enc, ("gitm_txt", "gitm_img")).values()
             txts.append(float(t.value))
             imgs.append(float(i.value))
         assert abs(float(txt_b.value) - np.mean(txts)) <= 1e-12
@@ -442,13 +442,14 @@ def test_gitm_batched_equals_mean_of_group_losses():
 
 
 def branch_pairs(groups, n):
-    """(image row, text row, label) triples of itm, gitm_txt and gitm_img."""
+    """(image row, text row, label) triples of itm, gitm_txt and gitm_img; the
+    itm negatives are the top-1 mined text and image."""
     itm, txt, img = [], [], []
-    for grp in groups:
-        i = grp.anchor
-        itm += [(i, i, 1), (i, grp.itm_neg_text, 0), (grp.itm_neg_image, i, 0)]
-        txt += [(i, n + i, 1)] + [(i, j, 0) for j in grp.neg_texts]
-        img += [(n + i, i, 1)] + [(j, i, 0) for j in grp.neg_images]
+    for i in groups.anchors.tolist():
+        texts, images = groups.neg_texts[i].tolist(), groups.neg_images[i].tolist()
+        itm += [(i, i, 1), (i, texts[0], 0), (images[0], i, 0)]
+        txt += [(i, n + i, 1)] + [(i, j, 0) for j in texts]
+        img += [(n + i, i, 1)] + [(j, i, 0) for j in images]
     return itm, txt, img
 
 
@@ -463,6 +464,26 @@ def branch_alone(g, head, pairs, f_img, f_txt, f_img_w, f_txt_w):
 # The trainer's default widths, batch and K, and the gradient battery's.
 SHAPES = {"trainer": dict(dims=ModelDims(48, 40, 32, 16), n=16, k=2),
           "battery": {}}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_pair_rows_are_the_reference_triples(shape, k):
+    """pair_rows gives this file's reference triples, branch by branch and
+    group by group, for every anchor and for anchor subsets, whose weak rows
+    stay at the whole batch's n + i."""
+    params = {**SHAPES[shape], "k": k}
+    # The battery's batch of 3 identities holds k <= 2 negatives per anchor.
+    params["n"] = max(params.get("n", 3), k + 1)
+    for seed in range(10):
+        groups = random_instance(np.random.default_rng(seed), **params).groups
+        n = groups.anchors.shape[0]
+        for subset in (groups, groups[:1], groups[1:], groups[::-2], groups[n - 1]):
+            got = [list(zip(*(column.tolist() for column in subset.pair_rows(b))))
+                   for b in MATCHING_BRANCHES]
+            assert got == list(branch_pairs(subset, n))
+    with pytest.raises(ValueError, match="unknown matching branch"):
+        groups.pair_rows("gitm")
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -486,13 +507,13 @@ def test_fused_branches_equal_each_branch_alone(shape):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_matching_losses_score_the_pairs_branch_pairs_names(shape, monkeypatch):
     """The head scores, branch by branch and group by group, the pairs that
-    PairGroup.branch_pairs names, a "weak" source at row n + i, with their
+    PairGroups.branch_pairs names, a "weak" source at row n + i, with their
     labels; and those rows are this file's reference triples."""
     seen = []
     take_rows, bce = losses._rows, Graph.bce_logits
 
     def rows(g, picked, *sources):
-        seen.append(list(picked))
+        seen.append(picked.tolist())
         return take_rows(g, picked, *sources)
 
     def term(g, logit, labels):

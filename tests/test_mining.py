@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from weakpair.data import GenConfig, PairRecord, generate
 from weakpair.encoders import EmbeddingBatch
-from weakpair.mining import (MiningConfig, MiningStarvationError, PairGroup, build_group,
-                             build_groups, mine_hard_negatives, sample_weak)
+from weakpair.mining import (MiningConfig, MiningStarvationError, PairGroups, build_groups,
+                             mine_hard_negatives, sample_weak)
 
 
 def record(identity, view):
@@ -43,6 +43,10 @@ class TestMiningConfig:
     def test_custom_needs_k(self):
         with pytest.raises(ValueError):
             MiningConfig.from_mode("custom")
+
+    def test_from_mode_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown mining mode"):
+            MiningConfig.from_mode("bogus", 3)
 
 
 class TestSampleWeak:
@@ -133,25 +137,27 @@ class TestMineHardNegatives:
 class TestBuildGroup:
     def test_neg3v4_composition(self):
         batch = random_batch(np.random.default_rng(7), 4)
-        group = build_group(0, batch, MiningConfig.from_mode("neg3v4"))
+        group = build_groups(batch, MiningConfig.from_mode("neg3v4"))[0]
         assert len(group.matched_pairs()) == 3
         assert len(group.negative_pairs()) == 4
 
     def test_neg3v6_composition(self):
         batch = random_batch(np.random.default_rng(8), 4)
-        group = build_group(0, batch, MiningConfig.from_mode("neg3v6"))
+        group = build_groups(batch, MiningConfig.from_mode("neg3v6"))[0]
         assert len(group.matched_pairs()) == 3
         assert len(group.negative_pairs()) == 6
 
     def test_matched_pairs_carry_positive_labels(self):
         batch = random_batch(np.random.default_rng(9), 4)
-        group = build_group(1, batch, MiningConfig.from_mode("neg3v4"))
+        group = build_groups(batch, MiningConfig.from_mode("neg3v4"))[1]
         assert all(lbl == 1 for *_, lbl in group.matched_pairs())
         assert all(lbl == 0 for *_, lbl in group.negative_pairs())
 
     def test_pair_lists_are_the_branches_split_by_label(self):
-        group = PairGroup(1, itm_neg_text=3, itm_neg_image=0, neg_texts=[3, 2],
-                          neg_images=[0, 2])
+        neg_texts, neg_images = np.zeros((4, 2), dtype=int), np.zeros((4, 2), dtype=int)
+        neg_texts[1], neg_images[1] = [3, 2], [0, 2]
+        group = PairGroups(neg_texts, neg_images, np.arange(4))[1]
+        assert group.anchor == 1
         assert group.matched_pairs() == [("batch", 1, "batch", 1, 1), ("batch", 1, "weak", 1, 1),
                                          ("weak", 1, "batch", 1, 1)]
         assert group.negative_pairs() == [
@@ -163,9 +169,9 @@ class TestBuildGroup:
 
     def test_two_identities_support_k1_not_k2(self):
         batch = random_batch(np.random.default_rng(10), 2)
-        build_group(0, batch, MiningConfig.from_mode("neg3v4"))
+        build_groups(batch, MiningConfig.from_mode("neg3v4"))
         with pytest.raises(MiningStarvationError):
-            build_group(0, batch, MiningConfig.from_mode("neg3v6"))
+            build_groups(batch, MiningConfig.from_mode("neg3v6"))
 
     def test_thousand_random_groups_hold_invariants(self):
         rng = np.random.default_rng(11)
@@ -184,18 +190,10 @@ class TestBuildGroup:
 
     def test_parallel_mining_matches_sequential(self):
         batch = random_batch(np.random.default_rng(12), 8)
-        cfg = MiningConfig.from_mode("neg3v6")
-        sequential = build_groups(batch, cfg)
+        groups = build_groups(batch, MiningConfig.from_mode("neg3v6"))
         with ThreadPoolExecutor(max_workers=4) as pool:
-            parallel = list(pool.map(lambda i: build_group(i, batch, cfg), range(8)))
-        assert [(g.anchor, g.neg_texts, g.neg_images) for g in sequential] == \
-               [(g.anchor, g.neg_texts, g.neg_images) for g in parallel]
-
-    def test_itm_negatives_are_top1(self):
-        batch = random_batch(np.random.default_rng(13), 5)
-        group = build_group(2, batch, MiningConfig.from_mode("neg3v6"))
-        assert group.itm_neg_text == group.neg_texts[0]
-        assert group.itm_neg_image == group.neg_images[0]
+            parallel = list(pool.map(lambda i: per_anchor_group(batch, i, 2), range(8)))
+        assert [group_tuple(groups, i) for i in range(8)] == parallel
 
 
 # -- one-pass mining against the per-anchor reference ---------------------------
@@ -218,17 +216,23 @@ def reference_top_k(batch, anchor, direction, k):
 
 
 def reference_groups(batch, k):
-    out = []
-    for anchor in range(batch.identities.shape[0]):
-        texts = reference_top_k(batch, anchor, "image_to_text", k)
-        images = reference_top_k(batch, anchor, "text_to_image", k)
-        out.append((anchor, texts[0], images[0], texts, images))
-    return out
+    return [(anchor, reference_top_k(batch, anchor, "image_to_text", k),
+             reference_top_k(batch, anchor, "text_to_image", k))
+            for anchor in range(batch.identities.shape[0])]
 
 
-def group_tuple(group):
-    return (group.anchor, group.itm_neg_text, group.itm_neg_image,
-            group.neg_texts, group.neg_images)
+def per_anchor_group(batch, anchor, k):
+    """One anchor's (anchor, texts, images), mined by mine_hard_negatives."""
+    return (anchor, mine_hard_negatives(batch, anchor, "image_to_text", k),
+            mine_hard_negatives(batch, anchor, "text_to_image", k))
+
+
+def group_tuple(groups, anchor):
+    return (anchor, groups.neg_texts[anchor].tolist(), groups.neg_images[anchor].tolist())
+
+
+def group_tuples(groups):
+    return [group_tuple(groups, anchor) for anchor in groups.anchors.tolist()]
 
 
 # One-wide embeddings (unit or zero rows) from three or four values, signed
@@ -259,11 +263,11 @@ def test_tie_heavy_one_pass_mining_matches_per_anchor(data):
         assert str(whole.value) == str(exc)
         starving = int(str(exc).split()[1])
         with pytest.raises(MiningStarvationError) as single:
-            build_group(starving, batch, cfg)
+            per_anchor_group(batch, starving, k)
         assert str(single.value) == str(exc)
         return
-    assert [group_tuple(g) for g in build_groups(batch, cfg)] == expect
-    assert [group_tuple(build_group(a, batch, cfg)) for a in range(n)] == expect
+    assert group_tuples(build_groups(batch, cfg)) == expect
+    assert [per_anchor_group(batch, a, k) for a in range(n)] == expect
 
 
 def test_one_pass_mining_on_trainer_shapes():
@@ -271,4 +275,4 @@ def test_one_pass_mining_on_trainer_shapes():
     cfg = MiningConfig.from_mode("neg3v6")
     for _ in range(200):
         batch = random_batch(rng, 8, per_identity=2)
-        assert [group_tuple(g) for g in build_groups(batch, cfg)] == reference_groups(batch, 2)
+        assert group_tuples(build_groups(batch, cfg)) == reference_groups(batch, 2)
