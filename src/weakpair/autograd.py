@@ -1,15 +1,26 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-The op set is the minimal closure needed by the losses in this package:
-affine maps, elementwise add/multiply, tanh, exp, log, cross-entropy from
-logits (bce_logits), row gathers (take_rows), row-wise L2 normalization,
-row-cosine matrices, each row's log-softmax at one column
-(log_softmax_at) and sum/mean reductions.
+The op set is the minimal closure needed by the losses in this package.
+Primitives: affine maps, elementwise add/multiply, tanh, exp, log,
+cross-entropy from logits (bce_logits), row gathers (take_rows), row-wise L2
+normalization, row-cosine matrices, each row's log-softmax at one column
+(log_softmax_at) and sum/mean/sum_rows reductions.  Kernels, each one node
+for a chain of primitives the model repeats: tower (an encoder tower,
+affine-tanh-affine-l2_normalize), itc (the symmetric in-batch contrastive
+loss of one pairing) and match_head (the fusion head's logit).
 
 Every op is written once, in _Ops: it checks its contract on each input's
 .shape (per replica, for a stacked value), computes its value over trailing
-axes, builds its vjp and hands both to _emit.  The two front ends share
-that surface and differ in _emit:
+axes, builds its vjp and hands both to _emit.  Each formula (affine, tanh,
+l2_normalize, cosine, log-softmax-at and their vjps) is one private helper
+that a primitive and the kernels share.  A kernel makes its chain's numpy
+calls in the chain's order and keeps its bits in backward too: its inputs
+list an input once per use in the chain, in the order backward reaches those
+uses, and its vjp returns one contribution per entry, so Graph.backward adds
+them in the order and grouping it added the chain's.  itc(f_img, f_txt, t),
+for one, lists (f_txt, f_img, f_img, f_txt, t): cos(f_txt, f_img)'s two
+contributions, then cos(f_img, f_txt)'s, then the temperature's.  The two
+front ends share that surface and differ in _emit:
 
 Graph      records a node with the vjp, for backward().  Graphs are eager: a
            node's value is computed when the op is recorded, so callers can
@@ -55,7 +66,7 @@ def _sum(v: Array, ndim: int) -> Array:
 
 def _finite(value, name: str | None, dtype=np.float64) -> Array:
     arr = np.asarray(value, dtype=dtype)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise GraphError(f"non-finite leaf {name or ''!r}")
     return arr
 
@@ -64,6 +75,64 @@ def _reduce_to(grad: Array, shape: tuple[int, ...]) -> Array:
     if shape == () and grad.shape != ():
         return np.asarray(grad.sum())
     return grad
+
+
+# -- formulas, each written once for its primitive op and the kernels ----------
+
+
+def _affine(x: Array, w: Array, b: Array | None = None) -> Array:
+    y = np.matmul(x, w)
+    return y if b is None else y + b
+
+
+def _affine_vjp(g: Array, x: Array, w: Array, need_x: bool, need_w: bool,
+                need_b: bool) -> tuple[Array | None, Array | None, Array | None]:
+    return (g @ w.swapaxes(-1, -2) if need_x else None,
+            x.swapaxes(-1, -2) @ g if need_w else None,
+            g.sum(axis=-2) if need_b else None)
+
+
+def _tanh_vjp(g: Array, y: Array) -> Array:
+    return g * (1.0 - y * y)
+
+
+def _l2_normalize(x: Array) -> tuple[Array, Array, Array]:
+    """(rows / norms, the divisor, the zero-row mask); zero rows divide by 1."""
+    norms = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    zero = norms == 0.0
+    safe = np.where(zero, 1.0, norms)
+    return x / safe, safe, zero
+
+
+def _l2_normalize_vjp(g: Array, y: Array, safe: Array, zero: Array) -> Array:
+    inner = (g * y).sum(axis=-1, keepdims=True)
+    gx = (g - y * inner) / safe
+    if zero.any():
+        gx = np.where(zero, 0.0, gx)
+    return gx
+
+
+def _cosine(a: Array, b: Array) -> Array:
+    return np.matmul(a, b.swapaxes(-1, -2))
+
+
+def _cosine_vjp(g: Array, a: Array, b: Array) -> tuple[Array, Array]:
+    return g @ b, g.swapaxes(-1, -2) @ a
+
+
+def _log_softmax_at(x: Array, rows: Array, cols: Array) -> tuple[Array, Array]:
+    """(each row's log-softmax at its column, the softmax probabilities)."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1)
+    # The log of a picked probability could underflow to -inf; this cannot.
+    return shifted[..., rows, cols] - np.log(total), e / total[..., None]
+
+
+def _log_softmax_at_vjp(g: Array, p: Array, rows: Array, cols: Array) -> Array:
+    onehot = np.zeros_like(p)
+    onehot[..., rows, cols] = 1.0
+    return g[..., None] * (onehot - p)
 
 
 # -- the op surface -------------------------------------------------------------
@@ -106,7 +175,7 @@ class _Ops:
     def tanh(self, x):
         x = self._wrap(x)
         y = np.tanh(x.value)
-        return self._emit("tanh", (x,), y, lambda g: (g * (1.0 - y * y),))
+        return self._emit("tanh", (x,), y, lambda g: (_tanh_vjp(g, y),))
 
     def exp(self, x):
         x = self._wrap(x)
@@ -142,16 +211,11 @@ class _Ops:
         inputs = (x, w) if b is None else (x, w, self._wrap(b))
         if b is not None and inputs[2].shape != (w.shape[1],):
             raise GraphError(f"affine bias shape {inputs[2].shape}")
-        values = self._values(*inputs)
-        y = np.matmul(values[0], values[1])
-        if b is not None:
-            y = y + values[2]
+        y = _affine(*self._values(*inputs))
 
         def vjp(g):
-            grads = (g @ w.value.swapaxes(-1, -2) if x.needs_grad else None,
-                     x.value.swapaxes(-1, -2) @ g if w.needs_grad else None)
-            return grads if b is None else grads + (
-                g.sum(axis=-2) if inputs[2].needs_grad else None,)
+            return _affine_vjp(g, x.value, w.value, x.needs_grad, w.needs_grad,
+                               b is not None and inputs[2].needs_grad)[:len(inputs)]
 
         return self._emit("affine", inputs, y, vjp)
 
@@ -185,19 +249,9 @@ class _Ops:
         x = self._wrap(x)
         if len(x.shape) not in (1, 2):
             raise GraphError("l2_normalize expects a row or a row matrix")
-        norms = np.sqrt((x.value * x.value).sum(axis=-1, keepdims=True))
-        zero = norms == 0.0
-        safe = np.where(zero, 1.0, norms)
-        y = x.value / safe
-
-        def vjp(g):
-            inner = (g * y).sum(axis=-1, keepdims=True)
-            gx = (g - y * inner) / safe
-            if zero.any():
-                gx = np.where(zero, 0.0, gx)
-            return (gx,)
-
-        out = self._emit("l2_normalize", (x,), y, vjp)
+        y, safe, zero = _l2_normalize(x.value)
+        out = self._emit("l2_normalize", (x,), y,
+                         lambda g: (_l2_normalize_vjp(g, y, safe, zero),))
         self._flag_zero_rows(out, zero)
         return out
 
@@ -210,12 +264,8 @@ class _Ops:
         a, b = self._wrap(a), self._wrap(b)
         if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[1]:
             raise GraphError(f"cosine_matrix shapes {a.shape} vs {b.shape}")
-        av, bv = self._values(a, b)
-
-        def vjp(g):
-            return (g @ b.value, g.swapaxes(-1, -2) @ a.value)
-
-        return self._emit("cosine_matrix", (a, b), np.matmul(av, bv.swapaxes(-1, -2)), vjp)
+        return self._emit("cosine_matrix", (a, b), _cosine(*self._values(a, b)),
+                          lambda g: _cosine_vjp(g, a.value, b.value))
 
     def log_softmax_at(self, x, cols):
         """(n,m) -> (n,): row i's log-softmax at column cols[i]."""
@@ -226,19 +276,9 @@ class _Ops:
             raise GraphError(f"log_softmax_at needs one column of {x.shape} per row, "
                              f"got {cols.tolist()}")
         rows = np.arange(cols.shape[0])
-        shifted = x.value - x.value.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        total = e.sum(axis=-1)
-        # The log of a picked probability could underflow to -inf; this cannot.
-        y = shifted[..., rows, cols] - np.log(total)
-        p = e / total[..., None]
-
-        def vjp(g):
-            onehot = np.zeros_like(p)
-            onehot[..., rows, cols] = 1.0
-            return (g[..., None] * (onehot - p),)
-
-        return self._emit("log_softmax_at", (x,), y, vjp)
+        y, p = _log_softmax_at(x.value, rows, cols)
+        return self._emit("log_softmax_at", (x,), y,
+                          lambda g: (_log_softmax_at_vjp(g, p, rows, cols),))
 
     # -- reductions ----------------------------------------------------------
 
@@ -262,6 +302,122 @@ class _Ops:
         cols = x.shape[1]
         return self._emit("sum_rows", (x,), x.value.sum(axis=-1),
                           lambda g: (np.repeat(g[..., None], cols, axis=-1),))
+
+    # -- kernels: one node for a chain of the ops above ----------------------
+
+    def tower(self, x, w1, b1, w2, b2):
+        """l2_normalize(affine(tanh(affine(x, w1, b1)), w2, b2)): unit-norm
+        rows, zero rows flagged.  x: (n,p), w1: (p,q), b1: (q,), w2: (q,e),
+        b2: (e,)."""
+        x, w1, b1, w2, b2 = (self._wrap(v) for v in (x, w1, b1, w2, b2))
+        if (len(x.shape) != 2 or len(w1.shape) != 2 or len(w2.shape) != 2
+                or x.shape[1] != w1.shape[0] or b1.shape != w1.shape[1:]
+                or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
+            raise GraphError(f"tower shapes x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, "
+                             f"w2 {w2.shape}, b2 {b2.shape}")
+        xv, w1v, b1v, w2v, b2v = self._values(x, w1, b1, w2, b2)
+        h = np.tanh(_affine(xv, w1v, b1v))
+        y, safe, zero = _l2_normalize(_affine(h, w2v, b2v))
+
+        def vjp(g):
+            need_h = x.needs_grad or w1.needs_grad or b1.needs_grad
+            g_h, g_w2, g_b2 = _affine_vjp(_l2_normalize_vjp(g, y, safe, zero), h, w2.value,
+                                          need_h, w2.needs_grad, b2.needs_grad)
+            if not need_h:
+                return g_w2, g_b2, None, None, None
+            return (g_w2, g_b2) + _affine_vjp(_tanh_vjp(g_h, h), x.value, w1.value,
+                                              x.needs_grad, w1.needs_grad, b1.needs_grad)
+
+        out = self._emit("tower", (w2, b2, x, w1, b1), y, vjp)
+        self._flag_zero_rows(out, zero)
+        return out
+
+    def itc(self, f_img, f_txt, log_tau):
+        """-(mean(log_softmax_at(cos(f_img, f_txt) / tau, diagonal))
+        + mean(log_softmax_at(cos(f_txt, f_img) / tau, diagonal))) with
+        tau = exp(log_tau): the symmetric in-batch contrastive loss of n >= 1
+        row pairs, (n,d) x (n,d) x () -> ()."""
+        f_img, f_txt, log_tau = self._wrap(f_img), self._wrap(f_txt), self._wrap(log_tau)
+        if (len(f_img.shape) != 2 or f_txt.shape != f_img.shape or f_img.shape[0] == 0
+                or log_tau.shape != ()):
+            raise GraphError(f"itc needs two nonempty (n,d) matrices and a scalar, got "
+                             f"{f_img.shape}, {f_txt.shape}, {log_tau.shape}")
+        n = f_img.shape[0]
+        img, txt, lt = self._values(f_img, f_txt, log_tau)
+        diagonal = np.arange(n)
+        inv_tau = np.exp(np.multiply(lt, -1.0))
+        cos_it = _cosine(img, txt)
+        log_it, p_it = _log_softmax_at(np.multiply(cos_it, inv_tau), diagonal, diagonal)
+        cos_ti = _cosine(txt, img)
+        log_ti, p_ti = _log_softmax_at(np.multiply(cos_ti, inv_tau), diagonal, diagonal)
+        y = np.multiply(np.add(_sum(log_it, 1) / n, _sum(log_ti, 1) / n), -1.0)
+
+        def vjp(g):
+            g_log = np.full((n,), g * -1.0 / n)
+            g_ti = _log_softmax_at_vjp(g_log, p_ti, diagonal, diagonal)
+            g_it = _log_softmax_at_vjp(g_log, p_it, diagonal, diagonal)
+            grads = ((*_cosine_vjp(g_ti * inv_tau, f_txt.value, f_img.value),
+                      *_cosine_vjp(g_it * inv_tau, f_img.value, f_txt.value))
+                     if f_img.needs_grad or f_txt.needs_grad else (None,) * 4)
+            if not log_tau.needs_grad:
+                return grads + (None,)
+            g_inv_tau = np.asarray((g_ti * cos_ti).sum()) + np.asarray((g_it * cos_it).sum())
+            return grads + (g_inv_tau * inv_tau * -1.0,)
+
+        return self._emit("itc", (f_txt, f_img, f_img, f_txt, log_tau), y, vjp)
+
+    def match_head(self, f_img, f_txt, w_img, w_txt, w_prod, b_hidden, w_out,
+                   v_img, v_txt, v_prod, b_out):
+        """tanh(f_img@w_img + b_hidden + f_txt@w_txt + prod@w_prod)@w_out + b_out
+        + f_img@v_img + f_txt@v_txt + prod@v_prod, prod = f_img * f_txt: one
+        logit row per (n,e) row pair.  w_*: (e,h), b_hidden: (h,), w_out:
+        (h,o), v_*: (e,o), b_out: (o,)."""
+        f_img, f_txt, w_img, w_txt, w_prod, b_hidden, w_out, v_img, v_txt, v_prod, b_out = (
+            self._wrap(v) for v in (f_img, f_txt, w_img, w_txt, w_prod, b_hidden, w_out,
+                                    v_img, v_txt, v_prod, b_out))
+        e = f_img.shape[1:]
+        h, o = w_out.shape[:1], w_out.shape[1:]
+        if (len(f_img.shape) != 2 or f_txt.shape != f_img.shape or len(w_out.shape) != 2
+                or any(w.shape != e + h for w in (w_img, w_txt, w_prod))
+                or any(v.shape != e + o for v in (v_img, v_txt, v_prod))
+                or b_hidden.shape != h or b_out.shape != o):
+            raise GraphError(
+                f"match_head shapes f {f_img.shape}/{f_txt.shape}, w {w_img.shape}/"
+                f"{w_txt.shape}/{w_prod.shape}, b_hidden {b_hidden.shape}, w_out "
+                f"{w_out.shape}, v {v_img.shape}/{v_txt.shape}/{v_prod.shape}, "
+                f"b_out {b_out.shape}")
+        fi, ft, wi, wt, wp, bh, wo, vi, vt, vp, bo = self._values(
+            f_img, f_txt, w_img, w_txt, w_prod, b_hidden, w_out, v_img, v_txt, v_prod, b_out)
+        prod = np.multiply(fi, ft)
+        act = np.tanh(np.add(np.add(_affine(fi, wi, bh), _affine(ft, wt)), _affine(prod, wp)))
+        y = np.add(_affine(act, wo, bo),
+                   np.add(np.add(_affine(fi, vi), _affine(ft, vt)), _affine(prod, vp)))
+
+        def vjp(g):
+            need_f = f_img.needs_grad or f_txt.needs_grad
+            g_prod, g_vp, _ = _affine_vjp(g, prod, vp, need_f, v_prod.needs_grad, False)
+            g_ft1, g_vt, _ = _affine_vjp(g, ft, vt, f_txt.needs_grad, v_txt.needs_grad, False)
+            g_fi1, g_vi, _ = _affine_vjp(g, fi, vi, f_img.needs_grad, v_img.needs_grad, False)
+            need_act = need_f or any(p.needs_grad for p in (w_img, w_txt, w_prod, b_hidden))
+            g_act, g_wo, g_bo = _affine_vjp(g, act, wo, need_act, w_out.needs_grad,
+                                            b_out.needs_grad)
+            grads = (g_vp, g_ft1, g_vt, g_fi1, g_vi, g_wo, g_bo)
+            if not need_act:
+                return grads + (None,) * 8
+            g_pre = _tanh_vjp(g_act, act)
+            g_prod2, g_wp, _ = _affine_vjp(g_pre, prod, wp, need_f, w_prod.needs_grad, False)
+            g_ft2, g_wt, _ = _affine_vjp(g_pre, ft, wt, f_txt.needs_grad, w_txt.needs_grad, False)
+            g_fi2, g_wi, g_bh = _affine_vjp(g_pre, fi, wi, f_img.needs_grad, w_img.needs_grad,
+                                            b_hidden.needs_grad)
+            if need_f:
+                g_prod = g_prod + g_prod2
+            return grads + (g_wp, g_ft2, g_wt, g_fi2, g_wi, g_bh,
+                            g_prod * ft if f_img.needs_grad else None,
+                            g_prod * fi if f_txt.needs_grad else None)
+
+        return self._emit("match_head", (v_prod, f_txt, v_txt, f_img, v_img, w_out, b_out,
+                                         w_prod, f_txt, w_txt, f_img, w_img, b_hidden,
+                                         f_img, f_txt), y, vjp)
 
 
 # -- recorded graphs -----------------------------------------------------------

@@ -287,7 +287,7 @@ def ablation_cells(grid: str) -> list[tuple[str, dict]]:
 
 
 def ablation_seeds(raw) -> list[int]:
-    """The comma-separated ablate.seeds, each a non-negative integer."""
+    """The comma-separated ablate.seeds, distinct non-negative integers."""
     try:
         seeds = [int(s) for s in str(raw).split(",") if s]
     except ValueError as exc:
@@ -296,6 +296,9 @@ def ablation_seeds(raw) -> list[int]:
         raise ConfigError("ablate.seeds must name at least one seed")
     if min(seeds) < 0:
         raise ConfigError(f"ablate.seeds must be >= 0, got {min(seeds)}")
+    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"ablate.seeds names seed {repeated} twice")
     return seeds
 
 

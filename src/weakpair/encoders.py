@@ -141,23 +141,16 @@ def init_model(seed: int, dims: ModelDims, tau_init: float = 0.07) -> ModelParam
 
 
 def encode(g: Graph, tower: Mapping[str, Node], raw: Node) -> Node:
-    """Unit-norm embedding rows: l2_normalize(affine2(tanh(affine1(raw))))."""
-    hidden = g.tanh(g.affine(raw, tower["w1"], tower["b1"]))
-    return g.l2_normalize(g.affine(hidden, tower["w2"], tower["b2"]))
+    """Unit-norm embedding rows: l2_normalize(affine2(tanh(affine1(raw)))),
+    one tower node."""
+    return g.tower(raw, *(tower[k] for k in _TOWER_KEYS))
 
 
 def match_logit(g: Graph, head: Mapping[str, Node],
                 f_img: Node, f_txt: Node) -> Node:
-    """Match logit per row, (n, 1); order of arguments matters."""
-    prod = g.mul(f_img, f_txt)
-    pre = g.add(g.add(g.affine(f_img, head["w_img"], head["b_hidden"]),
-                      g.affine(f_txt, head["w_txt"])),
-                g.affine(prod, head["w_prod"]))
-    hidden = g.affine(g.tanh(pre), head["w_out"], head["b_out"])
-    direct = g.add(g.add(g.affine(f_img, head["v_img"]),
-                         g.affine(f_txt, head["v_txt"])),
-                   g.affine(prod, head["v_prod"]))
-    return g.add(hidden, direct)
+    """Match logit per row, (n, 1), one match_head node; order of arguments
+    matters."""
+    return g.match_head(f_img, f_txt, *(head[k] for k in _HEAD_KEYS))
 
 
 @dataclass

@@ -5,7 +5,7 @@ and are minimized.
 
 itc_loss       temperature-scaled softmax cross-entropy over in-batch
                cosines, both retrieval directions, positives on the diagonal,
-               from one fused log-softmax (Graph.log_softmax_at) per direction.
+               one itc kernel node (Graph.itc) per pairing.
 consistency_uncertainty
                per-anchor consistency s_w = (cos(f_I, f_Iw) + cos(f_T, f_Tw)) / 2
                and its uncertainty u_w under a selectable monotone mapping;
@@ -98,16 +98,10 @@ def itc_loss(g: Graph, f_img: Node, f_txt: Node, log_tau: Node) -> Node:
 
     Row i of cos(f_img, f_txt) / tau holds the logits of image i over the
     batch of texts, and its log-softmax at column i is the log-likelihood of
-    the true text; the text-to-image direction swaps the arguments.
+    the true text; the text-to-image direction swaps the arguments.  One itc
+    node; an empty batch is rejected.
     """
-    n = f_img.shape[0]
-    if n == 0:
-        raise ValueError("itc_loss needs a nonempty batch")
-    inv_tau = g.exp(g.mul(log_tau, -1.0))
-    diagonal = np.arange(n)
-    log_it = g.log_softmax_at(g.mul(g.cosine_matrix(f_img, f_txt), inv_tau), diagonal)
-    log_ti = g.log_softmax_at(g.mul(g.cosine_matrix(f_txt, f_img), inv_tau), diagonal)
-    return g.mul(g.add(g.mean(log_it), g.mean(log_ti)), -1.0)
+    return g.itc(f_img, f_txt, log_tau)
 
 
 def consistency_uncertainty(g: Graph, f_img: Node, f_txt: Node,

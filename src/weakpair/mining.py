@@ -87,6 +87,15 @@ def sample_weak(anchor: PairRecord, pool: dict[int, list[PairRecord]],
     return WeakSelection(anchor, others[int(rng.integers(len(others)))], False)
 
 
+def _scores(anchor_rows: np.ndarray, candidates: np.ndarray,
+            anchors: np.ndarray) -> np.ndarray:
+    """(anchors, candidates) scores, row i with the bits of
+    candidates @ anchor_rows[anchors[i]]: one batched matrix-vector product
+    per anchor.  A single matrix product can differ from them in the last
+    bits, which could flip a near-tie."""
+    return np.matmul(candidates, anchor_rows[anchors][..., None])[..., 0]
+
+
 def _mine(batch: EmbeddingBatch, anchors: np.ndarray, direction: str,
           k: int) -> np.ndarray:
     """(anchors, k) top-k different-identity candidates per anchor, ties by lower index.
@@ -109,9 +118,7 @@ def _mine(batch: EmbeddingBatch, anchors: np.ndarray, direction: str,
             f"anchor {anchors[first]} needs {k} negatives but only {eligible[first]} "
             f"eligible candidates exist (batch of {ids.shape[0]} "
             f"records over {np.unique(ids).shape[0]} identities)")
-    # Stacked per-anchor products: one matrix product can differ from them in
-    # the last bits, which could flip a near-tie.
-    scores = np.stack([candidates @ anchor_rows[a] for a in anchors])
+    scores = _scores(anchor_rows, candidates, anchors)
     index = np.broadcast_to(np.arange(ids.shape[0]), same.shape)
     # lexsort's last key is its primary: same-identity candidates sort last,
     # the rest by descending score, then by index.

@@ -347,46 +347,48 @@ def train(cfg: TrainConfig, data: DatasetManifest,
                 "different-identity negatives; adjust batch_size or identity count")
         sd = _step_data(batch, pools, cfg, step, need_weak)
 
-        g = Graph()
-        leaves = {k: g.leaf(v, trainable=True, name=k) for k, v in params.items()}
-        enc = encode_step(g, leaves, sd, need_weak)
-        if g.zero_norm_rows:
-            raise NumericAbort(f"step {step}: encoder produced zero-norm embeddings")
-        f_img, f_txt, f_img_w, f_txt_w = enc
-        batch_emb = EmbeddingBatch(
-            f_img.value, f_txt.value,
-            f_img_w.value if f_img_w is not None else f_img.value,
-            f_txt_w.value if f_txt_w is not None else f_txt.value,
-            sd.identities)
-        try:
-            groups = build_groups(batch_emb, mining_cfg)
-        except MiningStarvationError as exc:
-            raise MiningStarvationError(f"step {step}: {exc}") from exc
+        # A diverging step overflows to inf or nan; the finite-loss and
+        # finite-parameter checks below name it, so numpy's warnings would
+        # only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = Graph()
+            leaves = {k: g.leaf(v, trainable=True, name=k) for k, v in params.items()}
+            enc = encode_step(g, leaves, sd, need_weak)
+            if g.zero_norm_rows:
+                raise NumericAbort(f"step {step}: encoder produced zero-norm embeddings")
+            f_img, f_txt, f_img_w, f_txt_w = enc
+            batch_emb = EmbeddingBatch(
+                f_img.value, f_txt.value,
+                f_img_w.value if f_img_w is not None else f_img.value,
+                f_txt_w.value if f_txt_w is not None else f_txt.value,
+                sd.identities)
+            try:
+                groups = build_groups(batch_emb, mining_cfg)
+            except MiningStarvationError as exc:
+                raise MiningStarvationError(f"step {step}: {exc}") from exc
 
-        assembled = assemble_losses(g, leaves, enc, groups, mode, cfg.mapping, weights)
-        report = assembled.report(weights)
-        if not math.isfinite(report.total):
-            raise NumericAbort(
-                f"step {step}: non-finite loss; components itc={report.itc} "
-                f"itm={report.itm} uitc={report.uitc} gitm_txt={report.gitm_txt} "
-                f"gitm_img={report.gitm_img}")
+            assembled = assemble_losses(g, leaves, enc, groups, mode, cfg.mapping, weights)
+            report = assembled.report(weights)
+            if not math.isfinite(report.total):
+                raise NumericAbort(
+                    f"step {step}: non-finite loss; components itc={report.itc} "
+                    f"itm={report.itm} uitc={report.uitc} gitm_txt={report.gitm_txt} "
+                    f"gitm_img={report.gitm_img}")
 
-        grads = g.backward(assembled.nodes["total"])
-        grad = np.concatenate([grads[leaf].reshape(-1) for leaf in leaves.values()])
-        lr = step_lr(step, total_steps, cfg)
-        opt_t += 1
-        bc1 = 1.0 - _ADAM_BETA1 ** opt_t
-        bc2 = 1.0 - _ADAM_BETA2 ** opt_t
-        # Elementwise, so each coordinate gets the bits a per-tensor update gives it.
-        flat_m = _ADAM_BETA1 * flat_m + (1.0 - _ADAM_BETA1) * grad
-        flat_v = _ADAM_BETA2 * flat_v + (1.0 - _ADAM_BETA2) * grad * grad
-        update = (flat_m / bc1) / (np.sqrt(flat_v / bc2) + _ADAM_EPS)
-        flat_p[:] = flat_p - lr * (update + decay * flat_p)
-        if not np.all(np.isfinite(flat_p)):
-            name = next(k for k, v in params.items() if not np.all(np.isfinite(v)))
-            raise NumericAbort(f"step {step}: parameter {name} became non-finite")
-        assert float(np.exp(params["log_gamma"])) > 0.0
-        assert float(np.exp(params["log_tau"])) > 0.0
+            grads = g.backward(assembled.nodes["total"])
+            grad = np.concatenate([grads[leaf].reshape(-1) for leaf in leaves.values()])
+            lr = step_lr(step, total_steps, cfg)
+            opt_t += 1
+            bc1 = 1.0 - _ADAM_BETA1 ** opt_t
+            bc2 = 1.0 - _ADAM_BETA2 ** opt_t
+            # Elementwise, so each coordinate gets the bits a per-tensor update gives it.
+            flat_m = _ADAM_BETA1 * flat_m + (1.0 - _ADAM_BETA1) * grad
+            flat_v = _ADAM_BETA2 * flat_v + (1.0 - _ADAM_BETA2) * grad * grad
+            update = (flat_m / bc1) / (np.sqrt(flat_v / bc2) + _ADAM_EPS)
+            flat_p[:] = flat_p - lr * (update + decay * flat_p)
+            if not np.all(np.isfinite(flat_p)):
+                name = next(k for k, v in params.items() if not np.all(np.isfinite(v)))
+                raise NumericAbort(f"step {step}: parameter {name} became non-finite")
 
         if assembled.u_values is not None:
             u_min, u_max = float(assembled.u_values.min()), float(assembled.u_values.max())

@@ -57,7 +57,7 @@ class BatteryReport:
 
 
 def _op_cases(rng: np.random.Generator):
-    """(name, params, loss_fn) triples, one scalar probe per primitive."""
+    """(name, params, loss_fn) triples, one scalar probe per op."""
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4))
     w = rng.normal(size=(4, 2))
@@ -70,6 +70,15 @@ def _op_cases(rng: np.random.Generator):
     rng.normal(size=(3, 4))  # unused; kept so the draws below keep their values
     c64 = rng.normal(size=(6, 4))
     labels = (c64[:3] > 0.0).astype(np.float64)
+    # The kernels' own draws come last, so every draw above keeps its value.
+    w1, b1 = rng.normal(size=(4, 5)), rng.normal(size=5)
+    w2, b2 = rng.normal(size=(5, 3)), rng.normal(size=3)
+    log_tau = np.asarray(rng.normal(np.log(0.5), 0.2))
+    head = {k: rng.normal(size=shape) for k, shape in (
+        ("w_img", (4, 2)), ("w_txt", (4, 2)), ("w_prod", (4, 2)), ("b_hidden", 2),
+        ("w_out", (2, 1)), ("v_img", (4, 1)), ("v_txt", (4, 1)), ("v_prod", (4, 1)),
+        ("b_out", 1))}
+    c31 = rng.normal(size=(3, 1))
 
     def weighted(build, const):
         return lambda g, lv: g.sum(g.mul(build(g, lv), g.constant(const)))
@@ -97,6 +106,12 @@ def _op_cases(rng: np.random.Generator):
         # Repeated rows from both sources: backward must scatter-add.
         ("take_rows", {"a": a, "b": b},
          weighted(lambda g, lv: g.take_rows((lv["a"], lv["b"]), [4, 0, 4, 2, 5, 0]), c64)),
+        ("tower", {"x": a, "w1": w1, "b1": b1, "w2": w2, "b2": b2},
+         weighted(lambda g, lv: g.tower(*lv.values()), c33)),
+        ("itc", {"a": a, "b": b, "log_tau": log_tau},
+         lambda g, lv: g.itc(lv["a"], lv["b"], lv["log_tau"])),
+        ("match_head", {"a": a, "b": b, **head},
+         weighted(lambda g, lv: g.match_head(*lv.values()), c31)),
     ]
 
 

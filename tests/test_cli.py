@@ -461,6 +461,7 @@ def test_bad_train_fraction_is_config_error_before_generating(tmp_path, capsys, 
     ("gen", "gen.split_seed=-5", "gen.split_seed must be >= 0"),
     ("ablate", "ablate.seeds=1,x", "ablate.seeds: invalid literal"),
     ("ablate", "ablate.seeds=-3", "ablate.seeds must be >= 0"),
+    ("ablate", "ablate.seeds=1,1,2", "ablate.seeds names seed 1 twice"),
     ("ablate", "train.mining_k=0", "mining_mode/mining_k"),
 ])
 def test_bad_setting_is_config_error_before_any_training(workspace, tmp_path, capsys,
@@ -475,3 +476,19 @@ def test_bad_setting_is_config_error_before_any_training(workspace, tmp_path, ca
     assert main(argv) == EXIT_CONFIG
     assert f"config error: {named}" in capsys.readouterr().err
     assert not (tmp_path / "x" / "ablation.csv").exists()
+
+
+def test_diverging_train_is_one_runtime_error_line(workspace, tmp_path, capsys):
+    """A learning rate that blows the step up overflows exp: the run exits with
+    the finite-loss check's line alone, no numpy warning ahead of it."""
+    argv = ["train", "--data", str(workspace / "data" / "train.tsv"),
+            "--out", str(tmp_path / "x"), *SMALL_TRAIN, "--set", "train.base_lr=1000",
+            "--set", "train.warmup_steps=0", "--set", "train.epochs=3"]
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code == EXIT_RUNTIME
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"runtime error: step \d+: non-finite (loss|parameter)[^\n]*\n", err), err

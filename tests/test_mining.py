@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from weakpair.data import GenConfig, PairRecord, generate
 from weakpair.encoders import EmbeddingBatch
-from weakpair.mining import (MiningConfig, MiningStarvationError, PairGroups, build_groups,
-                             mine_hard_negatives, sample_weak)
+from weakpair.mining import (MiningConfig, MiningStarvationError, PairGroups, _scores,
+                             build_groups, mine_hard_negatives, sample_weak)
 
 
 def record(identity, view):
@@ -276,3 +276,43 @@ def test_one_pass_mining_on_trainer_shapes():
     for _ in range(200):
         batch = random_batch(rng, 8, per_identity=2)
         assert group_tuples(build_groups(batch, cfg)) == reference_groups(batch, 2)
+
+
+# -- batched scores against the per-anchor products ------------------------------
+
+
+def per_anchor_scores(anchor_rows, candidates, anchors):
+    return np.stack([candidates @ anchor_rows[a] for a in anchors])
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_batched_scores_equal_per_anchor_products_on_trainer_shapes():
+    rng = np.random.default_rng(21)
+    anchors = np.arange(16)
+    for _ in range(3000):
+        rows = rng.normal(size=(2, 16, 16))
+        rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+        assert_same_bits(_scores(rows[0], rows[1], anchors),
+                         per_anchor_scores(rows[0], rows[1], anchors))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_batched_scores_equal_per_anchor_products_on_ties(data):
+    """Rows of 0, -0 and +-1 (or unit rows' worth of them): most scores tie,
+    and signed zeros must come out as the per-anchor products give them."""
+    values = data.draw(_tie_values)
+    n, d = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 6))
+
+    def rows():
+        return np.array(data.draw(st.lists(st.sampled_from(values), min_size=n * d,
+                                           max_size=n * d))).reshape(n, d)
+
+    anchor_rows, candidates = rows(), rows()
+    anchors = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    assert_same_bits(_scores(anchor_rows, candidates, anchors),
+                     per_anchor_scores(anchor_rows, candidates, anchors))

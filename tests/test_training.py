@@ -145,7 +145,7 @@ class TestTrainBasics:
     @pytest.mark.parametrize("mode", training.ABLATION_MODES)
     def test_nodes_per_step(self, mode, monkeypatch):
         """Graph size of every step; no op depends on the values."""
-        nodes = {"baseline": 60, "uitc": 105, "uitc_gitm": 113}[mode]
+        nodes = {"baseline": 30, "uitc": 47, "uitc_gitm": 55}[mode]
         sizes = read_each_step_graph(monkeypatch, lambda g, loss: len(g.nodes))
         _, log = train(small_cfg(ablation_mode=mode), dataset())
         assert sizes == [nodes] * len(log.steps)
