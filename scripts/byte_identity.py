@@ -13,10 +13,12 @@ a mapping leg (a 2-epoch ``train`` with ``train.mapping=linear`` and one with
 ``power`` on the default data, each followed by ``eval`` and ``diag``); a
 resume leg per ablation mode of the default config (stopped mid-epoch,
 then resumed from the in-memory checkpoint, writing both checkpoints and the
-joined ``train_log.csv``); ``weakpair gradcheck --out`` at its default 100
-points; and acceptance
-criterion 07's runs (``tests/test_acceptance.py`` ``GEN``/``TRAIN``, seeds 1-5
-x baseline/uitc/uitc_gitm), each writing its checkpoint, ``train_log.csv``,
+joined ``train_log.csv``); a degenerate leg (a 3-epoch ``train`` per ablation
+mode on a dataset whose single-record identities are their own weak
+counterparts and whose epochs end on a short batch); ``weakpair gradcheck
+--out`` at its default 100 points; and acceptance criterion 07's runs
+(``tests/test_acceptance.py`` ``GEN``/``TRAIN``, seeds 1-5 x
+baseline/uitc/uitc_gitm), each writing its checkpoint, ``train_log.csv``,
 the ``weakpair eval`` outputs and the held-out mAP, plus the three medians.
 Console output (with paths relative to the output directory) and the
 ``resolved.cfg`` files are written too; none holds a timing.  Takes a few
@@ -94,6 +96,23 @@ def mapping_leg(out: Path, data_dir: Path) -> None:
                      "--out", str(cell / command))
 
 
+def degenerate_leg(out: Path, train_d: data.DatasetManifest) -> None:
+    """Each ablation mode on a dataset cut from the default training set: 181
+    identities (each epoch ends on a batch of 5), every third of them left
+    with one record, which stands in as its own weak counterpart."""
+    out.mkdir(parents=True)
+    kept, seen, records = set(train_d.identities()[:16 * 11 + 5]), set(), []
+    for rec in train_d.records:
+        if rec.identity in kept and (rec.identity % 3 or rec.identity not in seen):
+            records.append(rec)
+            seen.add(rec.identity)
+    data.write(dataclasses.replace(train_d, records=records), out / "train.tsv")
+    for mode in ABLATION_MODES:
+        weakpair(out / mode, "train", "--data", str(out / "train.tsv"), "--out",
+                 str(out / mode), "--set", "train.epochs=3",
+                 "--set", f"train.ablation_mode={mode}")
+
+
 def main(out: Path) -> None:
     """Writes under out, with paths relative to it so console lines match."""
     out.mkdir(parents=True)
@@ -108,7 +127,9 @@ def main(out: Path) -> None:
                  "--checkpoint", str(run / "train" / "checkpoint.json"),
                  "--out", str(run / command))
     mapping_leg(out / "mappings", run / "data")
-    resume_leg(out / "resume", data.read(run / "data" / "train.tsv"))
+    train_d = data.read(run / "data" / "train.tsv")
+    resume_leg(out / "resume", train_d)
+    degenerate_leg(out / "degenerate", train_d)
     weakpair(out / "gradcheck", "gradcheck", "--out", str(out / "gradcheck"))
 
     acc = acceptance_module()

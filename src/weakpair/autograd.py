@@ -40,6 +40,7 @@ Evaluator  keeps the value and drops the vjp, for many parameter points at
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Mapping
@@ -224,23 +225,33 @@ class _Ops:
         sources = tuple(self._wrap(s) for s in sources)
         if len({s.shape[1:] for s in sources}) != 1 or len(sources[0].shape) != 2:
             raise GraphError(f"take_rows needs same-width matrices: {[s.shape for s in sources]}")
-        bounds = np.cumsum([s.shape[0] for s in sources])
+        sizes = [s.shape[0] for s in sources]
+        ends = list(itertools.accumulate(sizes))
+        total, width = ends[-1], sources[0].shape[1]
         rows = np.asarray(rows, dtype=np.intp)
-        if rows.ndim != 1 or np.any((rows < 0) | (rows >= bounds[-1])):
-            raise GraphError(f"take_rows indices outside {bounds[-1]} rows")
+        if rows.ndim != 1 or (rows.size and (rows.min() < 0 or rows.max() >= total)):
+            raise GraphError(f"take_rows indices outside {total} rows")
         values = self._values(*sources)
-        if any(v.ndim > 2 for v in values):
-            # np.concatenate needs the replica axis on every source.
-            lead = max(v.shape[:-2] for v in values)
-            values = [np.broadcast_to(v, lead + v.shape[-2:]) for v in values]
+        if len(values) == 1:
+            stacked = values[0]
+        else:
+            if any(v.ndim > 2 for v in values):
+                # np.concatenate needs the replica axis on every source.
+                lead = max(v.shape[:-2] for v in values)
+                values = [np.broadcast_to(v, lead + v.shape[-2:]) for v in values]
+            stacked = np.concatenate(values, axis=-2)
         # np.take keeps the result C-contiguous, as each replica's own gather
         # is; stacked[..., rows, :] would not be.
-        y = np.take(np.concatenate(values, axis=-2), rows, axis=-2)
+        y = np.take(stacked, rows, axis=-2)
 
         def vjp(g):
-            grad = np.zeros((bounds[-1], sources[0].shape[1]))
-            np.add.at(grad, rows, g)
-            return tuple(np.split(grad, bounds[:-1]))
+            # bincount adds each cell's contributions in index order onto 0.0,
+            # as np.add.at into zeros does: the same bits, signed zeros too.
+            # With no rows it returns integer zeros, hence the astype.
+            cells = (rows[:, None] * width + np.arange(width)).ravel()
+            grad = np.bincount(cells, weights=g.ravel(), minlength=total * width)
+            grad = grad.astype(np.float64, copy=False).reshape(total, width)
+            return tuple(grad[end - size:end] for size, end in zip(sizes, ends))
 
         return self._emit("take_rows", sources, y, vjp)
 

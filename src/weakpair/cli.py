@@ -216,11 +216,20 @@ def train_log_rows(log) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+def _read_dataset(path) -> datamod.DatasetManifest:
+    """datamod.read, plus the two identities that training and evaluation need."""
+    dataset = datamod.read(path)
+    count = len(dataset.identities())
+    if count < 2:
+        raise DatasetFormatError(f"{path}: need at least 2 identities, found {count}")
+    return dataset
+
+
 def cmd_train(args) -> int:
     resolved = load_config(args.config, args.set, args.seed, "train")
     cfg = train_config_from(resolved)
     cfg.validate()
-    dataset = datamod.read(args.data)
+    dataset = _read_dataset(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt, log = train(cfg, dataset)
@@ -238,7 +247,7 @@ def _evaluate_checkpoint(args, include_metrics: bool, train_data=None) -> EvalRe
     """Evaluate --checkpoint on --data and write the curves into --out."""
     resolved = load_config(args.config, args.set)
     ckpt = load_checkpoint(args.checkpoint)
-    dataset = datamod.read(args.data)
+    dataset = _read_dataset(args.data)
     for side, key, width in (("image", "img.w1", dataset.gen_config.raw_dim_image),
                              ("text", "txt.w1", dataset.gen_config.raw_dim_text)):
         takes = ckpt.params[key].shape[0]

@@ -168,15 +168,14 @@ class EmbeddingBatch:
     identities: np.ndarray
 
     def __post_init__(self):
-        n = self.image.shape[0]
-        shapes = (self.text.shape[0], self.weak_image.shape[0],
-                  self.weak_text.shape[0], self.identities.shape[0])
-        if any(s != n for s in shapes):
-            raise ValueError("embedding batch row counts disagree")
-        for matrix in (self.image, self.text, self.weak_image, self.weak_text):
-            norms = np.linalg.norm(matrix, axis=1)
-            if not np.all((np.abs(norms - 1.0) <= 1e-6) | (norms == 0.0)):
-                raise ValueError("embedding rows must be unit-norm (or flagged zero)")
+        matrices = (self.image, self.text, self.weak_image, self.weak_text)
+        if (any(m.shape != self.image.shape for m in matrices)
+                or self.identities.shape != self.image.shape[:1]):
+            raise ValueError(f"embedding batch shapes disagree: {[m.shape for m in matrices]}, "
+                             f"identities {self.identities.shape}")
+        norms = np.linalg.norm(np.stack(matrices), axis=-1)
+        if not np.all((np.abs(norms - 1.0) <= 1e-6) | (norms == 0.0)):
+            raise ValueError("embedding rows must be unit-norm (or flagged zero)")
 
 
 def embed_manifest(params: ModelParams, manifest: DatasetManifest

@@ -10,9 +10,12 @@ rows each matching branch scores.
 Mining only ever considers candidates whose identity differs from the
 anchor's, scores them with the current cross-modal cosines, and breaks ties
 by preferring the lower batch index so results are reproducible.  A step
-ranks every anchor's candidates in one lexsort per direction (identity
-clash, then descending score, then index) and keeps each row's first k
-columns; mining for a single anchor is the one-row case of the same kernel.
+ranks every anchor's candidates in both directions in one lexsort over a
+leading direction axis (identity clash, then descending score, then index)
+and keeps each row's first k columns; mining for a single anchor in one
+direction is the one-row case of the same kernel.  A batch's weak picks
+likewise come from one draw call, and sampling for a single anchor is its
+one-anchor case.
 """
 
 from __future__ import annotations
@@ -73,42 +76,61 @@ class WeakSelection:
             raise ValueError("weak selection crossed identities")
 
 
+def sample_weak_batch(anchors: list[PairRecord], pool: dict[int, list[PairRecord]],
+                      rng: np.random.Generator) -> list[WeakSelection]:
+    """Each anchor's uniform draw among its identity's other records.
+
+    One rng.integers call takes every draw, bounded by each non-degenerate
+    anchor's count of other records, in anchor order: the same stream as
+    one scalar call per such anchor.
+    """
+    others = []
+    for anchor in anchors:
+        try:
+            candidates = pool[anchor.identity]
+        except KeyError:
+            raise KeyError(f"identity {anchor.identity} not in pool") from None
+        others.append([r for r in candidates
+                       if (r.identity, r.view) != (anchor.identity, anchor.view)])
+    counts = [len(o) for o in others if o]
+    picks = iter(rng.integers(counts).tolist())
+    return [WeakSelection(anchor, o[next(picks)], False) if o
+            else WeakSelection(anchor, anchor, degenerate=True)
+            for anchor, o in zip(anchors, others)]
+
+
 def sample_weak(anchor: PairRecord, pool: dict[int, list[PairRecord]],
                 rng: np.random.Generator) -> WeakSelection:
     """Uniform draw among the anchor identity's other records."""
-    try:
-        candidates = pool[anchor.identity]
-    except KeyError:
-        raise KeyError(f"identity {anchor.identity} not in pool") from None
-    others = [r for r in candidates
-              if (r.identity, r.view) != (anchor.identity, anchor.view)]
-    if not others:
-        return WeakSelection(anchor, anchor, degenerate=True)
-    return WeakSelection(anchor, others[int(rng.integers(len(others)))], False)
+    return sample_weak_batch([anchor], pool, rng)[0]
+
+
+# The mining directions: (anchor rows, candidate rows) of each, as indexes
+# into the stacked (image, text) embeddings.
+_DIRECTIONS = {"image_to_text": (0, 1), "text_to_image": (1, 0)}
 
 
 def _scores(anchor_rows: np.ndarray, candidates: np.ndarray,
             anchors: np.ndarray) -> np.ndarray:
-    """(anchors, candidates) scores, row i with the bits of
+    """(..., anchors, candidates) scores, row i with the bits of
     candidates @ anchor_rows[anchors[i]]: one batched matrix-vector product
-    per anchor.  A single matrix product can differ from them in the last
-    bits, which could flip a near-tie."""
-    return np.matmul(candidates, anchor_rows[anchors][..., None])[..., 0]
+    per anchor, over any leading axes.  A single matrix product can differ
+    from them in the last bits, which could flip a near-tie."""
+    return np.matmul(candidates[..., None, :, :], anchor_rows[..., anchors, :, None])[..., 0]
 
 
-def _mine(batch: EmbeddingBatch, anchors: np.ndarray, direction: str,
+def _mine(batch: EmbeddingBatch, anchors: np.ndarray, directions: tuple[str, ...],
           k: int) -> np.ndarray:
-    """(anchors, k) top-k different-identity candidates per anchor, ties by lower index.
+    """(directions, anchors, k) top-k different-identity candidates per anchor,
+    ties by lower index, every direction ranked in one lexsort.
 
     Raises MiningStarvationError for the first anchor with fewer than k
     different-identity candidates.
     """
-    if direction == "image_to_text":
-        anchor_rows, candidates = batch.image, batch.text
-    elif direction == "text_to_image":
-        anchor_rows, candidates = batch.text, batch.image
-    else:
-        raise ValueError(f"unknown mining direction {direction!r}")
+    try:
+        sides = np.array([_DIRECTIONS[d] for d in directions])
+    except KeyError as exc:
+        raise ValueError(f"unknown mining direction {exc.args[0]!r}") from None
     ids = batch.identities
     same = ids[anchors, None] == ids[None, :]
     eligible = ids.shape[0] - np.count_nonzero(same, axis=1)
@@ -118,11 +140,12 @@ def _mine(batch: EmbeddingBatch, anchors: np.ndarray, direction: str,
             f"anchor {anchors[first]} needs {k} negatives but only {eligible[first]} "
             f"eligible candidates exist (batch of {ids.shape[0]} "
             f"records over {np.unique(ids).shape[0]} identities)")
-    scores = _scores(anchor_rows, candidates, anchors)
-    index = np.broadcast_to(np.arange(ids.shape[0]), same.shape)
+    views = np.stack([batch.image, batch.text])
+    scores = _scores(views[sides[:, 0]], views[sides[:, 1]], anchors)
     # lexsort's last key is its primary: same-identity candidates sort last,
-    # the rest by descending score, then by index.
-    return np.lexsort((index, -scores, same), axis=-1)[:, :k]
+    # the rest by descending score.  Its sort is stable, so ties keep index
+    # order.
+    return np.lexsort((-scores, np.broadcast_to(same, scores.shape)), axis=-1)[..., :k]
 
 
 def mine_hard_negatives(batch: EmbeddingBatch, anchor: int, direction: str,
@@ -132,7 +155,7 @@ def mine_hard_negatives(batch: EmbeddingBatch, anchor: int, direction: str,
     direction "image_to_text" scores candidate texts against the anchor
     image; "text_to_image" scores candidate images against the anchor text.
     """
-    return _mine(batch, np.array([anchor]), direction, k)[0].tolist()
+    return _mine(batch, np.array([anchor]), (direction,), k)[0, 0].tolist()
 
 
 @dataclass(frozen=True)
@@ -164,19 +187,22 @@ class PairGroups:
         (I_i, T_i) with (I_i, top text) and (top image, T_i); gitm_txt pairs
         (I_i, T_i_w) with (I_i, each mined text); gitm_img mirrors gitm_txt.
         """
-        a = self.anchors[:, None]
-        weak = a + self.neg_texts.shape[0]
-        texts, images = self.neg_texts[self.anchors], self.neg_images[self.anchors]
+        a = self.anchors
+        n, k = self.neg_texts.shape
+        texts, images = self.neg_texts[a], self.neg_images[a]
         if branch == "itm":
-            img, txt = [a, a, images[:, :1]], [a, texts[:, :1], a]
+            img = np.stack([a, a, images[:, 0]], axis=1)
+            txt = np.stack([a, texts[:, 0], a], axis=1)
         elif branch == "gitm_txt":
-            img, txt = [a], [weak, texts]
+            img = np.repeat(a[:, None], 1 + k, axis=1)
+            txt = np.concatenate([a[:, None] + n, texts], axis=1)
         elif branch == "gitm_img":
-            img, txt = [weak, images], [a]
+            img = np.concatenate([a[:, None] + n, images], axis=1)
+            txt = np.repeat(a[:, None], 1 + k, axis=1)
         else:
             raise ValueError(f"unknown matching branch {branch!r}")
-        img, txt = np.broadcast_arrays(np.hstack(img), np.hstack(txt))
-        labels = np.broadcast_to(np.eye(1, img.shape[1], dtype=int), img.shape)
+        labels = np.zeros(img.shape, dtype=int)
+        labels[:, 0] = 1
         return img.ravel(), txt.ravel(), labels.ravel()
 
     def branch_pairs(self, branch: str) -> list[tuple[str, int, str, int, int]]:
@@ -197,8 +223,7 @@ def build_groups(batch: EmbeddingBatch, cfg: MiningConfig) -> PairGroups:
     """Every anchor's group, mined in one pass from the current embeddings."""
     ids = batch.identities
     anchors = np.arange(ids.shape[0])
-    neg_texts = _mine(batch, anchors, "image_to_text", cfg.k)
-    neg_images = _mine(batch, anchors, "text_to_image", cfg.k)
+    neg_texts, neg_images = _mine(batch, anchors, tuple(_DIRECTIONS), cfg.k)
     # The identity exclusion mining promises, checked once for the whole step.
     negatives = np.concatenate([neg_texts, neg_images], axis=1)
     clash = ids[negatives] == ids[:, None]

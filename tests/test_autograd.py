@@ -242,6 +242,36 @@ class TestTakeRows:
             g.take_rows((g.constant(np.ones((2, 3))),), [2])
 
 
+# Upstream gradients whose sums round, overflow, cancel to signed zeros or
+# meet opposite infinities.
+_scatter_values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 3.0, 1e308, -1e308,
+                                   np.inf, -np.inf])
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_take_rows_scatter_equals_add_at_bit_for_bit(data):
+    """take_rows' vjp against np.add.at into zeros, split per source: repeated
+    rows, one to three sources, signed zeros, infinities, and no rows."""
+    sizes = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    width = data.draw(st.integers(1, 3))
+    rows = np.array(data.draw(st.lists(st.integers(0, sum(sizes) - 1), max_size=12)),
+                    dtype=np.intp)
+    upstream = np.array(data.draw(st.lists(_scatter_values, min_size=rows.size * width,
+                                           max_size=rows.size * width)),
+                        dtype=np.float64).reshape(rows.size, width)
+    g = Graph()
+    sources = [g.leaf(np.zeros((size, width)), trainable=True) for size in sizes]
+    got = g.take_rows(sources, rows)._vjp(upstream)
+    want = np.zeros((sum(sizes), width))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(want, rows, upstream)
+    want = np.split(want, np.cumsum(sizes)[:-1])
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_finished_graph_freed_by_reference_counting():
     inst = random_instance(np.random.default_rng(3))
     build = loss_builder("total", inst)

@@ -492,3 +492,26 @@ def test_diverging_train_is_one_runtime_error_line(workspace, tmp_path, capsys):
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert re.fullmatch(r"runtime error: step \d+: non-finite (loss|parameter)[^\n]*\n", err), err
+
+
+@pytest.mark.parametrize("command,kept", [("eval", "header"), ("eval", "record"),
+                                          ("diag", "header"), ("train", "record"),
+                                          ("train", "identity")])
+def test_dataset_under_two_identities_is_io_error_naming_it(workspace, tmp_path, capsys,
+                                                            command, kept):
+    """A header-only file, one record, or one identity's records: exit 3 with
+    the file and its identity count, before any output is written."""
+    header, *records = (workspace / "data" / "train.tsv").read_text().splitlines()
+    first = records[0].split("\t")[0]
+    lines = {"header": [], "record": records[:1],
+             "identity": [r for r in records if r.split("\t")[0] == first]}[kept]
+    dataset = tmp_path / "small.tsv"
+    dataset.write_text("\n".join([header, *lines]) + "\n")
+    argv = [command, "--data", str(dataset), "--out", str(tmp_path / "x")]
+    if command != "train":
+        argv += ["--checkpoint", str(workspace / "run" / "checkpoint.json")]
+    assert main(argv) == EXIT_IO
+    count = 0 if kept == "header" else 1
+    assert capsys.readouterr().err == (
+        f"i/o error: {dataset}: need at least 2 identities, found {count}\n")
+    assert not (tmp_path / "x").exists()

@@ -151,3 +151,17 @@ def test_embedding_batch_row_counts_checked():
     with pytest.raises(ValueError):
         EmbeddingBatch(np.ones((2, 3)), np.ones((3, 3)), np.ones((2, 3)),
                        np.ones((2, 3)), np.arange(2))
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_embedding_batch_rejects_a_non_unit_row_in_each_matrix(position):
+    rng = np.random.default_rng(position)
+    matrices = []
+    for _ in range(4):
+        rows = rng.normal(size=(3, 4))
+        matrices.append(rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    matrices[position][2] *= 1.0 + 1e-5
+    with pytest.raises(ValueError, match="unit-norm"):
+        EmbeddingBatch(*matrices, np.arange(3))
+    matrices[position][2] /= 1.0 + 1e-5
+    EmbeddingBatch(*matrices, np.arange(3))

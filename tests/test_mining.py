@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from weakpair.data import GenConfig, PairRecord, generate
 from weakpair.encoders import EmbeddingBatch
-from weakpair.mining import (MiningConfig, MiningStarvationError, PairGroups, _scores,
-                             build_groups, mine_hard_negatives, sample_weak)
+from weakpair.mining import (MiningConfig, MiningStarvationError, PairGroups, _mine,
+                             _scores, build_groups, mine_hard_negatives, sample_weak,
+                             sample_weak_batch)
 
 
 def record(identity, view):
@@ -81,6 +82,36 @@ class TestSampleWeak:
         rng = np.random.default_rng(2)
         for rec in d.records:
             assert sample_weak(rec, pool, rng).weak.identity == rec.identity
+
+
+def scalar_weak_draws(anchors, pool, rng):
+    """(weak view, degenerate) per anchor, one scalar rng.integers call per
+    anchor that has another record."""
+    picks = []
+    for anchor in anchors:
+        others = [r for r in pool[anchor.identity] if r.view != anchor.view]
+        picks.append((others[int(rng.integers(len(others)))].view, False) if others
+                     else (anchor.view, True))
+    return picks
+
+
+@given(counts=st.lists(st.integers(1, 4), min_size=1, max_size=8),
+       picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=20),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_batched_weak_draws_equal_per_anchor_draws(counts, picks, seed):
+    """One batched draw gives every anchor the pick that per-anchor
+    sample_weak calls and scalar draws give it, single-record identities
+    (degenerate, no draw) among them, and leaves the stream where they do."""
+    pool = pool_of(*counts)
+    records = [r for rs in pool.values() for r in rs]
+    anchors = [records[p % len(records)] for p in picks]
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    batched = [(s.weak.view, s.degenerate) for s in sample_weak_batch(anchors, pool, rngs[0])]
+    single = [(s.weak.view, s.degenerate) for s in (sample_weak(a, pool, rngs[1])
+                                                    for a in anchors)]
+    assert batched == single == scalar_weak_draws(anchors, pool, rngs[2])
+    assert len({int(rng.integers(2 ** 62)) for rng in rngs}) == 1
 
 
 class TestMineHardNegatives:
@@ -316,3 +347,36 @@ def test_batched_scores_equal_per_anchor_products_on_ties(data):
     anchors = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
     assert_same_bits(_scores(anchor_rows, candidates, anchors),
                      per_anchor_scores(anchor_rows, candidates, anchors))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_two_direction_mining_equals_each_direction_alone(data):
+    """Both directions ranked in one pass equal each direction mined alone
+    and each anchor mined alone, for any anchor selection, on tie-heavy
+    draws; a starving batch raises the same message every way."""
+    values = data.draw(_tie_values)
+    n, k = data.draw(st.integers(2, 10)), data.draw(st.integers(1, 3))
+    labels = data.draw(st.integers(1, n))
+    ids = np.array(data.draw(st.lists(st.integers(0, labels - 1), min_size=n, max_size=n)))
+    anchors = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+
+    def rows():
+        return np.array(data.draw(st.lists(st.sampled_from(values), min_size=n,
+                                           max_size=n)))[:, None]
+
+    batch = EmbeddingBatch(rows(), rows(), rows(), rows(), ids)
+    directions = ("image_to_text", "text_to_image")
+    try:
+        both = _mine(batch, anchors, directions, k)
+    except MiningStarvationError as exc:
+        for direction in directions:
+            with pytest.raises(MiningStarvationError) as alone:
+                _mine(batch, anchors, (direction,), k)
+            assert str(alone.value) == str(exc)
+        return
+    assert both.shape == (2, anchors.shape[0], k)
+    for d, direction in enumerate(directions):
+        assert np.array_equal(both[d], _mine(batch, anchors, (direction,), k)[0])
+        assert both[d].tolist() == [mine_hard_negatives(batch, int(a), direction, k)
+                                    for a in anchors]

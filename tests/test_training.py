@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from weakpair import cli, training
-from weakpair.data import GenConfig, generate
+from weakpair.data import GenConfig, PairRecord, generate
 from weakpair.encoders import ModelDims, init_model, params_to_dict
 from weakpair.losses import U_BOUNDS
 from weakpair.mining import MiningStarvationError
 from weakpair.training import (CheckpointFormatError, NumericAbort, TrainConfig,
                                checkpoints_equal, load_checkpoint,
                                save_checkpoint, step_lr, train)
+
+
+REC = PairRecord(0, 0, np.zeros(2), np.zeros(2))
 
 
 def dataset(num_identities=12, views=3, seed=7, **overrides):
@@ -198,6 +201,23 @@ class TestTrainBasics:
         column = header.index("degenerate_weak")
         assert [row[column] for row in rows] == counts
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_batched_plan_draws_equal_scalar_draws(self, seed):
+        """_epoch_plan's one batched record draw picks what one scalar draw
+        per identity picks, over identities with one to four records."""
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 5, size=int(rng.integers(2, 30))).tolist()
+        pools = {i: [dataclasses.replace(REC, identity=i, view=v) for v in range(c)]
+                 for i, c in enumerate(counts)}
+        ids = sorted(pools)
+        cfg = small_cfg(seed=seed)
+        stream = np.random.default_rng(training._seed_seq(cfg.seed, 101, 3))
+        expect = []
+        for i in stream.permutation(len(ids)):
+            records = pools[ids[int(i)]]
+            expect.append(records[int(stream.integers(len(records)))])
+        assert training._epoch_plan(ids, pools, cfg, 3) == expect
+
     def test_too_few_identities(self):
         with pytest.raises(ValueError):
             train(small_cfg(), dataset(num_identities=1))
@@ -209,6 +229,41 @@ class TestFailureContracts:
         d = dataset(num_identities=5)
         with pytest.raises(MiningStarvationError, match="step 1"):
             train(small_cfg(batch_size=4), d)
+
+    @pytest.mark.parametrize("mode,start,stop,first", [
+        ("uitc_gitm", 0, None, 2), ("uitc_gitm", 2, None, 2), ("uitc_gitm", 0, 2, None),
+        ("baseline", 0, None, None)])
+    def test_unminable_short_batch_fails_before_any_step(self, mode, start, stop, first,
+                                                         monkeypatch):
+        """10 identities in batches of 4 end each epoch on a batch of 2: one
+        negative per anchor, enough for k=1 (baseline) but not k=2.  The
+        first such step in the run's range is named before any step runs."""
+        d = dataset(num_identities=10)
+        cfg = small_cfg(ablation_mode=mode)
+        resume = train(cfg, d, stop_at_step=start)[0] if start else None
+        steps = []
+        step_data = training._step_data
+        monkeypatch.setattr(training, "_step_data",
+                            lambda *args: steps.append(args[3]) or step_data(*args))
+        if first is None:
+            ckpt, _ = train(cfg, d, resume=resume, stop_at_step=stop)
+            assert steps == list(range(start, ckpt.step)) and ckpt.step == (stop or 6)
+            return
+        with pytest.raises(MiningStarvationError,
+                           match=rf"^step {first}: batch of 2 identities leaves 1 "):
+            train(cfg, d, resume=resume, stop_at_step=stop)
+        assert steps == []
+
+    @pytest.mark.parametrize("start,end,first", [(0, 12, 2), (3, 12, 5), (3, 5, None),
+                                                 (6, 9, 8), (0, 0, None)])
+    def test_minable_check_names_the_first_short_step_in_range(self, start, end, first):
+        """Batches of 4 over 10 identities: steps 2, 5, 8, ... hold 2 identities."""
+        if first is None:
+            training._check_batches_minable(10, 4, 2, start, end)
+            return
+        with pytest.raises(MiningStarvationError, match=rf"^step {first}:"):
+            training._check_batches_minable(10, 4, 2, start, end)
+        training._check_batches_minable(10, 4, 1, start, end)
 
     def test_nonfinite_parameters_abort(self):
         d = dataset()

@@ -154,3 +154,17 @@ def test_loss_builder_picks_the_shared_node():
         assert verify.loss_builder(name, inst)(g, leaves).value == nodes[name].value
     with pytest.raises(ValueError, match="unknown loss"):
         verify.loss_builder("itx", inst)
+
+
+# Battery seeds whose one point misses tol at the battery's eps = 1e-5 on one
+# loss, by finite-difference truncation (the error falls ~100x when eps falls
+# 10x), not by a wrong gradient.
+_TRUNCATION_POINTS = {5061: "itc", 8737: "itm", 8873: "total", 19357: "gitm"}
+
+
+@pytest.mark.parametrize("seed,loss", sorted(_TRUNCATION_POINTS.items()))
+def test_truncation_limited_points_pass_at_a_finer_step(seed, loss):
+    errors = {r.name: r.max_rel_error for r in verify.check_losses(points=1, seed=seed,
+                                                                   eps=1e-6)}
+    assert errors[f"loss:{loss}"] < 1e-5
+    assert all(error < 1e-4 for error in errors.values())
