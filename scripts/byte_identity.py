@@ -9,8 +9,13 @@ no difference:
     diff -r /tmp/before /tmp/after
 
 The run covers the default ``weakpair gen``, ``train``, ``eval`` and ``diag``;
-a mapping leg (a 2-epoch ``train`` with ``train.mapping=linear`` and one with
-``power`` on the default data, each followed by ``eval`` and ``diag``); a
+a TSV-only leg (``eval`` and ``diag`` again, on a copy of the default
+``test.tsv`` without its binary ``.npy`` companion, so ``data.read`` parses
+the text, written under ``tsv-only/default``; ``diff -r OUT/default/eval
+OUT/tsv-only/default/eval`` and the same for ``diag`` must be empty, showing
+that both reading paths agree); a mapping leg (a 2-epoch ``train`` with
+``train.mapping=linear`` and one with ``power`` on the default data, each
+followed by ``eval`` and ``diag``); a
 resume leg per ablation mode of the default config (stopped mid-epoch,
 then resumed from the in-memory checkpoint, writing both checkpoints and the
 joined ``train_log.csv``); a degenerate leg (a 3-epoch ``train`` per ablation
@@ -33,6 +38,7 @@ import importlib.util
 import io
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -83,6 +89,25 @@ def resume_leg(out: Path, train_d: data.DatasetManifest) -> None:
                       *cli.train_log_rows(TrainLog(first.steps + rest.steps)))
 
 
+def tsv_only_leg(out: Path, run: Path) -> None:
+    """eval and diag again on a companion-less copy of the default test set.
+
+    They run inside out/tsv-only with run's relative output paths, so every
+    file under out/tsv-only/<run> must equal its counterpart under <run>,
+    console lines included."""
+    leg = out / "tsv-only"
+    leg.mkdir()
+    shutil.copyfile(run / "data" / "test.tsv", leg / "test.tsv")
+    cwd = os.getcwd()
+    os.chdir(leg)
+    try:
+        for command in ("eval", "diag"):
+            weakpair(run / command, command, "--data", "test.tsv", "--checkpoint",
+                     str(".." / run / "train" / "checkpoint.json"), "--out", str(run / command))
+    finally:
+        os.chdir(cwd)
+
+
 def mapping_leg(out: Path, data_dir: Path) -> None:
     """The non-default uncertainty mappings: a short run, then eval and diag."""
     for mapping in ("linear", "power"):
@@ -126,6 +151,7 @@ def main(out: Path) -> None:
         weakpair(run / command, command, "--data", str(run / "data" / "test.tsv"),
                  "--checkpoint", str(run / "train" / "checkpoint.json"),
                  "--out", str(run / command))
+    tsv_only_leg(out, run)
     mapping_leg(out / "mappings", run / "data")
     train_d = data.read(run / "data" / "train.tsv")
     resume_leg(out / "resume", train_d)

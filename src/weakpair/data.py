@@ -7,11 +7,23 @@ different views of the same identity agree only partially.  That masking is
 what makes same-identity cross-view pairs "weak": correlated but not
 interchangeable.
 
-File format (one dataset per file):
+File format (one dataset per file, UTF-8):
     line 1:  #weakpair-dataset v1 split=<tag> key=value ...  (generator config)
     line 2+: identity<TAB>view<TAB>image values<TAB>text values
 Vector values are comma-separated decimals with 17 significant digits, which
 round-trips IEEE float64 exactly.
+
+The TSV is the dataset.  Beside it, ``write`` puts a binary companion,
+``<name>.tsv.npy``: two ``np.save`` arrays, the sha256 digest of the TSV's
+bytes followed by the table's bytes (32 uint8), then the records as one
+structured table (``identity``, ``view`` as ``<i8``; ``image``, ``text`` as
+``<f8`` rows of the header's widths).  ``read`` parses and checks the TSV's
+header line, then takes the records from the companion only when it loads
+without pickles, has the header's dtype, its digest recomputes over the TSV
+it sits beside, its entries are finite and its (identity, view) pairs are
+unique.  Otherwise it parses the TSV's records, the only source of record
+errors; so a stale, missing, truncated or foreign companion costs time but
+never changes a result or a message.  Hand-written TSVs need no companion.
 """
 
 from __future__ import annotations
@@ -128,7 +140,7 @@ def split(d: DatasetManifest, train_fraction: float, seed: int
             DatasetManifest(d.version, d.gen_config, test, "test"))
 
 
-def _fmt_vector(v: np.ndarray) -> str:
+def _fmt_vector(v: list[float]) -> str:
     return ",".join(format(x, ".17g") for x in v)
 
 
@@ -136,27 +148,101 @@ _CONFIG_FIELDS = tuple(f.name for f in fields(GenConfig))
 _FLOAT_FIELDS = {f.name for f in fields(GenConfig) if isinstance(f.default, float)}
 
 
+def companion_path(path: str | Path) -> Path:
+    """Where ``write`` puts the binary companion of the TSV at path."""
+    return Path(f"{path}.npy")
+
+
+def _table_dtype(cfg: GenConfig) -> np.dtype:
+    return np.dtype([("identity", "<i8"), ("view", "<i8"),
+                     ("image", "<f8", (cfg.raw_dim_image,)),
+                     ("text", "<f8", (cfg.raw_dim_text,))])
+
+
+def _digest(raw: bytes, table: np.ndarray) -> bytes:
+    # Imported here: loading OpenSSL takes ~2 ms, which commands that never
+    # read or write a dataset (gradcheck) should not pay.
+    import hashlib
+
+    h = hashlib.sha256()
+    h.update(raw)
+    h.update(table)
+    return h.digest()
+
+
+def _is_int64(key) -> bool:
+    return (isinstance(key, (int, np.integer)) and not isinstance(key, bool)
+            and -2**63 <= int(key) < 2**63)
+
+
+def _record_problem(identity, view, image: np.ndarray, text: np.ndarray,
+                    cfg: GenConfig, seen: set) -> str | None:
+    """Why one record is invalid, or None (then its key joins seen)."""
+    if not (np.isfinite(image).all() and np.isfinite(text).all()):
+        return "non-finite vector entry"
+    if image.shape != (cfg.raw_dim_image,) or text.shape != (cfg.raw_dim_text,):
+        return "vector length mismatch"
+    if (identity, view) in seen:
+        return "duplicate (identity, view)"
+    seen.add((identity, view))
+    return None
+
+
 def write(d: DatasetManifest, path: str | Path) -> None:
+    """Write the TSV and its companion; a manifest ``read`` would reject
+    raises ValueError, naming the header or record, before any file is written."""
     cfg = d.gen_config
     parts = [_HEADER_MAGIC, d.version, f"split={d.split_tag}"]
     for name in _CONFIG_FIELDS:
         value = getattr(cfg, name)
         rendered = format(value, ".17g") if name in _FLOAT_FIELDS else str(value)
         parts.append(f"{name}={rendered}")
-    lines = [" ".join(parts)]
-    for rec in d.records:
-        lines.append("\t".join((str(rec.identity), str(rec.view),
-                                _fmt_vector(rec.image_raw),
-                                _fmt_vector(rec.text_raw))))
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = " ".join(parts)
+    try:
+        _parse_header(header, path)
+    except DatasetFormatError as exc:
+        raise ValueError(f"cannot write {exc}") from None
+    table = np.zeros(len(d.records), _table_dtype(cfg))
+    seen: set[tuple[int, int]] = set()
+    for index, rec in enumerate(d.records):
+        image = np.asarray(rec.image_raw, dtype=np.float64)
+        text = np.asarray(rec.text_raw, dtype=np.float64)
+        if all(_is_int64(key) for key in (rec.identity, rec.view)):
+            problem = _record_problem(rec.identity, rec.view, image, text, cfg, seen)
+        else:
+            problem = "identity and view must be 64-bit integers"
+        if problem:
+            raise ValueError(f"cannot write {path}: record {index}: {problem}")
+        table[index] = (rec.identity, rec.view, image, text)
+    lines = [header]
+    for identity, view, image, text in zip(
+            table["identity"].tolist(), table["view"].tolist(),
+            table["image"].tolist(), table["text"].tolist()):
+        lines.append(f"{identity}\t{view}\t{_fmt_vector(image)}\t{_fmt_vector(text)}")
+    raw = ("\n".join(lines) + "\n").encode("utf-8")
+    Path(path).write_bytes(raw)
+    with open(companion_path(path), "wb") as handle:
+        np.save(handle, np.frombuffer(_digest(raw, table), dtype=np.uint8))
+        np.save(handle, table)
 
 
-def read(path: str | Path) -> DatasetManifest:
-    text = Path(path).read_text()
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(_HEADER_MAGIC):
+def _decode(raw: bytes, path: str | Path) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; their line breaks, counted as
+        # splitlines counts them, give the line it sits on.
+        line = len((raw[:exc.start].decode("utf-8") + "x").splitlines()) - 1
+        where = "header" if line == 0 else f"record {line - 1}"
+        raise DatasetFormatError(
+            f"{path}: {where}: not UTF-8 (byte 0x{raw[exc.start]:02x} at offset "
+            f"{exc.start}: {exc.reason})") from None
+
+
+def _parse_header(line: str, path: str | Path) -> tuple[GenConfig, str]:
+    if not line.startswith(_HEADER_MAGIC):
         raise DatasetFormatError(f"{path}: missing dataset header")
-    header = lines[0].split()
+    header = line.split()
     if len(header) < 2 or header[1] != FORMAT_VERSION:
         got = header[1] if len(header) > 1 else "<none>"
         raise DatasetFormatError(f"{path}: format version {got!r}, expected {FORMAT_VERSION!r}")
@@ -186,10 +272,33 @@ def read(path: str | Path) -> DatasetManifest:
         cfg.validate()
     except ValueError as exc:
         raise DatasetFormatError(f"{path}: header: {exc}") from None
+    return cfg, split_tag
 
+
+def _companion_records(path: str | Path, raw: bytes, cfg: GenConfig
+                       ) -> list[PairRecord] | None:
+    """The records of path's companion if it is ``write``'s own for raw; else None."""
+    try:
+        with open(companion_path(path), "rb") as handle:
+            digest = np.load(handle, allow_pickle=False)
+            table = np.load(handle, allow_pickle=False)
+    except Exception:  # whatever is wrong with a companion, the TSV decides
+        return None
+    if not (isinstance(digest, np.ndarray) and isinstance(table, np.ndarray)
+            and table.dtype == _table_dtype(cfg) and table.ndim == 1
+            and digest.tobytes() == _digest(raw, table)
+            and np.isfinite(table["image"]).all() and np.isfinite(table["text"]).all()):
+        return None
+    identities, views = table["identity"].tolist(), table["view"].tolist()
+    if len(set(zip(identities, views))) != len(table):
+        return None
+    return [PairRecord(*rec) for rec in zip(identities, views, table["image"], table["text"])]
+
+
+def _parse_records(lines: list[str], cfg: GenConfig, path: str | Path) -> list[PairRecord]:
     records: list[PairRecord] = []
     seen: set[tuple[int, int]] = set()
-    for index, line in enumerate(lines[1:]):
+    for index, line in enumerate(lines):
         if not line:
             continue
         fields = line.split("\t")
@@ -202,14 +311,22 @@ def read(path: str | Path) -> DatasetManifest:
             text_vec = np.array(fields[3].split(","), dtype=np.float64)
         except ValueError as exc:
             raise DatasetFormatError(f"{path}: record {index}: {exc}") from exc
-        if not (np.isfinite(image).all() and np.isfinite(text_vec).all()):
-            raise DatasetFormatError(f"{path}: record {index}: non-finite vector entry")
-        if image.shape[0] != cfg.raw_dim_image or text_vec.shape[0] != cfg.raw_dim_text:
-            raise DatasetFormatError(f"{path}: record {index}: vector length mismatch")
-        if (identity, view) in seen:
-            raise DatasetFormatError(f"{path}: record {index}: duplicate (identity, view)")
-        seen.add((identity, view))
+        problem = _record_problem(identity, view, image, text_vec, cfg, seen)
+        if problem:
+            raise DatasetFormatError(f"{path}: record {index}: {problem}")
         records.append(PairRecord(identity, view, image, text_vec))
+    return records
+
+
+def read(path: str | Path) -> DatasetManifest:
+    raw = Path(path).read_bytes()
+    text = _decode(raw, path)
+    end = text.find("\n")
+    first = (text if end < 0 else text[:end]).splitlines()
+    cfg, split_tag = _parse_header(first[0] if first else "", path)
+    records = _companion_records(path, raw, cfg)
+    if records is None:
+        records = _parse_records(text.splitlines()[1:], cfg, path)
     return DatasetManifest(FORMAT_VERSION, cfg, records, split_tag)
 
 

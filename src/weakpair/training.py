@@ -486,7 +486,9 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint; any defect raises CheckpointFormatError naming the key."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CheckpointFormatError(f"{path}: not a checkpoint file (not UTF-8: {exc})") from exc
     except json.JSONDecodeError as exc:
         raise CheckpointFormatError(f"{path}: not a checkpoint file ({exc})") from exc
     if not isinstance(payload, dict) or "format_version" not in payload:

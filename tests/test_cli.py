@@ -161,6 +161,8 @@ class TestEval:
         ("header_out_of_range", "header: raw_dim_image must be >= 1, got -1"),
         ("header_unknown_key", "unknown header key 'colour'"),
         ("header_repeated_key", "repeated header key 'seed'"),
+        ("dataset_not_utf8", "test.tsv: record 3: not UTF-8 (byte 0xff"),
+        ("checkpoint_not_utf8", "checkpoint.json: not a checkpoint file (not UTF-8"),
     ])
     def test_malformed_input_exits_io_naming_it(self, workspace, tmp_path, capsys,
                                                 case, named):
@@ -182,6 +184,15 @@ class TestEval:
             text = re.sub(pattern, replacement, dataset.read_text(), count=1)
             dataset = tmp_path / "test.tsv"
             dataset.write_text(text)
+        elif case == "dataset_not_utf8":
+            lines = dataset.read_bytes().split(b"\n")
+            lines[4] += b"\xff"
+            dataset = tmp_path / "test.tsv"
+            dataset.write_bytes(b"\n".join(lines))
+        elif case == "checkpoint_not_utf8":
+            damaged = tmp_path / "checkpoint.json"
+            damaged.write_bytes(checkpoint.read_bytes() + b"\xff")
+            checkpoint = damaged
         elif case == "raw_width_mismatch":
             assert main(["gen", "--out", str(tmp_path / "wide"), *SMALL_GEN,
                          "--set", "gen.raw_dim_image=12"]) == EXIT_OK

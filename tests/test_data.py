@@ -5,7 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from weakpair.data import (DatasetFormatError, GenConfig, generate,
+import dataclasses
+import hashlib
+
+from weakpair import data
+from weakpair.data import (DatasetFormatError, GenConfig, companion_path, generate,
                            manifests_equal, read, split, write)
 
 
@@ -109,6 +113,8 @@ class TestIO:
         write(d, tmp_path / "a.tsv")
         write(d, tmp_path / "b.tsv")
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+        assert companion_path(tmp_path / "a.tsv").read_bytes() == \
+            companion_path(tmp_path / "b.tsv").read_bytes()
 
     def test_corrupt_record_names_index(self, tmp_path):
         d = generate(cfg())
@@ -240,3 +246,219 @@ def test_header_lists_the_generator_config_in_field_order(tmp_path):
         "#weakpair-dataset v1 split=none num_identities=4 views_per_identity=2 "
         "latent_dim=3 raw_dim_image=5 raw_dim_text=4 view_noise=0.10000000000000001 "
         "annotation_mask_rate=0.29999999999999999 seed=42")
+
+
+# -- the binary companion ---------------------------------------------------
+
+def same_records(a, b):
+    """Equal manifests, vectors compared by bytes (so -0.0 differs from 0.0)."""
+    assert (a.version, a.gen_config, a.split_tag) == (b.version, b.gen_config, b.split_tag)
+    assert len(a.records) == len(b.records)
+    for ra, rb in zip(a.records, b.records):
+        assert (type(ra.identity), type(ra.view)) == (int, int)
+        assert (ra.identity, ra.view) == (rb.identity, rb.view)
+        for va, vb in ((ra.image_raw, rb.image_raw), (ra.text_raw, rb.text_raw)):
+            assert va.dtype == vb.dtype == np.float64 and va.shape == vb.shape
+            assert va.tobytes() == vb.tobytes()
+
+
+def outcome(path):
+    """read(path), or the text of the DatasetFormatError it raises."""
+    try:
+        return read(path)
+    except DatasetFormatError as exc:
+        return str(exc)
+
+
+def parse_only(path):
+    """outcome(path) with the companion moved aside, so the TSV is parsed."""
+    companion = companion_path(path)
+    held = companion.with_name(companion.name + ".held")
+    if companion.exists():
+        companion.rename(held)
+    try:
+        return outcome(path)
+    finally:
+        if held.exists():
+            held.rename(companion)
+
+
+def save_companion(path, table):
+    """A companion for the TSV at path whose digest is right for table."""
+    digest = hashlib.sha256(path.read_bytes() + table.tobytes()).digest()
+    with open(companion_path(path), "wb") as handle:
+        np.save(handle, np.frombuffer(digest, dtype=np.uint8))
+        np.save(handle, table)
+
+
+def load_table(path):
+    with open(companion_path(path), "rb") as handle:
+        np.load(handle)
+        return np.load(handle)
+
+
+def edit_value(path):
+    lines = path.read_text().splitlines()
+    fields = lines[3].split("\t")
+    fields[2] = "0.5," + fields[2].split(",", 1)[1]
+    lines[3] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def break_record(path):
+    lines = path.read_text().splitlines()
+    lines[5] = lines[5].replace("\t", " ", 1)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def swapped_widths(path):
+    """The records with the image and text widths exchanged, bytes unchanged."""
+    table = load_table(path)
+    image, text = table.dtype["image"].shape[0], table.dtype["text"].shape[0]
+    return table.view([("identity", "<i8"), ("view", "<i8"),
+                       ("image", "<f8", (text,)), ("text", "<f8", (image,))])
+
+
+def with_nonfinite(path):
+    table = load_table(path)
+    table["image"][2, 1] = np.inf
+    return table
+
+
+def with_duplicate(path):
+    table = load_table(path)
+    table[["identity", "view"]][1] = table[["identity", "view"]][0]
+    return table
+
+
+def damage(case, path, tmp_path):
+    companion = companion_path(path)
+    if case == "missing":
+        companion.unlink()
+    elif case == "stale":
+        edit_value(path)
+    elif case == "stale_malformed":
+        break_record(path)
+    elif case == "truncated":
+        companion.write_bytes(companion.read_bytes()[:-9])
+    elif case == "garbage":
+        companion.write_bytes(np.random.default_rng(0).bytes(600))
+    elif case == "npz":
+        table = load_table(path)
+        with open(companion, "wb") as handle:
+            np.savez(handle, digest=np.zeros(32, np.uint8), table=table)
+    elif case == "foreign":
+        other = tmp_path / "other.tsv"
+        write(generate(cfg(seed=7)), other)
+        companion.write_bytes(companion_path(other).read_bytes())
+    else:
+        save_companion(path, {"wrong_dtype": swapped_widths, "nonfinite": with_nonfinite,
+                              "duplicate": with_duplicate}[case](path))
+
+
+@pytest.mark.parametrize("case", ["missing", "stale", "stale_malformed", "truncated",
+                                  "garbage", "npz", "foreign", "wrong_dtype", "nonfinite",
+                                  "duplicate"])
+def test_unusable_companion_gives_what_the_parse_gives(tmp_path, monkeypatch, case):
+    """Whatever is wrong with the companion, read returns the parse's manifest
+    or raises the parse's message; it never reads the companion's records."""
+    path = tmp_path / "data.tsv"
+    d = generate(cfg())
+    write(d, path)
+    damage(case, path, tmp_path)
+    parses = []
+    parse = data._parse_records
+    monkeypatch.setattr(data, "_parse_records", lambda *a: parses.append(1) or parse(*a))
+    got = outcome(path)
+    assert parses == [1]
+    want = parse_only(path)
+    if isinstance(want, str):
+        assert got == want and "record 4: expected 4 fields" in want
+    else:
+        same_records(got, want)
+        assert manifests_equal(want, d) == (case != "stale")
+
+
+def test_valid_companion_is_read_without_parsing(tmp_path, monkeypatch):
+    path = tmp_path / "data.tsv"
+    d = generate(cfg())
+    write(d, path)
+
+    def no_parse(*args):
+        raise AssertionError("records parsed from the TSV")
+
+    monkeypatch.setattr(data, "_parse_records", no_parse)
+    same_records(read(path), d)
+    companion_path(path).unlink()
+    with pytest.raises(AssertionError, match="parsed"):
+        read(path)
+
+
+_edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1e308, -1e308, 1.7976931348623157e308])
+
+
+@given(rows=st.lists(st.tuples(*[st.one_of(_edge, _finite)] * 4), min_size=1, max_size=6),
+       split_tag=st.sampled_from(["none", "test", ""]))
+@settings(max_examples=80, deadline=None)
+def test_companion_read_equals_parse_bit_for_bit(rows, split_tag, tmp_path_factory):
+    d = generate(cfg(num_identities=len(rows), views_per_identity=1,
+                     raw_dim_image=2, raw_dim_text=2))
+    for rec, (a, b, c, e) in zip(d.records, rows):
+        rec.image_raw = np.array([a, b])
+        rec.text_raw = np.array([c, e])
+    d = dataclasses.replace(d, split_tag=split_tag)
+    path = tmp_path_factory.mktemp("bits") / "data.tsv"
+    write(d, path)
+    with_companion = read(path)
+    companion_path(path).unlink()
+    parsed = read(path)
+    same_records(with_companion, parsed)
+    same_records(with_companion, d)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda r: setattr(r[2], "image_raw", np.where(np.arange(5) == 1, np.nan, 1.0)),
+     "record 2: non-finite vector entry"),
+    (lambda r: setattr(r[3], "text_raw", np.ones(5)), "record 3: vector length mismatch"),
+    (lambda r: setattr(r[5], "view", r[4].view), "record 5: duplicate (identity, view)"),
+    (lambda r: setattr(r[1], "identity", 1.0), "record 1: identity and view must be"),
+    (lambda r: setattr(r[6], "view", 2**63), "record 6: identity and view must be"),
+])
+def test_write_refuses_a_record_read_would_reject(tmp_path, change, message):
+    d = generate(cfg())
+    change(d.records)
+    path = tmp_path / "data.tsv"
+    with pytest.raises(ValueError, match=re.escape(f"cannot write {path}: {message}")):
+        write(d, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(version="v9"), "format version 'v9'"),
+    (dict(split_tag="a b"), "malformed header token 'b'"),
+    (dict(gen_config=dataclasses.replace(cfg(), raw_dim_text=0)),
+     "header: raw_dim_text must be >= 1"),
+])
+def test_write_refuses_a_header_read_would_reject(tmp_path, change, message):
+    path = tmp_path / "data.tsv"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write(dataclasses.replace(generate(cfg()), **change), path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("where, offset", [
+    ("header", lambda raw: 10),
+    ("record 0", lambda raw: raw.index(b"\n") + 3),
+    ("record 8", len),  # after the last line break: the line after record 7
+])
+def test_non_utf8_byte_names_the_line(tmp_path, where, offset):
+    path = tmp_path / "data.tsv"
+    write(generate(cfg()), path)
+    raw = path.read_bytes()
+    at = offset(raw)
+    path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+    with pytest.raises(DatasetFormatError) as info:
+        read(path)
+    assert str(info.value) == (f"{path}: {where}: not UTF-8 (byte 0xff at offset {at}: "
+                               f"invalid start byte)")
