@@ -15,7 +15,11 @@ the text, written under ``tsv-only/default``; ``diff -r OUT/default/eval
 OUT/tsv-only/default/eval`` and the same for ``diag`` must be empty, showing
 that both reading paths agree); a mapping leg (a 2-epoch ``train`` with
 ``train.mapping=linear`` and one with ``power`` on the default data, each
-followed by ``eval`` and ``diag``); a
+followed by ``eval`` and ``diag``); a gallery leg (the set-up of bench
+``eval_gallery`` at seed 21 through the CLI: ``gen`` with 400 identities,
+``train_fraction=0.375`` and ``split_seed=21``, a 5-epoch ``train``, then
+``eval`` and ``diag`` on its 1000-record test gallery, which the ranking
+passes over in many blocks of query rows); a
 resume leg per ablation mode of the default config (stopped mid-epoch,
 then resumed from the in-memory checkpoint, writing both checkpoints and the
 joined ``train_log.csv``); a degenerate leg (a 3-epoch ``train`` per ablation
@@ -121,6 +125,19 @@ def mapping_leg(out: Path, data_dir: Path) -> None:
                      "--out", str(cell / command))
 
 
+def gallery_leg(out: Path, seed: int = 21) -> None:
+    """bench eval_gallery's set-up at one seed, then eval and diag on its gallery."""
+    weakpair(out / "data", "gen", "--out", str(out / "data"), "--seed", str(seed),
+             "--set", "gen.num_identities=400", "--set", "gen.train_fraction=0.375",
+             "--set", f"gen.split_seed={seed}")
+    weakpair(out / "train", "train", "--data", str(out / "data" / "train.tsv"),
+             "--out", str(out / "train"), "--seed", str(seed), "--set", "train.epochs=5")
+    for command in ("eval", "diag"):
+        weakpair(out / command, command, "--data", str(out / "data" / "test.tsv"),
+                 "--checkpoint", str(out / "train" / "checkpoint.json"),
+                 "--out", str(out / command))
+
+
 def degenerate_leg(out: Path, train_d: data.DatasetManifest) -> None:
     """Each ablation mode on a dataset cut from the default training set: 181
     identities (each epoch ends on a batch of 5), every third of them left
@@ -153,6 +170,7 @@ def main(out: Path) -> None:
                  "--out", str(run / command))
     tsv_only_leg(out, run)
     mapping_leg(out / "mappings", run / "data")
+    gallery_leg(out / "gallery")
     train_d = data.read(run / "data" / "train.tsv")
     resume_leg(out / "resume", train_d)
     degenerate_leg(out / "degenerate", train_d)

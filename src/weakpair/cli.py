@@ -175,7 +175,7 @@ def write_summary(path: Path, result: EvalResult, identities: int, mapping: str,
     summary = {
         "records": len(result.uncertainties),
         "identities": identities,
-        "ranked_queries": len(result.ranking.queries),
+        "ranked_queries": len(result.ranking.query_ids),
         "excluded_queries": result.ranking.excluded,
         "zero_norm_rows": result.zero_norm_rows,
         "mapping": mapping,

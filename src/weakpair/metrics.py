@@ -4,16 +4,18 @@ Queries are texts, galleries are images, and an item is relevant iff it
 shares the query's identity.  Rankings order by descending score with ties
 broken by lower gallery index, so every metric is a pure function of the
 scores and flags regardless of input order.  A query keeps only the ranks of
-its relevant items, counted rather than sorted: every metric here is a
-function of those ranks.
+its relevant items, read off its score row sorted once: every metric here is
+a function of those ranks.
 
 Each stage is one pass over whole arrays rather than a loop over queries:
-ranks are counted for every (query, relevant item) pair at once, the
+ranks are bisected for every (query, relevant item) pair of a block of
+queries at once, a ranking is held as arrays over its queries, the
 precision table is filled per group of queries with equal relevant counts,
 and embedding dot products are taken for all pairs of a stage together by
 ``_row_dots``.  The passes keep the per-query arithmetic bit for bit:
 
-- every precision is one int/int division m / r_m (``_hit_precisions``);
+- every precision is one int/int division m / r_m (``_hit_precisions``, or
+  its flat form over all of a ranking's pairs in ``rank_queries``);
 - every dot product is matmul's vector-by-vector case, which numpy routes
   through the same dot kernel as a one-pair ``a @ b`` (tests pin this);
 - every sum that leaves numpy -- AP, mAP, the macro precision columns, the
@@ -26,7 +28,6 @@ the tests match these implementations exactly rather than to a tolerance.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -40,7 +41,7 @@ from .training import NumericAbort
 DEFAULT_RECALL_GRID = tuple(i / 100 for i in range(1, 100)) + (1.0,)
 RISK_COVERAGE_POINTS = 20
 MARGIN_HIST_BINS = 40  # fixed-width bins over [-2, 2]
-RANK_CHUNK = 64  # (query, relevant item) pairs compared against the gallery at once
+RANK_CHUNK = 64  # gallery rows (sorted query rows, or tied pairs' rows) held at once
 
 
 @dataclass
@@ -58,8 +59,40 @@ class QueryRanking:
 
 @dataclass
 class RankingResult:
-    queries: list[QueryRanking]
+    """Every rankable query's relevant ranks, as arrays over those queries.
+
+    The i-th rankable query holds hit_ranks[starts[i]:starts[i] + counts[i]].
+    """
+    query_ids: np.ndarray      # rankable queries, ascending
+    counts: np.ndarray         # relevant items per rankable query
+    hit_ranks: np.ndarray      # each query's ascending 1-based ranks, concatenated
+    aps: np.ndarray            # average precision per rankable query
+    uncertainties: np.ndarray  # uncertainty per rankable query
     excluded: int  # queries dropped for having no relevant gallery item
+
+    @property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.counts) - self.counts
+
+    @property
+    def first_hits(self) -> np.ndarray:
+        return self.hit_ranks[self.starts]
+
+    @property
+    def queries(self) -> list[QueryRanking]:
+        """One view per rankable query; its hit_ranks share this result's array."""
+        return [QueryRanking(query=q, hit_ranks=self.hit_ranks[start:start + count],
+                             uncertainty=u, ap=ap)
+                for q, start, count, u, ap in zip(
+                    self.query_ids.tolist(), self.starts.tolist(), self.counts.tolist(),
+                    self.uncertainties.tolist(), self.aps.tolist())]
+
+
+def _rankable(result: RankingResult) -> int:
+    """The number of rankable queries; metrics are undefined without one."""
+    if result.query_ids.shape[0] == 0:
+        raise ValueError("no rankable queries")
+    return result.query_ids.shape[0]
 
 
 @dataclass
@@ -121,61 +154,90 @@ def average_precision(flags) -> float:
     return math.fsum(_hit_precisions(hit_ranks).tolist()) / hit_ranks.shape[0]
 
 
+def _at_most(rows: np.ndarray, row: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """#{i: rows[row[p], i] <= keys[p]} for every p, by one bisection of the
+    ascending rows over all p at once (binary lifting: the largest count whose
+    last value is still <= the key)."""
+    width = rows.shape[1]
+    flat, base = rows.ravel(), row * width
+    count = np.zeros(keys.shape[0], dtype=np.intp)
+    step = 1 << (width.bit_length() - 1)
+    while step:
+        probe = count + step
+        fits = probe <= width
+        count += step * (fits & (flat[base + np.minimum(probe, width) - 1] <= keys))
+        step >>= 1
+    return count
+
+
 def rank_queries(scores: np.ndarray, relevance: np.ndarray,
                  uncertainties: np.ndarray) -> RankingResult:
     """Rank the relevant items of every query; zero-relevance queries are counted out.
 
     Relevant item j of query q ranks 1 + #{i: s_qi > s_qj} + #{i: s_qi == s_qj,
     i < j}, its position in the descending order with ties to the lower
-    index.  Every (q, j) pair is counted against its gallery row, RANK_CHUNK
-    pairs at a time, so the pass allocates no (pairs x gallery) array.
+    index.  Query rows are sorted RANK_CHUNK at a time and each pair's
+    #{i: s_qi <= s_qj} is bisected from its sorted row; the tie count is
+    taken over the gallery row only for pairs whose key is not alone in it.
     """
+    n_queries, n_gallery = scores.shape
+    if relevance.shape != scores.shape:
+        raise ValueError(f"relevance shape {relevance.shape} differs from "
+                         f"scores shape {scores.shape}")
+    u = np.asarray(uncertainties, dtype=np.float64)
+    if u.shape != (n_queries,):
+        raise ValueError(f"uncertainties shape {u.shape} is not one entry per query "
+                         f"of scores shape {scores.shape}")
     finite = np.isfinite(scores).all(axis=1)
     if not finite.all():
         raise ValueError(f"query {int(np.argmin(finite))}: non-finite score")
-    n_queries, n_gallery = scores.shape
     pair_q, pair_j = np.divmod(np.flatnonzero(relevance), n_gallery)
-    keys = scores[pair_q, pair_j][:, None]
-    indices = np.arange(n_gallery)
+    keys = scores[pair_q, pair_j]
     ranks = np.empty(pair_q.shape[0], dtype=np.intp)
-    for lo in range(0, pair_q.shape[0], RANK_CHUNK):
-        rows, key = scores[pair_q[lo:lo + RANK_CHUNK]], keys[lo:lo + RANK_CHUNK]
-        ahead = (rows == key) & (indices < pair_j[lo:lo + RANK_CHUNK, None])
-        ahead |= rows > key
-        ranks[lo:lo + RANK_CHUNK] = 1 + np.count_nonzero(ahead, axis=1)
-    # Pairs arrive grouped by query; order each query's ranks ascending.
+    tied = np.zeros(pair_q.shape[0], dtype=bool)
+    for lo in range(0, n_queries, RANK_CHUNK):
+        # Pairs arrive grouped by query, so a block's pairs are one slice.
+        a, b = np.searchsorted(pair_q, (lo, lo + RANK_CHUNK)).tolist()
+        if a == b:
+            continue
+        rows, row, key = np.sort(scores[lo:lo + RANK_CHUNK], axis=1), pair_q[a:b] - lo, keys[a:b]
+        at_most = _at_most(rows, row, key)
+        ranks[a:b] = 1 + n_gallery - at_most
+        # The key is the last value <= itself; an equal value before it is a tie.
+        tied[a:b] = (at_most >= 2) & (rows[row, np.maximum(at_most - 2, 0)] == key)
+    tied = np.flatnonzero(tied)
+    indices = np.arange(n_gallery)
+    for lo in range(0, tied.shape[0], RANK_CHUNK):
+        pairs = tied[lo:lo + RANK_CHUNK]
+        ahead = scores[pair_q[pairs]] == keys[pairs, None]
+        ahead &= indices < pair_j[pairs, None]
+        ranks[pairs] += np.count_nonzero(ahead, axis=1)
+    # Order each query's ranks ascending.
     ranks = ranks[np.lexsort((ranks, pair_q))]
     counts = np.bincount(pair_q, minlength=n_queries)
     ranked = np.flatnonzero(counts)
     counts = counts[ranked]
-    starts = np.cumsum(counts) - counts
-    hit_ranks: list = [None] * ranked.shape[0]
-    aps: list = [None] * ranked.shape[0]
-    for count, rows in _groups_by_count(counts):
-        block = ranks[starts[rows, None] + np.arange(count)]
-        for row, ranks_row, precisions in zip(rows.tolist(), block, _hit_precisions(block)):
-            hit_ranks[row] = ranks_row
-            aps[row] = math.fsum(precisions.tolist()) / count
-    u = np.asarray(uncertainties, dtype=np.float64)[ranked].tolist()
-    queries = [QueryRanking(query=q, hit_ranks=h, uncertainty=v, ap=ap)
-               for q, h, v, ap in zip(ranked.tolist(), hit_ranks, u, aps)]
-    return RankingResult(queries, n_queries - ranked.shape[0])
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # Precision m / r_m at each query's m-th rank, and its fsum per query.
+    precisions = ((np.arange(ranks.shape[0]) - np.repeat(starts, counts) + 1) / ranks).tolist()
+    sums = [math.fsum(precisions[a:b]) for a, b in zip(starts.tolist(), ends.tolist())]
+    return RankingResult(query_ids=ranked, counts=counts, hit_ranks=ranks,
+                         aps=np.array(sums, dtype=np.float64) / counts,
+                         uncertainties=u[ranked], excluded=n_queries - ranked.shape[0])
 
 
 def recall_at_k(result: RankingResult, k: int) -> float:
     """Fraction of queries whose first relevant item appears in the top k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not result.queries:
-        raise ValueError("no rankable queries")
-    hits = [1.0 if q.first_hit <= k else 0.0 for q in result.queries]
-    return math.fsum(hits) / len(hits)
+    n = _rankable(result)
+    return np.count_nonzero(result.first_hits <= k) / n
 
 
 def mean_average_precision(result: RankingResult) -> float:
-    if not result.queries:
-        raise ValueError("no rankable queries")
-    return math.fsum(q.ap for q in result.queries) / len(result.queries)
+    n = _rankable(result)
+    return math.fsum(result.aps.tolist()) / n
 
 
 def pr_curve(result: RankingResult, grid=DEFAULT_RECALL_GRID) -> PRCurve:
@@ -184,23 +246,23 @@ def pr_curve(result: RankingResult, grid=DEFAULT_RECALL_GRID) -> PRCurve:
     The area integrates from recall 0, extending the first grid value left,
     so a ranker with precision 1 everywhere scores exactly 1.
     """
-    if not result.queries:
-        raise ValueError("no rankable queries")
+    n = _rankable(result)
     grid = list(grid)
     if not grid or any(not 0.0 < r <= 1.0 for r in grid):
         raise ValueError("recall grid must lie in (0, 1]")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("recall grid must be strictly increasing")
     # A level's precision is m / r_m for the first m with recall m / R >= level;
     # R / R == 1.0 reaches every level in the grid.  Queries with equal R
     # share the level -> m lookup, so each group fills its rows at once.
     levels = np.array(grid)
-    queries = result.queries
-    counts = np.array([q.hit_ranks.shape[0] for q in queries])
-    table = np.empty((len(queries), levels.shape[0]))
-    for count, rows in _groups_by_count(counts):
-        block = np.stack([queries[row].hit_ranks for row in rows.tolist()])
+    starts = result.starts
+    table = np.empty((n, levels.shape[0]))
+    for count, rows in _groups_by_count(result.counts):
+        block = result.hit_ranks[starts[rows, None] + np.arange(count)]
         recalls = np.arange(1, count + 1) / count
         table[rows] = _hit_precisions(block)[:, np.searchsorted(recalls, levels)]
-    macro = [math.fsum(column.tolist()) / table.shape[0] for column in table.T]
+    macro = [math.fsum(column.tolist()) / n for column in table.T]
     xs = [0.0] + grid
     ys = [macro[0]] + macro
     auc = math.fsum((xs[i] - xs[i - 1]) * (ys[i] + ys[i - 1]) / 2
@@ -215,30 +277,25 @@ def risk_coverage(result: RankingResult,
     Retention counts come from integer ceilings of the rational coverages,
     so no float rounding can off-by-one the cut.
     """
-    if not result.queries:
-        raise ValueError("no rankable queries")
-    n = len(result.queries)
-    u = np.array([q.uncertainty for q in result.queries])
-    order = np.lexsort((np.arange(n), u))
-    correct = np.array([q.first_hit == 1 for q in result.queries])[order]
-    coverages, risks = [], []
-    for i in range(1, n_points + 1):
-        retained = -((-i * n) // n_points)  # ceil(i * n / n_points)
-        errors = int(retained - correct[:retained].sum())
-        coverages.append(i / n_points)
-        risks.append(errors / retained)
-    return RiskCoverage(np.array(coverages), np.array(risks))
+    if n_points < 1:
+        raise ValueError("n_points must be >= 1")
+    n = _rankable(result)
+    order = np.lexsort((np.arange(n), result.uncertainties))
+    correct = np.cumsum(result.first_hits[order] == 1)
+    points = np.arange(1, n_points + 1)
+    retained = -((-points * n) // n_points)  # ceil(i * n / n_points)
+    return RiskCoverage(points / n_points, (retained - correct[retained - 1]) / retained)
 
 
 def reliability_stats(result: RankingResult) -> ReliabilityStats:
     """Mean uncertainty grouped by top-1 correctness; None flags empty groups."""
-    correct = [q.uncertainty for q in result.queries if q.first_hit == 1]
-    incorrect = [q.uncertainty for q in result.queries if q.first_hit != 1]
+    correct = result.first_hits == 1
 
-    def mean(values: list[float]) -> float | None:
-        return math.fsum(values) / len(values) if values else None
+    def mean(values: np.ndarray) -> float | None:
+        return math.fsum(values.tolist()) / values.shape[0] if values.shape[0] else None
 
-    return ReliabilityStats(mean(correct), mean(incorrect))
+    return ReliabilityStats(mean(result.uncertainties[correct]),
+                            mean(result.uncertainties[~correct]))
 
 
 def margin_stats(txt_emb: np.ndarray, img_emb: np.ndarray,
@@ -276,33 +333,41 @@ def margin_tuples(identities: np.ndarray,
     the identity is a singleton); the negative is any other identity.  Both
     are uniform draws over ascending record indices, weak first.
     """
-    ids = identities.tolist()
-    members = _members(ids)
-    if len(members) == 1:
+    _, group, sizes = np.unique(identities, return_inverse=True, return_counts=True)
+    if sizes.shape[0] == 1:
         raise ValueError("margin tuples need at least two identities")
-    groups = [members[identity] for identity in ids]
+    n = group.shape[0]
+    if n == 0:
+        return []
+    # Records grouped by identity, ascending within it: start[r] is where
+    # record r's identity begins and member[r] is r's place among its own.
+    grouped = np.argsort(group, kind="stable")
+    start = (np.cumsum(sizes) - sizes)[group]
+    member = np.empty(n, dtype=np.intp)
+    member[grouped] = np.arange(n) - start[grouped]
+    size = sizes[group]
     # One generator call for every draw, in per-record order: the weak index
     # among the other members (singletons draw none), then the negative.
-    bounds = []
-    for rows in groups:
-        if len(rows) > 1:
-            bounds.append(len(rows) - 1)
-        bounds.append(len(ids) - len(rows))
-    draws = iter(rng.integers(bounds).tolist() if bounds else [])
-    # before[identity][j]: records of other identities ahead of member j.
-    before = {identity: [m - j for j, m in enumerate(rows)] for identity, rows in members.items()}
-    tuples = []
-    for q, rows in enumerate(groups):
-        weak = q
-        if len(rows) > 1:
-            # The k-th member other than q: members from q on shift by one.
-            k = next(draws)
-            weak = rows[k] if rows[k] < q else rows[k + 1]
-        # The k-th record outside the identity: k plus the members ahead of it.
-        k = next(draws)
-        neg = k + bisect.bisect_right(before[ids[q]], k)
-        tuples.append((q, q, weak, neg))
-    return tuples
+    has_weak = size > 1
+    neg_at = np.cumsum(1 + has_weak) - 1
+    weak_at = neg_at[has_weak] - 1
+    bounds = np.empty(neg_at[-1] + 1, dtype=np.int64)
+    bounds[weak_at] = size[has_weak] - 1
+    bounds[neg_at] = n - size
+    draws = rng.integers(bounds)
+    # The k-th member other than q: members from q on shift by one.
+    k = draws[weak_at]
+    weak = np.arange(n)
+    weak[has_weak] = grouped[start[has_weak] + k + (k >= member[has_weak])]
+    # The k-th record outside the identity: k plus the members ahead of it.
+    # A member's count of other-identity records before it (r - member[r])
+    # ascends within its identity; offset by identity, one sorted key list.
+    stride = n + 1
+    before = group[grouped] * stride + grouped - member[grouped]
+    k = draws[neg_at]
+    neg = k + np.searchsorted(before, group * stride + k, side="right") - start
+    q = range(n)
+    return list(zip(q, q, weak.tolist(), neg.tolist()))
 
 
 def query_uncertainty(img_emb: np.ndarray, txt_emb: np.ndarray,

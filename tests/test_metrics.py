@@ -6,14 +6,17 @@ so agreement is exact rather than approximate.
 """
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weakpair import metrics
 from weakpair.autograd import Graph
 from weakpair.losses import MAPPINGS, consistency_uncertainty, mapping_value
-from weakpair.metrics import (DEFAULT_RECALL_GRID, QueryRanking, RankingResult,
+from weakpair.metrics import (DEFAULT_RECALL_GRID, RankingResult,
                               _row_dots, average_precision, margin_stats,
                               margin_tuples, mean_average_precision, pr_curve,
                               query_uncertainty, rank_queries, recall_at_k,
@@ -126,6 +129,13 @@ class TestPrCurve:
         with pytest.raises(ValueError):
             pr_curve(ranking_for([[1, 0]]), grid=[0.0, 0.5])
 
+    @pytest.mark.parametrize("grid", [[1.0, 0.5], [0.5, 0.5, 1.0]])
+    def test_grid_must_be_strictly_increasing(self, grid):
+        # Out of order, [1.0, 0.5] would read an AUC of 0.25 for a ranking whose
+        # only relevant item is 2nd; [1.0] reads 0.5.
+        with pytest.raises(ValueError, match="strictly increasing"):
+            pr_curve(ranking_for([[0, 1]]), grid=grid)
+
 
 class TestRiskCoverage:
     def test_perfect_ordering_zero_risk_at_correct_fraction(self):
@@ -154,6 +164,11 @@ class TestRiskCoverage:
         flags = [[0, 1], [1, 0]]
         rc = risk_coverage(ranking_for(flags, u=[0.5, 0.5]), n_points=2)
         np.testing.assert_array_equal(rc.risks, [1.0, 0.5])
+
+    @pytest.mark.parametrize("n_points", [0, -3])
+    def test_needs_a_point(self, n_points):
+        with pytest.raises(ValueError, match="n_points"):
+            risk_coverage(ranking_for([[1, 0]]), n_points=n_points)
 
 
 class TestReliability:
@@ -353,6 +368,23 @@ def test_non_finite_score_rejected_naming_the_query(bad):
         rank_queries(scores, relevance, np.zeros(3))
 
 
+def test_relevance_of_another_shape_rejected_naming_both():
+    # Transposed, flat index 3 would be read as query 1, item 0.
+    scores = np.array([[0.5, 0.2, 0.1], [0.3, 0.4, 0.6]])
+    relevance = np.zeros((3, 2), dtype=bool)
+    relevance[1, 1] = True
+    with pytest.raises(ValueError, match=r"\(3, 2\).*\(2, 3\)"):
+        rank_queries(scores, relevance, np.zeros(2))
+
+
+@pytest.mark.parametrize("u", [np.zeros(5), np.zeros(1), np.zeros((2, 1)), np.float64(0.0)])
+def test_uncertainties_not_one_per_query_rejected_naming_both(u):
+    scores = np.array([[0.5, 0.2, 0.1], [0.3, 0.4, 0.6]])
+    relevance = np.eye(2, 3, dtype=bool)
+    with pytest.raises(ValueError, match=rf"{re.escape(str(u.shape))}.*\(2, 3\)"):
+        rank_queries(scores, relevance, u)
+
+
 def oracle_margin_tuples(identities, rng):
     """The per-record form: two full-gallery identity masks per record."""
     n = identities.shape[0]
@@ -403,7 +435,7 @@ def reference_rank_queries(scores, relevance, uncertainties):
     """The per-query form: one counting pass and one sort per query."""
     n_queries, n_gallery = scores.shape
     indices = np.arange(n_gallery)
-    queries, excluded = [], 0
+    ranked, hit_ranks, aps, excluded = [], [], [], 0
     for q in range(n_queries):
         row = scores[q]
         if not np.isfinite(row).all():
@@ -414,12 +446,18 @@ def reference_rank_queries(scores, relevance, uncertainties):
             continue
         key = row[hits, None]
         ahead = (row > key) | ((row == key) & (indices < hits[:, None]))
-        hit_ranks = np.sort(1 + np.count_nonzero(ahead, axis=1))
-        precisions = np.arange(1, hit_ranks.shape[0] + 1) / hit_ranks
-        queries.append(QueryRanking(
-            query=q, hit_ranks=hit_ranks, uncertainty=float(uncertainties[q]),
-            ap=math.fsum(precisions.tolist()) / hit_ranks.shape[0]))
-    return RankingResult(queries, excluded)
+        ranks = np.sort(1 + np.count_nonzero(ahead, axis=1))
+        precisions = np.arange(1, ranks.shape[0] + 1) / ranks
+        ranked.append(q)
+        hit_ranks.append(ranks)
+        aps.append(math.fsum(precisions.tolist()) / ranks.shape[0])
+    return RankingResult(
+        query_ids=np.array(ranked, dtype=np.intp),
+        counts=np.array([h.shape[0] for h in hit_ranks], dtype=np.intp),
+        hit_ranks=np.concatenate([np.empty(0, dtype=np.intp), *hit_ranks]),
+        aps=np.array(aps, dtype=np.float64),
+        uncertainties=np.asarray(uncertainties, dtype=np.float64)[ranked],
+        excluded=excluded)
 
 
 def reference_pr_precisions(result, grid=DEFAULT_RECALL_GRID):
@@ -480,6 +518,58 @@ def test_whole_array_ranks_and_pr_curve_match_per_query_reference(data):
         assert_bits_equal(g.uncertainty, w.uncertainty)
     if got.queries:
         assert_bits_equal(pr_curve(got).precisions, reference_pr_precisions(want))
+
+
+def assert_rankings_bits_equal(got, want):
+    assert got.excluded == want.excluded
+    for name in ("query_ids", "counts", "hit_ranks", "aps", "uncertainties"):
+        assert_bits_equal(getattr(got, name), getattr(want, name))
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_blocked_ranks_match_per_query_reference(data):
+    """Blocks of 2 or 3 query rows over more queries than one block holds, on
+    tie-heavy rows with signed zeros: blocks start mid-way through the pair
+    list, skip queries with no relevant item, and ties fall in several blocks
+    and in several chunks of the tie count."""
+    chunk = data.draw(st.sampled_from([2, 3]))
+    values = data.draw(_tie_values)
+    n_q, gallery = data.draw(st.integers(chunk + 1, 12)), data.draw(st.integers(1, 30))
+    scores = np.array([data.draw(st.lists(st.sampled_from(values),
+                                          min_size=gallery, max_size=gallery))
+                       for _ in range(n_q)])
+    relevance = np.array([data.draw(st.lists(st.booleans(),
+                                             min_size=gallery, max_size=gallery))
+                          for _ in range(n_q)])
+    u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_q, max_size=n_q)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "RANK_CHUNK", chunk)
+        got = rank_queries(scores, relevance, u)
+    assert_rankings_bits_equal(got, reference_rank_queries(scores, relevance, u))
+
+
+@pytest.mark.parametrize("step", [0.0, 2.0 ** -6])
+def test_ranking_a_large_gallery_holds_no_whole_score_copy(step):
+    """A 1000-query gallery of 4-record identities, with distinct scores or
+    with scores on a 1/64 grid, where most keys tie.  Sorting every row at
+    once would add an 8 MB copy; blocks of RANK_CHUNK rows stay near 1 MB."""
+    rng = np.random.default_rng(3)
+    identities = np.repeat(np.arange(250), 4)
+    txt, img = unit_rows(rng, 1000, 16), unit_rows(rng, 1000, 16)
+    scores = txt @ img.T
+    if step:
+        scores = np.round(scores / step) * step
+    relevance = identities[:, None] == identities[None, :]
+    u = rng.random(1000)
+    tracemalloc.start()
+    try:
+        got = rank_queries(scores, relevance, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, f"rank_queries peaked at {peak / 2 ** 20:.2f} MB"
+    assert_rankings_bits_equal(got, reference_rank_queries(scores, relevance, u))
 
 
 @given(ids=st.lists(st.integers(0, 6), min_size=1, max_size=40),
