@@ -11,9 +11,12 @@ no difference:
 The run covers the default ``weakpair gen``, ``train``, ``eval`` and ``diag``;
 a TSV-only leg (``eval`` and ``diag`` again, on a copy of the default
 ``test.tsv`` without its binary ``.npy`` companion, so ``data.read`` parses
-the text, written under ``tsv-only/default``; ``diff -r OUT/default/eval
-OUT/tsv-only/default/eval`` and the same for ``diag`` must be empty, showing
-that both reading paths agree); a mapping leg (a 2-epoch ``train`` with
+the text, written under ``tsv-only/default``) and a JSON-only leg (the same
+on a copy of the default ``checkpoint.json`` without its companion, so
+``load_checkpoint`` parses the JSON, written under ``json-only/default``):
+``diff -r OUT/default/eval OUT/tsv-only/default/eval``, the same for
+``diag`` and for ``json-only`` must be empty, showing that both reading
+paths of each file agree; a mapping leg (a 2-epoch ``train`` with
 ``train.mapping=linear`` and one with ``power`` on the default data, each
 followed by ``eval`` and ``diag``); a gallery leg (the set-up of bench
 ``eval_gallery`` at seed 21 through the CLI: ``gen`` with 400 identities,
@@ -93,21 +96,26 @@ def resume_leg(out: Path, train_d: data.DatasetManifest) -> None:
                       *cli.train_log_rows(TrainLog(first.steps + rest.steps)))
 
 
-def tsv_only_leg(out: Path, run: Path) -> None:
-    """eval and diag again on a companion-less copy of the default test set.
+def text_only_leg(out: Path, run: Path, name: str, copied: str) -> None:
+    """eval and diag again, with one default input copied without its companion.
 
-    They run inside out/tsv-only with run's relative output paths, so every
-    file under out/tsv-only/<run> must equal its counterpart under <run>,
-    console lines included."""
-    leg = out / "tsv-only"
+    copied is "data" (test.tsv, which data.read then parses) or "checkpoint"
+    (checkpoint.json, which load_checkpoint then parses).  They run inside
+    out/<name> with run's relative output paths, so every file under
+    out/<name>/<run> must equal its counterpart under <run>, console lines
+    included."""
+    leg = out / name
     leg.mkdir()
-    shutil.copyfile(run / "data" / "test.tsv", leg / "test.tsv")
+    inputs = {"data": run / "data" / "test.tsv", "checkpoint": run / "train" / "checkpoint.json"}
+    argv = {key: str(".." / path) for key, path in inputs.items()}
+    shutil.copyfile(inputs[copied], leg / inputs[copied].name)
+    argv[copied] = inputs[copied].name
     cwd = os.getcwd()
     os.chdir(leg)
     try:
         for command in ("eval", "diag"):
-            weakpair(run / command, command, "--data", "test.tsv", "--checkpoint",
-                     str(".." / run / "train" / "checkpoint.json"), "--out", str(run / command))
+            weakpair(run / command, command, "--data", argv["data"], "--checkpoint",
+                     argv["checkpoint"], "--out", str(run / command))
     finally:
         os.chdir(cwd)
 
@@ -168,7 +176,8 @@ def main(out: Path) -> None:
         weakpair(run / command, command, "--data", str(run / "data" / "test.tsv"),
                  "--checkpoint", str(run / "train" / "checkpoint.json"),
                  "--out", str(run / command))
-    tsv_only_leg(out, run)
+    text_only_leg(out, run, "tsv-only", "data")
+    text_only_leg(out, run, "json-only", "checkpoint")
     mapping_leg(out / "mappings", run / "data")
     gallery_leg(out / "gallery")
     train_d = data.read(run / "data" / "train.tsv")

@@ -13,17 +13,15 @@ File format (one dataset per file, UTF-8):
 Vector values are comma-separated decimals with 17 significant digits, which
 round-trips IEEE float64 exactly.
 
-The TSV is the dataset.  Beside it, ``write`` puts a binary companion,
-``<name>.tsv.npy``: two ``np.save`` arrays, the sha256 digest of the TSV's
-bytes followed by the table's bytes (32 uint8), then the records as one
+The TSV is the dataset.  Beside it, ``write`` puts a binary companion
+(see ``companion``), ``<name>.tsv.npy``, holding the records as one
 structured table (``identity``, ``view`` as ``<i8``; ``image``, ``text`` as
 ``<f8`` rows of the header's widths).  ``read`` parses and checks the TSV's
-header line, then takes the records from the companion only when it loads
-without pickles, has the header's dtype, its digest recomputes over the TSV
-it sits beside, its entries are finite and its (identity, view) pairs are
-unique.  Otherwise it parses the TSV's records, the only source of record
-errors; so a stale, missing, truncated or foreign companion costs time but
-never changes a result or a message.  Hand-written TSVs need no companion.
+header line, then takes the records from the companion only when
+``companion.load`` accepts it for the TSV's bytes with the header's dtype,
+its entries are finite and its (identity, view) pairs are unique.
+Otherwise it parses the TSV's records, the only source of record errors.
+Hand-written TSVs need no companion.
 """
 
 from __future__ import annotations
@@ -32,6 +30,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+
+from . import companion
+from .companion import companion_path  # noqa: F401 -- where write puts the companion
 
 FORMAT_VERSION = "v1"
 _HEADER_MAGIC = "#weakpair-dataset"
@@ -148,26 +149,10 @@ _CONFIG_FIELDS = tuple(f.name for f in fields(GenConfig))
 _FLOAT_FIELDS = {f.name for f in fields(GenConfig) if isinstance(f.default, float)}
 
 
-def companion_path(path: str | Path) -> Path:
-    """Where ``write`` puts the binary companion of the TSV at path."""
-    return Path(f"{path}.npy")
-
-
 def _table_dtype(cfg: GenConfig) -> np.dtype:
     return np.dtype([("identity", "<i8"), ("view", "<i8"),
                      ("image", "<f8", (cfg.raw_dim_image,)),
                      ("text", "<f8", (cfg.raw_dim_text,))])
-
-
-def _digest(raw: bytes, table: np.ndarray) -> bytes:
-    # Imported here: loading OpenSSL takes ~2 ms, which commands that never
-    # read or write a dataset (gradcheck) should not pay.
-    import hashlib
-
-    h = hashlib.sha256()
-    h.update(raw)
-    h.update(table)
-    return h.digest()
 
 
 def _is_int64(key) -> bool:
@@ -219,11 +204,7 @@ def write(d: DatasetManifest, path: str | Path) -> None:
             table["identity"].tolist(), table["view"].tolist(),
             table["image"].tolist(), table["text"].tolist()):
         lines.append(f"{identity}\t{view}\t{_fmt_vector(image)}\t{_fmt_vector(text)}")
-    raw = ("\n".join(lines) + "\n").encode("utf-8")
-    Path(path).write_bytes(raw)
-    with open(companion_path(path), "wb") as handle:
-        np.save(handle, np.frombuffer(_digest(raw, table), dtype=np.uint8))
-        np.save(handle, table)
+    companion.write(path, ("\n".join(lines) + "\n").encode("utf-8"), [table])
 
 
 def _decode(raw: bytes, path: str | Path) -> str:
@@ -278,16 +259,11 @@ def _parse_header(line: str, path: str | Path) -> tuple[GenConfig, str]:
 def _companion_records(path: str | Path, raw: bytes, cfg: GenConfig
                        ) -> list[PairRecord] | None:
     """The records of path's companion if it is ``write``'s own for raw; else None."""
-    try:
-        with open(companion_path(path), "rb") as handle:
-            digest = np.load(handle, allow_pickle=False)
-            table = np.load(handle, allow_pickle=False)
-    except Exception:  # whatever is wrong with a companion, the TSV decides
+    arrays = companion.load(path, raw, [_table_dtype(cfg)])
+    if arrays is None:
         return None
-    if not (isinstance(digest, np.ndarray) and isinstance(table, np.ndarray)
-            and table.dtype == _table_dtype(cfg) and table.ndim == 1
-            and digest.tobytes() == _digest(raw, table)
-            and np.isfinite(table["image"]).all() and np.isfinite(table["text"]).all()):
+    table, = arrays
+    if not (np.isfinite(table["image"]).all() and np.isfinite(table["text"]).all()):
         return None
     identities, views = table["identity"].tolist(), table["view"].tolist()
     if len(set(zip(identities, views))) != len(table):

@@ -317,12 +317,18 @@ def margin_stats(txt_emb: np.ndarray, img_emb: np.ndarray,
     )
 
 
-def _members(ids: list) -> dict:
-    """Identity -> ascending indices of its records."""
-    members: dict = {}
-    for index, identity in enumerate(ids):
-        members.setdefault(identity, []).append(index)
-    return members
+def _identity_order(identities: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each record's identity group and the group sizes (np.unique's inverse
+    and counts), with the records grouped by identity, ascending within it:
+    start[r] is where record r's identity begins in grouped and member[r] is
+    r's place among its own."""
+    _, group, sizes = np.unique(identities, return_inverse=True, return_counts=True)
+    n = group.shape[0]
+    grouped = np.argsort(group, kind="stable")
+    start = (np.cumsum(sizes) - sizes)[group]
+    member = np.empty(n, dtype=np.intp)
+    member[grouped] = np.arange(n) - start[grouped]
+    return group, sizes, grouped, start, member
 
 
 def margin_tuples(identities: np.ndarray,
@@ -333,18 +339,12 @@ def margin_tuples(identities: np.ndarray,
     the identity is a singleton); the negative is any other identity.  Both
     are uniform draws over ascending record indices, weak first.
     """
-    _, group, sizes = np.unique(identities, return_inverse=True, return_counts=True)
+    group, sizes, grouped, start, member = _identity_order(identities)
     if sizes.shape[0] == 1:
         raise ValueError("margin tuples need at least two identities")
     n = group.shape[0]
     if n == 0:
         return []
-    # Records grouped by identity, ascending within it: start[r] is where
-    # record r's identity begins and member[r] is r's place among its own.
-    grouped = np.argsort(group, kind="stable")
-    start = (np.cumsum(sizes) - sizes)[group]
-    member = np.empty(n, dtype=np.intp)
-    member[grouped] = np.arange(n) - start[grouped]
     size = sizes[group]
     # One generator call for every draw, in per-record order: the weak index
     # among the other members (singletons draw none), then the negative.
@@ -379,18 +379,18 @@ def query_uncertainty(img_emb: np.ndarray, txt_emb: np.ndarray,
     which pins their uncertainty to the mapping's floor.  The consistencies
     are mapped together, by the trainer's own mapping (losses.uncertainty).
     """
-    ids = identities.tolist()
-    members = _members(ids)
-    groups = [members[identity] for identity in ids]
-    others = [len(rows) - 1 for rows in groups]
-    # Every same-identity pair (q, o != q), q ascending, then o ascending.
-    pair_q = np.repeat(np.arange(len(ids)), others)
-    pair_o = np.array([o for q, rows in enumerate(groups) for o in rows if o != q],
-                      dtype=np.intp)
+    group, sizes, grouped, start, member = _identity_order(identities)
+    others = sizes[group] - 1
+    # Every same-identity pair (q, o != q), q ascending, then o ascending:
+    # q's j-th other is its identity's member j, or member j + 1 from q on.
+    ends = np.cumsum(others)
+    pair_q = np.repeat(np.arange(group.shape[0]), others)
+    j = np.arange(pair_q.shape[0]) - np.repeat(ends - others, others)
+    pair_o = grouped[start[pair_q] + j + (j >= member[pair_q])]
     sims = (0.5 * (_row_dots(img_emb[pair_q], img_emb[pair_o])
                    + _row_dots(txt_emb[pair_q], txt_emb[pair_o]))).tolist()
-    ends = np.cumsum(others).tolist()
-    consistency = [math.fsum(sims[end - k:end]) / k if k else 1.0 for k, end in zip(others, ends)]
+    consistency = [math.fsum(sims[end - k:end]) / k if k else 1.0
+                   for k, end in zip(others.tolist(), ends.tolist())]
     return mapping_value(np.array(consistency), mapping)
 
 

@@ -15,6 +15,7 @@ warmup-then-decay schedule (peak to peak/10 at the final step).
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import time
@@ -23,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import companion
 from .autograd import Array, Graph, Node
 from .data import DatasetManifest, PairRecord
 from .encoders import (EmbeddingBatch, ModelDims, encode, init_model,
@@ -422,14 +424,37 @@ def _flatten(layout: dict[str, Array], arrays: dict[str, Array]) -> Array:
 
 def _views(layout: dict[str, Array], flat: Array) -> dict[str, Array]:
     """flat cut into reshaped views at layout's keys and shapes."""
-    bounds = np.cumsum([np.size(v) for v in layout.values()])[:-1]
-    return {k: part.reshape(np.shape(v))
-            for (k, v), part in zip(layout.items(), np.split(flat, bounds))}
+    out, end = {}, 0
+    for k, v in layout.items():
+        start, end = end, end + np.size(v)
+        out[k] = flat[start:end].reshape(np.shape(v))
+    return out
 
 
 # -- checkpoint serialization -------------------------------------------------
-# JSON with floats rendered by repr round-trips IEEE float64 exactly, and the
-# shape records make the file self-describing.
+# checkpoint.json is the checkpoint: JSON with floats rendered by repr
+# round-trips IEEE float64 exactly, and the shape records make the file
+# self-describing.  Beside it, save_checkpoint puts a binary companion (see
+# ``companion``), checkpoint.json.npy, holding the same state as a head of
+# texts (format version, step, opt_t, the towers' raw widths and every
+# TrainConfig field, in that order), then one float64 vector of the params,
+# opt_m and opt_v values, each section flattened in the model's key order.
+# load_checkpoint builds from the companion when companion.load accepts it
+# and the state passes every check of the JSON path (_checkpoint); else it
+# parses the JSON, the only source of error messages.  A state the companion
+# cannot hold exactly (a head text over 32 characters, an int where the
+# config has a float, arrays that are not float64 at the model's keys, order
+# and shapes) gets no companion.
+
+_SECTIONS = ("params", "opt_m", "opt_v")
+_HEAD_STATE = ("format_version", "step", "opt_t", "raw_dim_image", "raw_dim_text")
+# The head's entries, in order, and their types.  Each entry is str() of its
+# value, which int() or float() reads back exactly; one text vector loads
+# faster than a structured row.
+_HEAD_FIELDS = {**{name: int for name in _HEAD_STATE},
+                **{f.name: type(f.default) for f in fields(TrainConfig)}}
+_HEAD = np.dtype("<U32")
+_NUMBERS = {int, float}  # the types json.loads gives JSON numbers
 
 
 def _encode_arrays(arrays: dict[str, Array]) -> dict:
@@ -440,25 +465,40 @@ def _encode_arrays(arrays: dict[str, Array]) -> dict:
 def _decode_arrays(payload: dict, section: str) -> dict[str, Array]:
     out = {}
     for key, spec in payload.items():
+        data = spec["data"]
+        if type(data) is not list:
+            raise CheckpointFormatError(
+                f"{section}[{key!r}]: data must be a list, got {type(data).__name__}")
+        if not set(map(type, data)) <= _NUMBERS:
+            index, bad = next((i, x) for i, x in enumerate(data) if type(x) not in _NUMBERS)
+            raise CheckpointFormatError(
+                f"{section}[{key!r}]: entry {index} is {bad!r}, not a number")
         try:
-            out[key] = np.array(spec["data"], dtype=np.float64).reshape(spec["shape"])
-        except ValueError as exc:
+            out[key] = np.array(data, dtype=np.float64).reshape(spec["shape"])
+        except (ValueError, OverflowError) as exc:
             raise CheckpointFormatError(f"{section}[{key!r}]: {exc}") from exc
         if not np.all(np.isfinite(out[key])):
             raise CheckpointFormatError(f"{section}[{key!r}]: non-finite value")
     return out
 
 
+def _model_arrays(raw_image: int, raw_text: int, cfg: TrainConfig) -> dict[str, Array]:
+    """Arrays with the model's keys, in order, and shapes."""
+    # Widths clamped to >= 1 keep init_model defined; bad ones fail the checks.
+    dims = ModelDims(*(max(d, 1) for d in (raw_image, raw_text, cfg.hidden_dim, cfg.embed_dim)))
+    return params_to_dict(init_model(0, dims))
+
+
+def _raw_widths(params: dict[str, Array]) -> list[int]:
+    return [params[k].shape[0] if k in params and params[k].ndim == 2 else 1
+            for k in ("img.w1", "txt.w1")]
+
+
 def _check_model_arrays(ckpt: Checkpoint) -> None:
     """Each array section holds exactly the model's keys, at the model's shapes."""
-    # Widths clamped to >= 1 keep init_model defined; bad ones fail the checks below.
-    raw = [ckpt.params[k].shape[0] if k in ckpt.params and ckpt.params[k].ndim == 2 else 1
-           for k in ("img.w1", "txt.w1")]
-    cfg = ckpt.config
-    dims = ModelDims(*(max(d, 1) for d in (*raw, cfg.hidden_dim, cfg.embed_dim)))
-    expected = params_to_dict(init_model(0, dims))
-    for section, arrays in (("params", ckpt.params), ("opt_m", ckpt.opt_m),
-                            ("opt_v", ckpt.opt_v)):
+    expected = _model_arrays(*_raw_widths(ckpt.params), ckpt.config)
+    for section in _SECTIONS:
+        arrays = getattr(ckpt, section)
         if arrays.keys() != expected.keys():
             raise CheckpointFormatError(
                 f"{section}: missing keys {sorted(expected.keys() - arrays.keys())}, "
@@ -469,28 +509,9 @@ def _check_model_arrays(ckpt: Checkpoint) -> None:
                     f"{section}[{key!r}]: shape {arrays[key].shape}, expected {ref.shape}")
 
 
-def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    payload = {
-        "format_version": ckpt.version,
-        "config": asdict(ckpt.config),
-        "step": ckpt.step,
-        "opt_t": ckpt.opt_t,
-        "rng": {"scheme": "counter", "seed": ckpt.config.seed, "step": ckpt.step},
-        "params": _encode_arrays(ckpt.params),
-        "opt_m": _encode_arrays(ckpt.opt_m),
-        "opt_v": _encode_arrays(ckpt.opt_v),
-    }
-    Path(path).write_text(json.dumps(payload))
-
-
-def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint; any defect raises CheckpointFormatError naming the key."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise CheckpointFormatError(f"{path}: not a checkpoint file (not UTF-8: {exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise CheckpointFormatError(f"{path}: not a checkpoint file ({exc})") from exc
+def _checkpoint(payload, decode, path: str | Path) -> Checkpoint:
+    """The checkpoint a parsed payload holds, after every check; decode(cfg)
+    gives its params, opt_m and opt_v."""
     if not isinstance(payload, dict) or "format_version" not in payload:
         raise CheckpointFormatError(f"{path}: missing format_version")
     if payload["format_version"] != CHECKPOINT_VERSION:
@@ -514,18 +535,98 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             value = payload[name]
             if type(value) is not int or value < 0:
                 raise CheckpointFormatError(f"{name} must be an integer >= 0, got {value!r}")
-        ckpt = Checkpoint(
-            version=payload["format_version"],
-            config=cfg,
-            params=_decode_arrays(payload["params"], "params"),
-            opt_m=_decode_arrays(payload["opt_m"], "opt_m"),
-            opt_v=_decode_arrays(payload["opt_v"], "opt_v"),
-            opt_t=payload["opt_t"],
-            step=payload["step"],
-        )
+        ckpt = Checkpoint(payload["format_version"], cfg, *decode(cfg),
+                          opt_t=payload["opt_t"], step=payload["step"])
         _check_model_arrays(ckpt)
     except CheckpointFormatError as exc:
         raise CheckpointFormatError(f"{path}: {exc}") from exc
     except (KeyError, TypeError, AttributeError) as exc:
         raise CheckpointFormatError(f"{path}: truncated or malformed ({exc})") from exc
     return ckpt
+
+
+def _from_companion(path: str | Path, head: np.ndarray, values: np.ndarray) -> Checkpoint:
+    """The checkpoint a companion's arrays hold; raises ValueError where the
+    JSON path would reject that state."""
+    if head.shape != (len(_HEAD_FIELDS),):
+        raise CheckpointFormatError(f"head of {head.shape[0]} entries")
+    config = {name: kind(text) for (name, kind), text in zip(_HEAD_FIELDS.items(), head.tolist())}
+    payload = {name: config.pop(name) for name in _HEAD_STATE}
+    payload["config"] = config
+
+    def decode(cfg: TrainConfig) -> list[dict[str, Array]]:
+        layout = _model_arrays(payload["raw_dim_image"], payload["raw_dim_text"], cfg)
+        size = sum(np.size(v) for v in layout.values())
+        if values.shape[0] != len(_SECTIONS) * size:
+            raise CheckpointFormatError(f"{values.shape[0]} values")
+        if not np.isfinite(values).all():
+            raise CheckpointFormatError("non-finite value")
+        return [_views(layout, row) for row in values.reshape(len(_SECTIONS), size)]
+
+    return _checkpoint(payload, decode, path)
+
+
+def _state(ckpt: Checkpoint) -> list:
+    """Every value of ckpt outside its arrays, each with its type."""
+    return [(type(v), v) for v in (ckpt.version, ckpt.step, ckpt.opt_t,
+                                   *asdict(ckpt.config).values())]
+
+
+def _same_arrays(a: dict[str, Array], b: dict[str, Array]) -> bool:
+    """Same keys in the same order, and arrays of the same dtype, shape and bytes."""
+    def key(v):
+        v = np.asarray(v)
+        return v.dtype, v.shape, v.tobytes()
+
+    return list(a) == list(b) and all(key(a[k]) == key(b[k]) for k in a)
+
+
+def _companion_arrays(ckpt: Checkpoint, path: str | Path) -> list[np.ndarray] | None:
+    """The companion of ckpt, or None unless it reads back as exactly ckpt."""
+    try:
+        head = np.array([str(v) for v in (ckpt.version, ckpt.step, ckpt.opt_t,
+                                           *_raw_widths(ckpt.params),
+                                           *asdict(ckpt.config).values())], dtype=_HEAD)
+        values = np.concatenate([_flatten(ckpt.params, getattr(ckpt, s)) for s in _SECTIONS])
+        arrays = [head, values.astype(np.float64, copy=False)]
+        back = _from_companion(path, *arrays)
+    except (ValueError, TypeError, KeyError):
+        return None
+    if _state(back) == _state(ckpt) and all(
+            _same_arrays(getattr(back, s), getattr(ckpt, s)) for s in _SECTIONS):
+        return arrays
+    return None
+
+
+def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+    """Write checkpoint.json and, where it can hold ckpt exactly, its companion."""
+    payload = {
+        "format_version": ckpt.version,
+        "config": asdict(ckpt.config),
+        "step": ckpt.step,
+        "opt_t": ckpt.opt_t,
+        "rng": {"scheme": "counter", "seed": ckpt.config.seed, "step": ckpt.step},
+        **{section: _encode_arrays(getattr(ckpt, section)) for section in _SECTIONS},
+    }
+    companion.write(path, json.dumps(payload).encode("utf-8"), _companion_arrays(ckpt, path))
+
+
+def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint; any defect raises CheckpointFormatError naming the key."""
+    raw = Path(path).read_bytes()
+    arrays = companion.load(path, raw, [_HEAD, np.dtype(np.float64)])
+    if arrays is not None:
+        try:
+            return _from_companion(path, *arrays)
+        except ValueError:  # the JSON decides, and names what is wrong
+            pass
+    try:
+        # Decoded as read_text decodes it (universal newlines), so the
+        # positions in a JSON error are the file's.
+        payload = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read())
+    except UnicodeDecodeError as exc:
+        raise CheckpointFormatError(f"{path}: not a checkpoint file (not UTF-8: {exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise CheckpointFormatError(f"{path}: not a checkpoint file ({exc})") from exc
+    return _checkpoint(payload, lambda cfg: [_decode_arrays(payload[s], s) for s in _SECTIONS],
+                       path)

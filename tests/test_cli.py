@@ -151,6 +151,8 @@ class TestEval:
     @pytest.mark.parametrize("case, named", [
         ("missing_param", "head.w_out"),
         ("nan_param", "img.b1"),
+        ("string_param", "params['img.w1']: entry 0 is '0.123', not a number"),
+        ("boolean_moment", "opt_m['txt.b1']: entry 0 is True, not a number"),
         ("unreshapable_record", "txt.w2"),
         ("transposed_shape", "txt.w2"),
         ("nan_dataset_entry", "record 3"),
@@ -208,6 +210,10 @@ class TestEval:
                 del params["head.w_out"]
             elif case == "nan_param":
                 params["img.b1"]["data"][0] = float("nan")
+            elif case == "string_param":
+                params["img.w1"]["data"][0] = "0.123"
+            elif case == "boolean_moment":
+                payload["opt_m"]["txt.b1"]["data"][0] = True
             elif case == "unreshapable_record":
                 params["txt.w2"]["shape"] = [3, 3]
             else:

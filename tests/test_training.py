@@ -1,14 +1,20 @@
 """Trainer determinism, schedule, checkpoints, and failure contracts."""
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakpair import cli, training
+from weakpair.companion import companion_path
 from weakpair.data import GenConfig, PairRecord, generate
 from weakpair.encoders import ModelDims, init_model, params_to_dict
 from weakpair.losses import U_BOUNDS
@@ -446,3 +452,229 @@ class TestCheckpointing:
         other = dataclasses.replace(small_cfg(), base_lr=5e-4)
         with pytest.raises(CheckpointFormatError):
             train(other, d, resume=mid)
+
+    @pytest.mark.parametrize("section, key, entry, message", [
+        ("params", "img.w1", "0.123", "entry 0 is '0.123', not a number"),
+        ("opt_m", "txt.b1", True, "entry 0 is True, not a number"),
+        ("opt_v", "head.w_out", False, "entry 0 is False, not a number"),
+        ("params", "log_tau", None, "entry 0 is None, not a number"),
+        ("params", "img.b2", [0.5], "entry 0 is [0.5], not a number"),
+        ("opt_m", "img.w2", 10 ** 400, "int too large to convert to float"),
+    ])
+    def test_array_entries_must_be_json_numbers(self, tmp_path, section, key, entry, message):
+        ckpt, _ = train(small_cfg(epochs=1), dataset())
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        payload = json.loads(path.read_text())
+        payload[section][key]["data"][0] = entry
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointFormatError, match=re.escape(
+                f"{path}: {section}[{key!r}]: {message}")):
+            load_checkpoint(path)
+
+    def test_array_data_must_be_a_list(self, tmp_path):
+        ckpt, _ = train(small_cfg(epochs=1), dataset())
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, path)
+        payload = json.loads(path.read_text())
+        payload["params"]["log_gamma"]["data"] = 0.0
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointFormatError, match=re.escape(
+                f"{path}: params['log_gamma']: data must be a list, got float")):
+            load_checkpoint(path)
+
+
+# -- the checkpoint's binary companion ----------------------------------------
+
+def json_forbidden():
+    """A context in which parsing any JSON fails."""
+    return mock.patch.object(json, "loads", side_effect=AssertionError("checkpoint JSON parsed"))
+
+
+def same_checkpoint(a, b):
+    """Equal checkpoints down to key order, value types and array bytes."""
+    assert training._state(a) == training._state(b)
+    for section in training._SECTIONS:
+        assert training._same_arrays(getattr(a, section), getattr(b, section)), section
+
+
+def same_outcome(got, want):
+    """Equal messages, or checkpoints equal as same_checkpoint compares them."""
+    if isinstance(want, str):
+        assert got == want
+    else:
+        same_checkpoint(got, want)
+
+
+def ckpt_outcome(path):
+    """load_checkpoint(path), or the text of the CheckpointFormatError it raises."""
+    try:
+        return load_checkpoint(path)
+    except CheckpointFormatError as exc:
+        return str(exc)
+
+
+def json_only(path):
+    """ckpt_outcome(path) with the companion moved aside, so the JSON is parsed."""
+    companion = companion_path(path)
+    held = companion.with_name(companion.name + ".held")
+    if companion.exists():
+        companion.rename(held)
+    try:
+        return ckpt_outcome(path)
+    finally:
+        if held.exists():
+            held.rename(companion)
+
+
+HEAD_NAMES = list(training._HEAD_FIELDS)
+
+
+def companion_arrays(path):
+    """The head and values of path's companion."""
+    with open(companion_path(path), "rb") as handle:
+        np.load(handle)
+        return np.load(handle), np.load(handle)
+
+
+def save_companion(path, head, values):
+    """A companion for the JSON at path whose digest is right for its arrays."""
+    digest = hashlib.sha256(path.read_bytes() + head.tobytes() + values.tobytes()).digest()
+    with open(companion_path(path), "wb") as handle:
+        for array in (np.frombuffer(digest, dtype=np.uint8), head, values):
+            np.save(handle, array)
+
+
+def damage_checkpoint(case, path, tmp_path):
+    companion = companion_path(path)
+    head, values = companion_arrays(path)
+    if case == "missing":
+        companion.unlink()
+    elif case in ("stale", "stale_invalid"):
+        payload = json.loads(path.read_text())
+        if case == "stale":
+            payload["params"]["img.b1"]["data"][0] = 0.25
+        else:
+            payload["config"]["mapping"] = "cubic"
+        path.write_text(json.dumps(payload))
+    elif case == "truncated":
+        companion.write_bytes(companion.read_bytes()[:-9])
+    elif case == "garbage":
+        companion.write_bytes(np.random.default_rng(0).bytes(600))
+    elif case == "npz":
+        with open(companion, "wb") as handle:
+            np.savez(handle, digest=np.zeros(32, np.uint8), head=head, values=values)
+    elif case == "foreign":
+        other, _ = train(small_cfg(epochs=1, seed=12), dataset())
+        save_checkpoint(other, tmp_path / "other.json")
+        companion.write_bytes(companion_path(tmp_path / "other.json").read_bytes())
+    elif case == "wrong_dtype":
+        save_companion(path, head, values.astype(np.float32))
+    elif case == "wrong_head_dtype":
+        save_companion(path, head.astype("<U40"), values)
+    elif case == "nonfinite":
+        values[7] = np.inf
+        save_companion(path, head, values)
+    elif case == "short":
+        save_companion(path, head, values[:-1])
+    elif case == "bad_config":
+        head[HEAD_NAMES.index("mapping")] = "cubic"
+        save_companion(path, head, values)
+    elif case == "bad_step":
+        head[HEAD_NAMES.index("step")] = "-1"
+        save_companion(path, head, values)
+    else:
+        index = HEAD_NAMES.index("raw_dim_image")
+        head[index] = str(int(head[index]) + 1)
+        save_companion(path, head, values)
+
+
+@pytest.mark.parametrize("case", ["missing", "stale", "stale_invalid", "truncated", "garbage",
+                                  "npz", "foreign", "wrong_dtype", "wrong_head_dtype",
+                                  "nonfinite", "short", "bad_config", "bad_step", "bad_width"])
+def test_unusable_companion_gives_what_the_json_gives(tmp_path, case):
+    """Whatever is wrong with the companion, load_checkpoint returns the
+    JSON's checkpoint or raises the JSON's message."""
+    ckpt, _ = train(small_cfg(epochs=1), dataset())
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(ckpt, path)
+    damage_checkpoint(case, path, tmp_path)
+    got, want = ckpt_outcome(path), json_only(path)
+    same_outcome(got, want)
+    if case == "stale_invalid":
+        assert want == f"{path}: config: unknown mapping 'cubic'"
+    else:
+        if case == "stale":
+            assert got.params["img.b1"][0] == 0.25
+        else:
+            same_checkpoint(got, ckpt)
+
+
+def test_valid_checkpoint_companion_is_read_without_parsing(tmp_path):
+    ckpt, _ = train(small_cfg(epochs=1), dataset())
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(ckpt, path)
+    with json_forbidden():
+        same_checkpoint(load_checkpoint(path), ckpt)
+        companion_path(path).unlink()
+        with pytest.raises(AssertionError, match="parsed"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 10 ** 40},  # 41 digits, wider than the head's texts
+    {"alpha": 1},  # an int where the config holds floats
+])
+def test_state_the_companion_cannot_hold_is_written_without_one(tmp_path, change):
+    ckpt, _ = train(small_cfg(epochs=1), dataset())
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(ckpt, path)
+    odd = dataclasses.replace(ckpt, config=dataclasses.replace(ckpt.config, **change))
+    save_checkpoint(odd, path)
+    assert not companion_path(path).exists()
+    same_outcome(ckpt_outcome(path), json_only(path))
+
+
+def test_arrays_off_the_model_layout_get_no_companion(tmp_path):
+    """Keys out of the model's order, or a transposed array, cannot be told
+    apart in the flat values, so such a state is left to the JSON."""
+    ckpt, _ = train(small_cfg(epochs=1), dataset())
+    path = tmp_path / "ckpt.json"
+    reordered = dataclasses.replace(ckpt, params=dict(reversed(ckpt.params.items())))
+    save_checkpoint(reordered, path)
+    assert not companion_path(path).exists()
+    same_checkpoint(load_checkpoint(path), reordered)
+    transposed = dataclasses.replace(ckpt, opt_v={**ckpt.opt_v, "txt.w2": ckpt.opt_v["txt.w2"].T})
+    save_checkpoint(transposed, path)
+    assert not companion_path(path).exists()
+    with pytest.raises(CheckpointFormatError, match=r"opt_v\['txt.w2'\]: shape"):
+        load_checkpoint(path)
+
+
+_edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308])
+_finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_CKPT, _ = train(small_cfg(epochs=1), dataset())
+
+
+@given(entries=st.lists(st.tuples(st.sampled_from(training._SECTIONS),
+                                  st.sampled_from(sorted(_CKPT.params)),
+                                  st.integers(0, 2 ** 16), st.one_of(_edge, _finite)),
+                        min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_companion_checkpoint_equals_json_bit_for_bit(entries, tmp_path_factory):
+    sections = {s: {k: v.copy() for k, v in getattr(_CKPT, s).items()}
+                for s in training._SECTIONS}
+    for section, key, index, value in entries:
+        flat = sections[section][key].reshape(-1)
+        flat[index % flat.size] = value
+    ckpt = dataclasses.replace(_CKPT, **sections)
+    path = tmp_path_factory.mktemp("bits") / "ckpt.json"
+    save_checkpoint(ckpt, path)
+    with json_forbidden():
+        from_companion = load_checkpoint(path)
+    companion_path(path).unlink()
+    parsed = load_checkpoint(path)
+    same_checkpoint(from_companion, parsed)
+    same_checkpoint(from_companion, ckpt)
+
