@@ -35,16 +35,27 @@ the ``weakpair eval`` outputs and the held-out mAP, plus the three medians.
 Console output (with paths relative to the output directory) and the
 ``resolved.cfg`` files are written too; none holds a timing.  Takes a few
 minutes on one core.
+
+Last, ``OUT_DIR/DIGESTS.json`` records the sha256 of every file written, by
+path relative to ``OUT_DIR`` in sorted order, with the Python and numpy
+versions and the BLAS numpy was built with (from ``np.show_config``).  The
+repository keeps the manifest of its own revision as ``/DIGESTS.json``: a
+change that keeps every output leaves it unchanged, and one that moves
+outputs shows in its diff which.  Another numpy or BLAS build may
+legitimately give other digests; compare its ``environment`` first.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import importlib.util
 import io
+import json
 import math
 import os
+import platform
 import shutil
 import sys
 from pathlib import Path
@@ -163,6 +174,20 @@ def degenerate_leg(out: Path, train_d: data.DatasetManifest) -> None:
                  "--set", f"train.ablation_mode={mode}")
 
 
+def write_digests(out: Path) -> None:
+    """out/DIGESTS.json: the environment and every file's sha256 under out."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    files = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+             for path in out.rglob("*") if path.is_file()}
+    manifest = {
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "blas": {key: blas.get(key) for key in
+                                 ("name", "version", "openblas configuration")}},
+        "files": dict(sorted(files.items())),
+    }
+    (out / "DIGESTS.json").write_text(json.dumps(manifest, indent=1) + "\n")
+
+
 def main(out: Path) -> None:
     """Writes under out, with paths relative to it so console lines match."""
     out.mkdir(parents=True)
@@ -208,6 +233,7 @@ def main(out: Path) -> None:
                      "--out", str(cell / "eval"))
     (runs / "medians.txt").write_text("".join(
         f"{mode} {float(np.median(values))!r}\n" for mode, values in maps.items()))
+    write_digests(out)
 
 
 if __name__ == "__main__":

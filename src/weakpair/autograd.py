@@ -1,26 +1,26 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-The op set is the minimal closure needed by the losses in this package.
-Primitives: affine maps, elementwise add/multiply, tanh, exp, log,
-cross-entropy from logits (bce_logits), row gathers (take_rows), row-wise L2
-normalization, row-cosine matrices, each row's log-softmax at one column
-(log_softmax_at) and sum/mean/sum_rows reductions.  Kernels, each one node
-for a chain of primitives the model repeats: tower (an encoder tower,
-affine-tanh-affine-l2_normalize), itc (the symmetric in-batch contrastive
-loss of one pairing) and match_head (the fusion head's logit).
+The op set is the minimal closure needed by the losses in this package, 12
+ops.  Primitives: elementwise add, mul, exp and log, cross-entropy from
+logits (bce_logits), row gathers (take_rows) and sum/mean/sum_rows
+reductions.  Kernels, each one node for a chain of formulas the model
+repeats: tower (an encoder tower: affine, tanh, affine, row-wise L2
+normalization), itc (the symmetric in-batch contrastive loss of one
+pairing: row-cosine matrices and each row's log-softmax at its diagonal
+column) and match_head (the fusion head's logit).
 
 Every op is written once, in _Ops: it checks its contract on each input's
 .shape (per replica, for a stacked value), computes its value over trailing
-axes, builds its vjp and hands both to _emit.  Each formula (affine, tanh,
-l2_normalize, cosine, log-softmax-at and their vjps) is one private helper
-that a primitive and the kernels share.  A kernel makes its chain's numpy
-calls in the chain's order and keeps its bits in backward too: its inputs
-list an input once per use in the chain, in the order backward reaches those
-uses, and its vjp returns one contribution per entry, so Graph.backward adds
-them in the order and grouping it added the chain's.  itc(f_img, f_txt, t),
-for one, lists (f_txt, f_img, f_img, f_txt, t): cos(f_txt, f_img)'s two
-contributions, then cos(f_img, f_txt)'s, then the temperature's.  The two
-front ends share that surface and differ in _emit:
+axes, builds its vjp and hands both to _emit.  Each formula the kernels
+repeat (affine, tanh, l2_normalize, cosine, log-softmax-at and their vjps)
+is one private helper.  A kernel makes its chain's numpy calls in the
+chain's order and keeps its bits in backward too: its inputs list an input
+once per use in the chain, in the order backward reaches those uses, and
+its vjp returns one contribution per entry, so Graph.backward adds them in
+the order and grouping a graph of one node per formula would add them.
+itc(f_img, f_txt, t), for one, lists (f_txt, f_img, f_img, f_txt, t):
+cos(f_txt, f_img)'s two contributions, then cos(f_img, f_txt)'s, then the
+temperature's.  The two front ends share that surface and differ in _emit:
 
 Graph      records a node with the vjp, for backward().  Graphs are eager: a
            node's value is computed when the op is recorded, so callers can
@@ -78,7 +78,7 @@ def _reduce_to(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
-# -- formulas, each written once for its primitive op and the kernels ----------
+# -- formulas, each written once for the kernels ----------------------------
 
 
 def _affine(x: Array, w: Array, b: Array | None = None) -> Array:
@@ -173,11 +173,6 @@ class _Ops:
 
         return self._emit("mul", (a, b), np.multiply(*self._values(a, b)), vjp)
 
-    def tanh(self, x):
-        x = self._wrap(x)
-        y = np.tanh(x.value)
-        return self._emit("tanh", (x,), y, lambda g: (_tanh_vjp(g, y),))
-
     def exp(self, x):
         x = self._wrap(x)
         y = np.exp(x.value)
@@ -200,25 +195,7 @@ class _Ops:
         p = np.where(z.value >= 0, 1.0 / (1.0 + e), e / (1.0 + e))  # sigmoid(z)
         return self._emit("bce_logits", (z,), y, lambda g: (g * (p - labels),))
 
-    # -- linear / row-wise ops ---------------------------------------------
-
-    def affine(self, x, w, b=None):
-        """x @ w (+ b broadcast over rows).  x: (n,p), w: (p,q), b: (q,)."""
-        x, w = self._wrap(x), self._wrap(w)
-        if len(x.shape) != 2 or len(w.shape) != 2:
-            raise GraphError("affine expects 2-d x and w")
-        if x.shape[1] != w.shape[0]:
-            raise GraphError(f"affine inner dims {x.shape} @ {w.shape}")
-        inputs = (x, w) if b is None else (x, w, self._wrap(b))
-        if b is not None and inputs[2].shape != (w.shape[1],):
-            raise GraphError(f"affine bias shape {inputs[2].shape}")
-        y = _affine(*self._values(*inputs))
-
-        def vjp(g):
-            return _affine_vjp(g, x.value, w.value, x.needs_grad, w.needs_grad,
-                               b is not None and inputs[2].needs_grad)[:len(inputs)]
-
-        return self._emit("affine", inputs, y, vjp)
+    # -- row gathers ---------------------------------------------------------
 
     def take_rows(self, sources, rows):
         """Listed rows of the row-stacked sources; repeats scatter-add in backward."""
@@ -255,42 +232,6 @@ class _Ops:
 
         return self._emit("take_rows", sources, y, vjp)
 
-    def l2_normalize(self, x):
-        """Rows scaled to unit Euclidean norm; zero rows pass through flagged."""
-        x = self._wrap(x)
-        if len(x.shape) not in (1, 2):
-            raise GraphError("l2_normalize expects a row or a row matrix")
-        y, safe, zero = _l2_normalize(x.value)
-        out = self._emit("l2_normalize", (x,), y,
-                         lambda g: (_l2_normalize_vjp(g, y, safe, zero),))
-        self._flag_zero_rows(out, zero)
-        return out
-
-    def cosine_matrix(self, a, b):
-        """Row-by-row dot products: (n,d) x (m,d) -> (n,m).
-
-        Equals cosine similarity when rows are unit-norm, which is the
-        caller's contract.
-        """
-        a, b = self._wrap(a), self._wrap(b)
-        if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[1]:
-            raise GraphError(f"cosine_matrix shapes {a.shape} vs {b.shape}")
-        return self._emit("cosine_matrix", (a, b), _cosine(*self._values(a, b)),
-                          lambda g: _cosine_vjp(g, a.value, b.value))
-
-    def log_softmax_at(self, x, cols):
-        """(n,m) -> (n,): row i's log-softmax at column cols[i]."""
-        x = self._wrap(x)
-        cols = np.asarray(cols)
-        if (len(x.shape) != 2 or cols.shape != x.shape[:1] or cols.dtype.kind not in "iu"
-                or np.any((cols < 0) | (cols >= x.shape[1]))):
-            raise GraphError(f"log_softmax_at needs one column of {x.shape} per row, "
-                             f"got {cols.tolist()}")
-        rows = np.arange(cols.shape[0])
-        y, p = _log_softmax_at(x.value, rows, cols)
-        return self._emit("log_softmax_at", (x,), y,
-                          lambda g: (_log_softmax_at_vjp(g, p, rows, cols),))
-
     # -- reductions ----------------------------------------------------------
 
     def sum(self, x):
@@ -314,7 +255,7 @@ class _Ops:
         return self._emit("sum_rows", (x,), x.value.sum(axis=-1),
                           lambda g: (np.repeat(g[..., None], cols, axis=-1),))
 
-    # -- kernels: one node for a chain of the ops above ----------------------
+    # -- kernels: one node for a chain of the formulas above ----------------
 
     def tower(self, x, w1, b1, w2, b2):
         """l2_normalize(affine(tanh(affine(x, w1, b1)), w2, b2)): unit-norm
@@ -469,7 +410,7 @@ class Graph(_Ops):
     def __init__(self):
         self.dtype = np.float64
         self.nodes: list[Node] = []
-        # (node id, row indices) for every zero-norm row seen by l2_normalize.
+        # (node id, row indices) for every zero-norm row a tower normalized.
         self.zero_norm_rows: list[tuple[int, tuple[int, ...]]] = []
 
     # -- leaves ----------------------------------------------------------
@@ -519,8 +460,8 @@ class Graph(_Ops):
         """Gradients of a scalar loss for every trainable leaf.
 
         A vjp may return None for an input that needs no gradient (add, mul
-        and affine do, rather than compute an adjoint for a constant); such
-        inputs, and None entries, are skipped.
+        and the kernels do, rather than compute an adjoint for a constant);
+        such inputs, and None entries, are skipped.
         """
         if not self._owns(loss):
             raise GraphError("loss node belongs to a different graph")

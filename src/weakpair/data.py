@@ -304,17 +304,3 @@ def read(path: str | Path) -> DatasetManifest:
     if records is None:
         records = _parse_records(text.splitlines()[1:], cfg, path)
     return DatasetManifest(FORMAT_VERSION, cfg, records, split_tag)
-
-
-def manifests_equal(a: DatasetManifest, b: DatasetManifest) -> bool:
-    if (a.version, a.gen_config, a.split_tag) != (b.version, b.gen_config, b.split_tag):
-        return False
-    if len(a.records) != len(b.records):
-        return False
-    for ra, rb in zip(a.records, b.records):
-        if (ra.identity, ra.view) != (rb.identity, rb.view):
-            return False
-        if not (np.array_equal(ra.image_raw, rb.image_raw)
-                and np.array_equal(ra.text_raw, rb.text_raw)):
-            return False
-    return True

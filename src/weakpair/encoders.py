@@ -98,39 +98,42 @@ def leaf_group(leaves: Mapping[str, Node], prefix: str) -> dict[str, Node]:
     return {k[cut:]: v for k, v in leaves.items() if k.startswith(prefix + ".")}
 
 
-def _uniform(rng: np.random.Generator, fan_in: int, shape) -> Array:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def _layout(dims: ModelDims) -> dict[str, tuple[tuple[int, ...], int]]:
+    """Every parameter's (shape, fan-in), in params_to_dict's key order.  A
+    weight's fan-in is the width it reads (the head's but w_out's is the
+    3 * embed_dim pair); fan-in 0 marks a zero-initialised bias or scalar."""
+    e, h = dims.embed_dim, dims.hidden_dim
+    pair, score = ((e, h), 3 * e), ((e, 1), 3 * e)
+    head = {"w_img": pair, "w_txt": pair, "w_prod": pair, "b_hidden": ((h,), 0),
+            "w_out": ((h, 1), h), "v_img": score, "v_txt": score, "v_prod": score,
+            "b_out": ((1,), 0)}
+    layout = {}
+    for prefix, raw in (("img", dims.raw_dim_image), ("txt", dims.raw_dim_text)):
+        tower = {"w1": ((raw, h), raw), "b1": ((h,), 0), "w2": ((h, e), h), "b2": ((e,), 0)}
+        layout.update({f"{prefix}.{k}": tower[k] for k in _TOWER_KEYS})
+    layout.update({f"head.{k}": head[k] for k in _HEAD_KEYS})
+    return {**layout, "log_tau": ((), 0), "log_gamma": ((), 0)}
+
+
+def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in params_to_dict's key order."""
+    return {key: shape for key, (shape, _) in _layout(dims).items()}
 
 
 def init_params(seed: int, dims: ModelDims
                 ) -> tuple[EncoderParams, EncoderParams, FusionHeadParams]:
-    """Symmetric 1/sqrt(fan_in) weights, zero biases, deterministic per seed."""
+    """Symmetric 1/sqrt(fan_in) weights, zero biases, deterministic per seed;
+    weights are drawn in key order."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 17]))
-
-    def tower(raw_dim: int) -> EncoderParams:
-        return EncoderParams(
-            w1=_uniform(rng, raw_dim, (raw_dim, dims.hidden_dim)),
-            b1=np.zeros(dims.hidden_dim),
-            w2=_uniform(rng, dims.hidden_dim, (dims.hidden_dim, dims.embed_dim)),
-            b2=np.zeros(dims.embed_dim),
-        )
-
-    image_tower = tower(dims.raw_dim_image)
-    text_tower = tower(dims.raw_dim_text)
-    fan_concat = 3 * dims.embed_dim
-    head = FusionHeadParams(
-        w_img=_uniform(rng, fan_concat, (dims.embed_dim, dims.hidden_dim)),
-        w_txt=_uniform(rng, fan_concat, (dims.embed_dim, dims.hidden_dim)),
-        w_prod=_uniform(rng, fan_concat, (dims.embed_dim, dims.hidden_dim)),
-        b_hidden=np.zeros(dims.hidden_dim),
-        w_out=_uniform(rng, dims.hidden_dim, (dims.hidden_dim, 1)),
-        v_img=_uniform(rng, fan_concat, (dims.embed_dim, 1)),
-        v_txt=_uniform(rng, fan_concat, (dims.embed_dim, 1)),
-        v_prod=_uniform(rng, fan_concat, (dims.embed_dim, 1)),
-        b_out=np.zeros(1),
-    )
-    return image_tower, text_tower, head
+    arrays = {}
+    for key, (shape, fan_in) in _layout(dims).items():
+        if fan_in:
+            bound = 1.0 / np.sqrt(fan_in)
+            arrays[key] = rng.uniform(-bound, bound, size=shape)
+        else:
+            arrays[key] = np.zeros(shape)
+    model = dict_to_params(arrays)
+    return model.image_tower, model.text_tower, model.head
 
 
 def init_model(seed: int, dims: ModelDims, tau_init: float = 0.07) -> ModelParams:

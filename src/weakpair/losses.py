@@ -63,10 +63,6 @@ class LossReport:
     mean_s_w: float
     mean_u_w: float
 
-    def recomputed_total(self, weights: LossWeights) -> float:
-        return (self.itc + self.itm + weights.alpha * self.uitc
-                + weights.beta * (self.gitm_txt + self.gitm_img))
-
 
 def uncertainty(ops, s, mapping: str):
     """u = exp(-s), 1.5 - s or (1.5 - s)^2 of consistency s, on an op surface.

@@ -146,14 +146,6 @@ def _groups_by_count(counts: np.ndarray):
         yield count, np.flatnonzero(counts == count)
 
 
-def average_precision(flags) -> float:
-    """Non-interpolated AP of ranked flags: mean precision at each relevant rank."""
-    hit_ranks = np.flatnonzero(np.asarray(flags, dtype=bool)) + 1
-    if hit_ranks.shape[0] == 0:
-        raise ValueError("average precision undefined without relevant items")
-    return math.fsum(_hit_precisions(hit_ranks).tolist()) / hit_ranks.shape[0]
-
-
 def _at_most(rows: np.ndarray, row: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """#{i: rows[row[p], i] <= keys[p]} for every p, by one bisection of the
     ascending rows over all p at once (binary lifting: the largest count whose

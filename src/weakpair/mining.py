@@ -14,8 +14,7 @@ ranks every anchor's candidates in both directions in one lexsort over a
 leading direction axis (identity clash, then descending score, then index)
 and keeps each row's first k columns; mining for a single anchor in one
 direction is the one-row case of the same kernel.  A batch's weak picks
-likewise come from one draw call, and sampling for a single anchor is its
-one-anchor case.
+likewise come from one draw call.
 """
 
 from __future__ import annotations
@@ -97,12 +96,6 @@ def sample_weak_batch(anchors: list[PairRecord], pool: dict[int, list[PairRecord
     return [WeakSelection(anchor, o[next(picks)], False) if o
             else WeakSelection(anchor, anchor, degenerate=True)
             for anchor, o in zip(anchors, others)]
-
-
-def sample_weak(anchor: PairRecord, pool: dict[int, list[PairRecord]],
-                rng: np.random.Generator) -> WeakSelection:
-    """Uniform draw among the anchor identity's other records."""
-    return sample_weak_batch([anchor], pool, rng)[0]
 
 
 # The mining directions: (anchor rows, candidate rows) of each, as indexes

@@ -28,7 +28,7 @@ from . import companion
 from .autograd import Array, Graph, Node
 from .data import DatasetManifest, PairRecord
 from .encoders import (EmbeddingBatch, ModelDims, encode, init_model,
-                       leaf_group, params_to_dict)
+                       leaf_group, param_shapes, params_to_dict)
 from .losses import (LossReport, LossWeights, MAPPINGS, MATCHING_BRANCHES,
                      batch_uncertainty, itc_loss, matching_losses, total_loss,
                      uitc_loss, weak_itc_loss)
@@ -341,11 +341,11 @@ def train(cfg: TrainConfig, data: DatasetManifest,
         opt_t, start = resume.opt_t, resume.step
     # AdamW runs once over flat buffers in params' key order (fresh copies);
     # the parameters each step graph reads are reshaped views of flat_p.
-    layout = params
+    layout = {k: np.shape(v) for k, v in params.items()}
     flat_p, flat_m, flat_v = (_flatten(layout, d) for d in (params, opt_m, opt_v))
     params = _views(layout, flat_p)
-    decay = np.concatenate([np.full(np.size(v), 0.0 if k in _NO_DECAY else cfg.weight_decay)
-                            for k, v in layout.items()])
+    decay = np.concatenate([np.full(math.prod(shape), 0.0 if k in _NO_DECAY else cfg.weight_decay)
+                            for k, shape in layout.items()])
 
     end_step = total_steps if stop_at_step is None else min(stop_at_step, total_steps)
     mode = cfg.ablation_mode
@@ -417,17 +417,17 @@ def train(cfg: TrainConfig, data: DatasetManifest,
     return ckpt, log
 
 
-def _flatten(layout: dict[str, Array], arrays: dict[str, Array]) -> Array:
+def _flatten(layout: dict, arrays: dict[str, Array]) -> Array:
     """arrays raveled and concatenated into one new vector, in layout's key order."""
     return np.concatenate([np.ravel(arrays[k]) for k in layout])
 
 
-def _views(layout: dict[str, Array], flat: Array) -> dict[str, Array]:
+def _views(layout: dict[str, tuple[int, ...]], flat: Array) -> dict[str, Array]:
     """flat cut into reshaped views at layout's keys and shapes."""
     out, end = {}, 0
-    for k, v in layout.items():
-        start, end = end, end + np.size(v)
-        out[k] = flat[start:end].reshape(np.shape(v))
+    for k, shape in layout.items():
+        start, end = end, end + math.prod(shape)
+        out[k] = flat[start:end].reshape(shape)
     return out
 
 
@@ -482,11 +482,11 @@ def _decode_arrays(payload: dict, section: str) -> dict[str, Array]:
     return out
 
 
-def _model_arrays(raw_image: int, raw_text: int, cfg: TrainConfig) -> dict[str, Array]:
-    """Arrays with the model's keys, in order, and shapes."""
-    # Widths clamped to >= 1 keep init_model defined; bad ones fail the checks.
-    dims = ModelDims(*(max(d, 1) for d in (raw_image, raw_text, cfg.hidden_dim, cfg.embed_dim)))
-    return params_to_dict(init_model(0, dims))
+def _model_shapes(raw_image: int, raw_text: int, cfg: TrainConfig) -> dict[str, tuple[int, ...]]:
+    """The model's keys, in order, and shapes."""
+    # Widths clamped to >= 1, so a tower of raw width 0 fails the checks.
+    widths = (raw_image, raw_text, cfg.hidden_dim, cfg.embed_dim)
+    return param_shapes(ModelDims(*(max(d, 1) for d in widths)))
 
 
 def _raw_widths(params: dict[str, Array]) -> list[int]:
@@ -496,17 +496,17 @@ def _raw_widths(params: dict[str, Array]) -> list[int]:
 
 def _check_model_arrays(ckpt: Checkpoint) -> None:
     """Each array section holds exactly the model's keys, at the model's shapes."""
-    expected = _model_arrays(*_raw_widths(ckpt.params), ckpt.config)
+    expected = _model_shapes(*_raw_widths(ckpt.params), ckpt.config)
     for section in _SECTIONS:
         arrays = getattr(ckpt, section)
         if arrays.keys() != expected.keys():
             raise CheckpointFormatError(
                 f"{section}: missing keys {sorted(expected.keys() - arrays.keys())}, "
                 f"unknown keys {sorted(arrays.keys() - expected.keys())}")
-        for key, ref in expected.items():
-            if arrays[key].shape != ref.shape:
+        for key, shape in expected.items():
+            if arrays[key].shape != shape:
                 raise CheckpointFormatError(
-                    f"{section}[{key!r}]: shape {arrays[key].shape}, expected {ref.shape}")
+                    f"{section}[{key!r}]: shape {arrays[key].shape}, expected {shape}")
 
 
 def _checkpoint(payload, decode, path: str | Path) -> Checkpoint:
@@ -555,8 +555,8 @@ def _from_companion(path: str | Path, head: np.ndarray, values: np.ndarray) -> C
     payload["config"] = config
 
     def decode(cfg: TrainConfig) -> list[dict[str, Array]]:
-        layout = _model_arrays(payload["raw_dim_image"], payload["raw_dim_text"], cfg)
-        size = sum(np.size(v) for v in layout.values())
+        layout = _model_shapes(payload["raw_dim_image"], payload["raw_dim_text"], cfg)
+        size = sum(math.prod(shape) for shape in layout.values())
         if values.shape[0] != len(_SECTIONS) * size:
             raise CheckpointFormatError(f"{values.shape[0]} values")
         if not np.isfinite(values).all():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakpair.autograd import Graph, GraphError, grad_check, relative_error
+from weakpair.autograd import (Graph, GraphError, _cosine, _l2_normalize, _log_softmax_at,
+                               _log_softmax_at_vjp, grad_check, relative_error)
 from weakpair.verify import LOSS_NAMES, loss_builder, loss_params, random_instance
 
 
@@ -17,122 +18,104 @@ def unit_rows(rng, n, d):
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
+def l2_rows(x):
+    return _l2_normalize(np.asarray(x, dtype=float))[0]
+
+
 class TestL2Normalize:
     def test_three_four_five(self):
-        g = Graph()
-        out = g.l2_normalize(g.constant([3.0, 4.0]))
-        np.testing.assert_allclose(out.value, [0.6, 0.8], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(l2_rows([3.0, 4.0]), [0.6, 0.8], rtol=0, atol=1e-15)
 
     def test_already_unit(self):
-        g = Graph()
-        out = g.l2_normalize(g.constant([1.0, 0.0, 0.0]))
-        np.testing.assert_array_equal(out.value, [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(l2_rows([1.0, 0.0, 0.0]), [1.0, 0.0, 0.0])
 
     def test_random_row_has_unit_norm(self):
         rng = np.random.default_rng(7)
-        g = Graph()
-        out = g.l2_normalize(g.constant(rng.normal(size=8)))
-        assert abs(np.linalg.norm(out.value) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(l2_rows(rng.normal(size=8))) - 1.0) <= 1e-12
 
     def test_zero_row_is_flagged_not_fixed(self):
+        x = np.array([[0.0, 0.0], [3.0, 4.0]])
+        _, safe, zero = _l2_normalize(x)
+        np.testing.assert_array_equal(zero, [[True], [False]])
+        np.testing.assert_array_equal(safe, [[1.0], [5.0]])
         g = Graph()
-        out = g.l2_normalize(g.constant([[0.0, 0.0], [3.0, 4.0]]))
+        out = g.tower(g.constant(x), np.eye(2), np.zeros(2), np.eye(2), np.zeros(2))
         np.testing.assert_array_equal(out.value[0], [0.0, 0.0])
         assert g.zero_norm_rows == [(out.id, (0,))]
 
 
 class TestCosineMatrix:
     def test_orthogonal(self):
-        g = Graph()
-        out = g.cosine_matrix(g.constant([[1.0, 0.0]]), g.constant([[0.0, 1.0]]))
-        np.testing.assert_array_equal(out.value, [[0.0]])
+        np.testing.assert_array_equal(_cosine(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])),
+                                      [[0.0]])
 
     def test_identical(self):
-        g = Graph()
-        out = g.cosine_matrix(g.constant([[1.0, 0.0]]), g.constant([[1.0, 0.0]]))
-        np.testing.assert_array_equal(out.value, [[1.0]])
+        np.testing.assert_array_equal(_cosine(np.array([[1.0, 0.0]]), np.array([[1.0, 0.0]])),
+                                      [[1.0]])
 
     def test_self_similarity_diagonal(self):
         rows = unit_rows(np.random.default_rng(0), 3, 2)
-        g = Graph()
-        out = g.cosine_matrix(g.constant(rows), g.constant(rows))
-        np.testing.assert_allclose(np.diag(out.value), 1.0, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(np.diag(_cosine(rows, rows)), 1.0, rtol=0, atol=1e-9)
 
     def test_dimension_mismatch(self):
+        """itc, the op that takes the cosines, rejects embeddings of two widths."""
         g = Graph()
         with pytest.raises(GraphError):
-            g.cosine_matrix(g.constant(np.ones((2, 3))), g.constant(np.ones((2, 4))))
+            g.itc(g.constant(np.ones((2, 3))), g.constant(np.ones((2, 4))), g.constant(0.0))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_bounded_on_unit_rows(self, seed):
         rows = unit_rows(np.random.default_rng(seed), 5, 4)
-        g = Graph()
-        out = g.cosine_matrix(g.constant(rows), g.constant(rows)).value
+        out = _cosine(rows, rows)
         assert out.min() >= -1.0 - 1e-9 and out.max() <= 1.0 + 1e-9
 
 
-def softmax_from_log(g, logits):
+def log_softmax_at(logits, cols):
+    logits = np.asarray(logits, dtype=float)
+    return _log_softmax_at(logits, np.arange(logits.shape[0]), np.asarray(cols))[0]
+
+
+def softmax_from_log(logits):
     """Every column's probability, one log_softmax_at per column."""
     n, m = logits.shape
-    x = g.constant(logits)
-    return np.stack([np.exp(g.log_softmax_at(x, np.full(n, c)).value)
-                     for c in range(m)], axis=1)
+    return np.stack([np.exp(log_softmax_at(logits, np.full(n, c))) for c in range(m)], axis=1)
 
 
 class TestSoftmaxRows:
-    """The row softmax, as log_softmax_at gives it in log space."""
+    """The row softmax, as the log-softmax-at formula of itc gives it in log space."""
 
     def test_symmetry(self):
-        g = Graph()
-        x = g.constant([[0.0, 0.0]])
         for col in (0, 1):
-            np.testing.assert_array_equal(g.log_softmax_at(x, [col]).value,
-                                          [-math.log(2.0)])
+            np.testing.assert_array_equal(log_softmax_at([[0.0, 0.0]], [col]), [-math.log(2.0)])
 
     def test_large_logits_stable(self):
-        g = Graph()
-        out = g.log_softmax_at(g.constant([[1000.0, 0.0], [1000.0, 0.0]]), [0, 1]).value
+        out = log_softmax_at([[1000.0, 0.0], [1000.0, 0.0]], [0, 1])
         assert np.all(np.isfinite(out))
         np.testing.assert_array_equal(out, [0.0, -1000.0])
 
     def test_random_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        out = softmax_from_log(Graph(), rng.normal(size=(4, 4)))
+        out = softmax_from_log(rng.normal(size=(4, 4)))
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
     @given(st.integers(0, 2 ** 32 - 1), st.floats(1e-3, 1e6))
     @settings(max_examples=25, deadline=None)
     def test_rows_sum_to_one_up_to_huge_entries(self, seed, scale):
         logits = scale * np.random.default_rng(seed).uniform(-1, 1, size=(3, 5))
-        g = Graph()
         cols = np.random.default_rng(seed).integers(0, 5, size=3)
-        assert np.all(np.isfinite(g.log_softmax_at(g.constant(logits), cols).value))
-        out = softmax_from_log(g, logits)
+        assert np.all(np.isfinite(log_softmax_at(logits, cols)))
+        out = softmax_from_log(logits)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, rtol=0, atol=1e-9)
 
     def test_gradient_is_onehot_minus_probabilities(self):
         logits = np.array([[0.5, -1.0, 2.0], [0.0, 0.0, 0.0]])
-        g = Graph()
-        x = g.leaf(logits, trainable=True)
-        grad = g.backward(g.sum(g.mul(g.log_softmax_at(x, [2, 0]), g.constant([3.0, -1.0]))))[x]
-        p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
-        want = np.array([[3.0], [-1.0]]) * (np.array([[0, 0, 1], [1, 0, 0]]) - p)
+        rows, cols = np.arange(2), np.array([2, 0])
+        _, p = _log_softmax_at(logits, rows, cols)
+        grad = _log_softmax_at_vjp(np.array([3.0, -1.0]), p, rows, cols)
+        want_p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        want = np.array([[3.0], [-1.0]]) * (np.array([[0, 0, 1], [1, 0, 0]]) - want_p)
         np.testing.assert_allclose(grad, want, rtol=1e-15, atol=1e-15)
-
-    @pytest.mark.parametrize("value, cols", [
-        (np.zeros(3), [0]),
-        (np.zeros((2, 3)), [0]),
-        (np.zeros((2, 3)), [0, 3]),
-        (np.zeros((2, 3)), [-1, 0]),
-        (np.zeros((2, 3)), [0.0, 1.0]),
-        (np.zeros((1, 0)), [0]),
-    ], ids=["not_a_matrix", "one_column_short", "out_of_range", "negative",
-            "not_integers", "no_columns"])
-    def test_contract_violations_rejected(self, value, cols):
-        g = Graph()
-        with pytest.raises(GraphError):
-            g.log_softmax_at(g.constant(value), cols)
 
 
 class TestBackward:
@@ -159,13 +142,12 @@ class TestBackward:
         rng = np.random.default_rng(11)
         raw = rng.normal(size=(3, 4))
         params = {"w1": rng.normal(0.0, 0.5, size=(4, 5)), "b1": rng.normal(size=5),
-                  "w2": rng.normal(0.0, 0.5, size=(5, 3)), "b2": rng.normal(size=3)}
+                  "w2": rng.normal(0.0, 0.5, size=(5, 3)), "b2": rng.normal(size=3),
+                  "log_tau": np.asarray(math.log(0.2))}
 
         def loss_fn(g, lv):
-            h = g.tanh(g.affine(g.constant(raw), lv["w1"], lv["b1"]))
-            emb = g.l2_normalize(g.affine(h, lv["w2"], lv["b2"]))
-            logits = g.mul(g.cosine_matrix(emb, emb), 1.0 / 0.2)
-            return g.mul(g.mean(g.log_softmax_at(logits, np.arange(3))), -1.0)
+            emb = g.tower(g.constant(raw), lv["w1"], lv["b1"], lv["w2"], lv["b2"])
+            return g.itc(emb, emb, lv["log_tau"])
 
         report = grad_check(loss_fn, params, eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_error
@@ -174,14 +156,16 @@ class TestBackward:
 class TestGradCheck:
     def test_linear_model_squared_loss_is_near_exact(self):
         rng = np.random.default_rng(0)
-        x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 1))
+        x, y = rng.normal(size=(6, 3)), rng.normal(size=6)
 
         def loss_fn(g, lv):
-            r = g.add(g.affine(g.constant(x), lv["w"], lv["b"]), g.constant(-y))
+            # x @ w + b, with w's one row gathered once per row of x.
+            xw = g.sum_rows(g.mul(g.constant(x), g.take_rows((lv["w"],), np.zeros(6, int))))
+            r = g.add(g.add(xw, lv["b"]), g.constant(-y))
             return g.mean(g.mul(r, r))
 
-        report = grad_check(loss_fn, {"w": rng.normal(size=(3, 1)),
-                                      "b": rng.normal(size=1)})
+        report = grad_check(loss_fn, {"w": rng.normal(size=(1, 3)),
+                                      "b": np.asarray(rng.normal())})
         assert report.max_rel_error < 1e-8
 
     def test_eps_range_enforced(self):
@@ -317,21 +301,38 @@ class TestSkippedAdjoints:
 
     def test_vjps_return_none_for_inputs_that_need_no_gradient(self):
         g = Graph()
-        x = g.tanh(g.leaf(np.full((2, 3), 0.5), trainable=True))  # needs a gradient
+        x = g.exp(g.leaf(np.full((2, 3), 0.5), trainable=True))  # needs a gradient
         c = g.constant(np.full((2, 3), 2.0))
-        w, cw = g.leaf(np.ones((3, 4)), trainable=True), g.constant(np.ones((3, 4)))
-        b, cb = g.leaf(np.zeros(4), trainable=True), g.constant(np.zeros(4))
-        d23, d24 = np.ones((2, 3)), np.ones((2, 4))
+        d23 = np.ones((2, 3))
 
         def skipped(node, seed):
             return [part is None for part in node._vjp(seed)]
+
+        def params(shapes, trainable):
+            return [g.leaf(np.full(s, 0.1), trainable=t) for s, t in zip(shapes, trainable)]
 
         assert skipped(g.add(x, c), d23) == [False, True]
         assert skipped(g.add(c, x), d23) == [True, False]
         assert skipped(g.mul(x, c), d23) == [False, True]
         assert skipped(g.mul(3.0, x), d23) == [True, False]
-        assert skipped(g.affine(c, w, b), d24) == [True, False, False]
-        assert skipped(g.affine(x, cw, cb), d24) == [False, True, True]
-        assert skipped(g.affine(c, w, cb), d24) == [True, False, True]
-        assert skipped(g.affine(c, w), d24) == [True, False]
-        assert skipped(g.affine(x, cw), d24) == [False, True]
+        # tower lists (w2, b2, x, w1, b1); the inner affine's adjoints are
+        # skipped as one when none of x, w1, b1 needs a gradient.
+        tower = [(3, 4), (4,), (4, 2), (2,)]
+        d22 = np.ones((2, 2))
+        assert skipped(g.tower(c, *params(tower, [1, 1, 1, 1])), d22) == [0, 0, 1, 0, 0]
+        assert skipped(g.tower(x, *params(tower, [0, 0, 0, 0])), d22) == [1, 1, 0, 1, 1]
+        assert skipped(g.tower(c, *params(tower, [0, 0, 1, 1])), d22) == [0, 0, 1, 1, 1]
+        assert skipped(g.tower(c, *params(tower, [1, 0, 0, 1])), d22) == [1, 0, 1, 0, 1]
+        # match_head lists (v_prod, f_txt, v_txt, f_img, v_img, w_out, b_out,
+        # w_prod, f_txt, w_txt, f_img, w_img, b_hidden, f_img, f_txt); the
+        # hidden layer's eight adjoints go when nothing below w_out needs one.
+        head = [(3, 4)] * 3 + [(4,), (4, 1)] + [(3, 1)] * 3 + [(1,)]
+        d21 = np.ones((2, 1))
+        assert skipped(g.match_head(c, c, *params(head, [1] * 9)), d21) == \
+            [0, 1, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1]
+        assert skipped(g.match_head(x, x, *params(head, [0] * 9)), d21) == \
+            [1, 0, 1, 0, 1, 1, 1, 1, 0, 1, 0, 1, 1, 0, 0]
+        assert skipped(g.match_head(c, x, *params(head, [0] * 9)), d21) == \
+            [1, 0, 1, 1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 0]
+        assert skipped(g.match_head(c, c, *params(head, [0] * 4 + [1] * 5)), d21) == \
+            [0, 1, 0, 1, 0, 0, 0] + [1] * 8

@@ -159,6 +159,8 @@ class TestEval:
         ("raw_width_mismatch", "image raw width 12, but checkpoint"),
         ("config_mapping", "config: unknown mapping 'cubic'"),
         ("config_step", "step must be an integer >= 0, got 'x'"),
+        ("huge_hidden_dim", "params['img.w1']: shape (10, 8), expected (10, 1000000000000)"),
+        ("zero_raw_width", "params['img.w1']: shape (0, 8), expected (1, 8)"),
         ("header_not_a_number", "header view_noise: could not convert"),
         ("header_out_of_range", "header: raw_dim_image must be >= 1, got -1"),
         ("header_unknown_key", "unknown header key 'colour'"),
@@ -206,6 +208,11 @@ class TestEval:
                 payload["config"]["mapping"] = "cubic"
             elif case == "config_step":
                 payload["step"] = "x"
+            elif case == "huge_hidden_dim":
+                payload["config"]["hidden_dim"] = 10 ** 12
+            elif case == "zero_raw_width":
+                for section in ("params", "opt_m", "opt_v"):
+                    payload[section]["img.w1"] = {"shape": [0, 8], "data": []}
             elif case == "missing_param":
                 del params["head.w_out"]
             elif case == "nan_param":
@@ -308,20 +315,20 @@ class TestGradcheckCommand:
             assert name in out
 
     def test_injected_sign_bug_is_caught_and_named(self, monkeypatch, capsys):
-        original = Graph.tanh
+        original = Graph.tower
 
-        def broken_tanh(self, x):
-            node = original(self, x)
+        def broken_tower(self, *args):
+            node = original(self, *args)
             true_vjp = node._vjp
             node._vjp = lambda g: tuple(None if c is None else -c
                                         for c in true_vjp(g))
             return node
 
-        monkeypatch.setattr(Graph, "tanh", broken_tanh)
+        monkeypatch.setattr(Graph, "tower", broken_tower)
         assert main(["gradcheck", "--set", "gradcheck.points=1"]) == EXIT_RUNTIME
         captured = capsys.readouterr()
-        assert "op:tanh" in captured.err
-        assert "FAIL op:tanh" in captured.out
+        assert "op:tower" in captured.err
+        assert "FAIL op:tower" in captured.out
 
     @pytest.mark.parametrize("setting", [
         "points=0", "points=-1", "tol=nan", "tol=inf", "tol=-1", "tol=0",

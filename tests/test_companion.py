@@ -8,6 +8,8 @@ from weakpair.companion import companion_path
 from weakpair.data import GenConfig, generate
 from weakpair.training import TrainConfig, load_checkpoint, save_checkpoint, train
 
+from test_data import manifests_equal
+
 
 def write_twice(kind, path):
     """Write one state of kind to path; return a writer of a second state."""
@@ -78,7 +80,7 @@ def test_write_stopped_between_the_files_reads_the_new_text(tmp_path, monkeypatc
     assert path.read_bytes() == new_text
     assert companion_path(path).read_bytes() == stale
     if kind == "dataset":
-        assert data.manifests_equal(read(path), want)
+        assert manifests_equal(read(path), want)
     else:
         assert training.checkpoints_equal(read(path), want)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "f.npy"]

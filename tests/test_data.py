@@ -9,8 +9,18 @@ import dataclasses
 import hashlib
 
 from weakpair import data
-from weakpair.data import (DatasetFormatError, GenConfig, companion_path, generate,
-                           manifests_equal, read, split, write)
+from weakpair.data import (DatasetFormatError, GenConfig, companion_path, generate, read,
+                           split, write)
+
+
+def manifests_equal(a, b):
+    """Same version, generator config, split tag and records."""
+    return ((a.version, a.gen_config, a.split_tag, len(a.records))
+            == (b.version, b.gen_config, b.split_tag, len(b.records))
+            and all((ra.identity, ra.view) == (rb.identity, rb.view)
+                    and np.array_equal(ra.image_raw, rb.image_raw)
+                    and np.array_equal(ra.text_raw, rb.text_raw)
+                    for ra, rb in zip(a.records, b.records)))
 
 
 def cfg(**overrides):

@@ -8,7 +8,20 @@ from weakpair.autograd import Evaluator, Graph, GraphError, grad_check
 from weakpair.verify import (LOSS_NAMES, _op_cases, loss_builder, loss_params,
                              random_instance)
 
+from test_kernels import ChainEvaluator, ChainGraph, assert_bitwise_equal, formula_cases
+
 _OP_NAMES = [name for name, _, _ in _op_cases(np.random.default_rng(0))]
+
+
+def probes(rng):
+    """(name, params, loss_fn, Graph type, Evaluator type) of every op's probe,
+    then of each kernel formula's on the kernels' test reference, whose
+    private helpers must stack exactly too."""
+    return ([(*case, Graph, Evaluator) for case in _op_cases(rng)]
+            + [(*case, ChainGraph, ChainEvaluator) for case in formula_cases(rng)])
+
+
+_PROBE_NAMES = [probe[0] for probe in probes(np.random.default_rng(0))]
 
 
 def replicas_of(params, count, rng):
@@ -17,30 +30,22 @@ def replicas_of(params, count, rng):
             for _ in range(count)]
 
 
-def stacked_values(fn, copies, dtype=np.float64):
-    ev = Evaluator(dtype)
+def stacked_values(fn, copies, dtype=np.float64, evaluator=Evaluator):
+    ev = evaluator(dtype)
     leaves = {k: ev.stack(np.stack([c[k] for c in copies]), name=k) for k in copies[0]}
     out = fn(ev, leaves)
     assert out.stacked and out.value.shape == (len(copies),) + out.shape
     return out.value
 
 
-def graph_value(fn, params):
-    g = Graph()
+def graph_value(fn, params, graph=Graph):
+    g = graph()
     return fn(g, {k: g.leaf(v, trainable=True, name=k) for k, v in params.items()}).value
 
 
-def plain_value(fn, params, dtype):
-    ev = Evaluator(dtype)
+def plain_value(fn, params, dtype, evaluator=Evaluator):
+    ev = evaluator(dtype)
     return fn(ev, {k: ev.leaf(v, name=k) for k, v in params.items()}).value
-
-
-def assert_bitwise_equal(got, want):
-    # Equal values with equal signs are equal bits (no NaN arises here);
-    # tobytes() would also compare long double's padding bytes.
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), \
-        (got, want)
 
 
 def test_every_op_has_a_battery_case():
@@ -58,7 +63,7 @@ _CONTRACT_BREAKS = {
     "stacked_row_plus_column": ((3,), lambda g, x: g.add(x, g.constant(np.ones((3, 1))))),
     "stacked_row_plus_matrix": ((3,), lambda g, x: g.add(x, g.constant(np.ones((2, 3))))),
     "take_rows_out_of_range": ((3, 2), lambda g, x: g.take_rows((x,), [0, 3])),
-    "log_softmax_at_wrong_column": ((3, 3), lambda g, x: g.log_softmax_at(x, [0, 3, 1])),
+    "itc_stacked_row": ((3,), lambda g, x: g.itc(x, g.constant(np.ones((2, 3))), 0.0)),
     "bce_logits_labels_shape": ((3, 1), lambda g, x: g.bce_logits(x, np.ones(3))),
 }
 
@@ -78,25 +83,25 @@ def test_evaluator_rejects_what_graph_rejects(case):
 
 
 @pytest.mark.parametrize("count", [1, 3])
-@pytest.mark.parametrize("name", _OP_NAMES)
+@pytest.mark.parametrize("name", _PROBE_NAMES)
 def test_op_cases_match_graph_per_replica(name, count):
     rng = np.random.default_rng(2)
-    _, params, fn = next(case for case in _op_cases(rng) if case[0] == name)
+    _, params, fn, graph, evaluator = next(p for p in probes(rng) if p[0] == name)
     copies = replicas_of(params, count, rng)
-    values = stacked_values(fn, copies)
+    values = stacked_values(fn, copies, evaluator=evaluator)
     for replica, point in zip(values, copies):
-        assert_bitwise_equal(replica, graph_value(fn, point))
+        assert_bitwise_equal(replica, graph_value(fn, point, graph))
 
 
-@pytest.mark.parametrize("name", _OP_NAMES)
+@pytest.mark.parametrize("name", _PROBE_NAMES)
 def test_op_cases_stack_exactly_in_long_double(name):
     """grad_check's own regime: stacked long double equals unstacked long double."""
     rng = np.random.default_rng(3)
-    _, params, fn = next(case for case in _op_cases(rng) if case[0] == name)
+    _, params, fn, _, evaluator = next(p for p in probes(rng) if p[0] == name)
     copies = replicas_of(params, 3, rng)
-    values = stacked_values(fn, copies, np.longdouble)
+    values = stacked_values(fn, copies, np.longdouble, evaluator)
     for replica, point in zip(values, copies):
-        assert_bitwise_equal(replica, plain_value(fn, point, np.longdouble))
+        assert_bitwise_equal(replica, plain_value(fn, point, np.longdouble, evaluator))
 
 
 @pytest.mark.parametrize("loss", LOSS_NAMES)
@@ -133,15 +138,18 @@ def test_gather_layout_does_not_change_sums():
 
 
 def test_mixed_stacked_and_shared_operands():
-    """Stacked scalars against matrices, shared sources beside stacked ones."""
+    """Stacked scalars against matrices, shared sources beside stacked ones,
+    and a kernel over stacked and shared inputs of every rank."""
     rng = np.random.default_rng(6)
     shared = rng.normal(size=(2, 3))
 
     def fn(g, lv):
         scaled = g.mul(g.exp(lv["s"]), g.take_rows((lv["m"], g.constant(shared)), [3, 0, 4]))
-        return g.sum(g.affine(scaled, g.constant(np.ones((3, 2))), lv["b"]))
+        return g.sum(g.tower(scaled, g.constant(np.ones((3, 2))), lv["b"],
+                             lv["w2"], g.constant(np.zeros(2))))
 
-    params = {"s": np.asarray(0.3), "m": rng.normal(size=(3, 3)), "b": rng.normal(size=2)}
+    params = {"s": np.asarray(0.3), "m": rng.normal(size=(3, 3)), "b": rng.normal(size=2),
+              "w2": rng.normal(size=(2, 2))}
     copies = replicas_of(params, 3, rng)
     for replica, point in zip(stacked_values(fn, copies), copies):
         assert_bitwise_equal(replica, graph_value(fn, point))

@@ -1,16 +1,18 @@
-"""Fused kernels against the chains of primitive ops they replace, bit for bit.
+"""Fused kernels against the chains of formula ops they replace, bit for bit.
 
 Each kernel (tower, itc, match_head) must give the chain's value and, for
 every input, the gradient the chain's nodes would have accumulated, in the
 same order, also when the kernel's inputs feed other nodes or alias each
 other.  The chains below are the reference: each kernel's formula composed
-from primitive ops, one node per op.
+from ChainOps, one node per formula helper the kernels call.
 """
 
 import numpy as np
 import pytest
 
-from weakpair.autograd import Evaluator, Graph, GraphError
+from weakpair.autograd import (Evaluator, Graph, GraphError, _affine, _affine_vjp, _cosine,
+                               _cosine_vjp, _l2_normalize, _l2_normalize_vjp, _log_softmax_at,
+                               _log_softmax_at_vjp, _tanh_vjp)
 from weakpair.encoders import ModelDims
 from weakpair.training import assemble_losses, encode_step
 from weakpair.verify import random_instance
@@ -40,18 +42,70 @@ def match_head_chain(g, f_img, f_txt, w_img, w_txt, w_prod, b_hidden, w_out,
     return g.add(hidden, direct)
 
 
-class ChainGraph(Graph):
-    """A Graph that records each kernel as its chain of primitive ops."""
+class ChainOps:
+    """The kernels' formulas as one-node ops on a front end's hooks, and each
+    kernel recorded as its chain of them."""
+
+    def affine(self, x, w, b=None):
+        inputs = tuple(map(self._wrap, (x, w) if b is None else (x, w, b)))
+        x, w = inputs[:2]
+
+        def vjp(g):
+            return _affine_vjp(g, x.value, w.value, x.needs_grad, w.needs_grad,
+                               b is not None and inputs[2].needs_grad)[:len(inputs)]
+
+        return self._emit("affine", inputs, _affine(*self._values(*inputs)), vjp)
+
+    def tanh(self, x):
+        x = self._wrap(x)
+        y = np.tanh(x.value)
+        return self._emit("tanh", (x,), y, lambda g: (_tanh_vjp(g, y),))
+
+    def l2_normalize(self, x):
+        x = self._wrap(x)
+        y, safe, zero = _l2_normalize(x.value)
+        out = self._emit("l2_normalize", (x,), y,
+                         lambda g: (_l2_normalize_vjp(g, y, safe, zero),))
+        self._flag_zero_rows(out, zero)
+        return out
+
+    def cosine_matrix(self, a, b):
+        a, b = self._wrap(a), self._wrap(b)
+        return self._emit("cosine_matrix", (a, b), _cosine(*self._values(a, b)),
+                          lambda g: _cosine_vjp(g, a.value, b.value))
+
+    def log_softmax_at(self, x, cols):
+        x, cols = self._wrap(x), np.asarray(cols)
+        rows = np.arange(cols.shape[0])
+        y, p = _log_softmax_at(x.value, rows, cols)
+        return self._emit("log_softmax_at", (x,), y,
+                          lambda g: (_log_softmax_at_vjp(g, p, rows, cols),))
 
     tower = tower_chain
     itc = itc_chain
     match_head = match_head_chain
 
 
-class ChainEvaluator(Evaluator):
-    tower = tower_chain
-    itc = itc_chain
-    match_head = match_head_chain
+class ChainGraph(ChainOps, Graph):
+    pass
+
+
+class ChainEvaluator(ChainOps, Evaluator):
+    pass
+
+
+def formula_cases(rng):
+    """(name, params, loss_fn) triples, one scalar probe per formula op: its
+    output weighted by a fixed array and summed."""
+    a, b, w, bias = (rng.normal(size=shape) for shape in ((3, 4), (3, 4), (4, 2), 2))
+    cases = [("affine", {"x": a, "w": w, "b": bias}, lambda g, lv: g.affine(*lv.values())),
+             ("tanh", {"x": a}, lambda g, lv: g.tanh(lv["x"])),
+             ("l2_normalize", {"x": a}, lambda g, lv: g.l2_normalize(lv["x"])),
+             ("cosine_matrix", {"a": a, "b": b}, lambda g, lv: g.cosine_matrix(*lv.values())),
+             ("log_softmax_at", {"x": a}, lambda g, lv: g.log_softmax_at(lv["x"], [3, 0, 3]))]
+    weights = [rng.normal(size=shape) for shape in ((3, 2), (3, 4), (3, 4), (3, 3), 3)]
+    return [(name, params, lambda g, lv, op=op, c=c: g.sum(g.mul(op(g, lv), g.constant(c))))
+            for (name, params, op), c in zip(cases, weights)]
 
 
 TRAINER = ModelDims(raw_dim_image=48, raw_dim_text=40, hidden_dim=32, embed_dim=16)
@@ -83,7 +137,7 @@ def kernel_inputs(kernel, dims, n, k, rng):
 def differentiate(graph_type, kernel, inputs, trainable, alias, rng_seed):
     """The kernel's value, the loss and every trainable input's gradient.
 
-    Every trainable input also feeds a tanh recorded before the kernel and
+    Every trainable input also feeds an exp recorded before the kernel and
     one recorded after it, so backward adds the kernel's contributions
     between two others; with alias, the first input is passed for the
     second as well."""
@@ -95,7 +149,7 @@ def differentiate(graph_type, kernel, inputs, trainable, alias, rng_seed):
         args[1] = args[0]
 
     def side_terms():
-        return [g.sum(g.mul(g.tanh(leaves[k]), rng.normal(size=leaves[k].shape)))
+        return [g.sum(g.mul(g.exp(leaves[k]), rng.normal(size=leaves[k].shape)))
                 for k in trainable]
 
     terms = side_terms()
@@ -110,6 +164,8 @@ def differentiate(graph_type, kernel, inputs, trainable, alias, rng_seed):
 
 
 def assert_bitwise_equal(got, want):
+    # Equal values with equal signs are equal bits (no NaN arises here);
+    # tobytes() would also compare long double's padding bytes.
     got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), \

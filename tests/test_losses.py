@@ -18,6 +18,8 @@ from weakpair.mining import MiningConfig, build_groups
 from weakpair.training import encode_step
 from weakpair.verify import random_instance, stop_gradient_bitexact
 
+from test_kernels import ChainGraph
+
 
 def unit_rows(rng, n, d):
     rows = rng.normal(size=(n, d))
@@ -28,8 +30,14 @@ def log_tau_const(g, tau=0.07):
     return g.constant(math.log(tau))
 
 
+def recomputed_total(report, weights):
+    """itc + itm + alpha * uitc + beta * (gitm_txt + gitm_img), from a report's values."""
+    return (report.itc + report.itm + weights.alpha * report.uitc
+            + weights.beta * (report.gitm_txt + report.gitm_img))
+
+
 def log_match_scores(g, a, b, tau):
-    """Log of every match score: log-softmax of cos(a, b) / tau, column by column."""
+    """Every log match score, log-softmax of cos(a, b) / tau by column; g is a ChainGraph."""
     logits = g.mul(g.cosine_matrix(a, b), 1.0 / tau)
     n, m = logits.shape
     return np.stack([g.log_softmax_at(logits, np.full(n, c)).value for c in range(m)],
@@ -40,19 +48,19 @@ class TestMatchingScores:
     """Match scores, the softmax over cosines / tau that itc_loss takes in log space."""
 
     def test_single_element(self):
-        g = Graph()
+        g = ChainGraph()
         f = g.constant([[1.0, 0.0]])
         np.testing.assert_array_equal(log_match_scores(g, f, f, 0.07), [[0.0]])
 
     def test_identical_embeddings_split_evenly(self):
-        g = Graph()
+        g = ChainGraph()
         f = g.constant([[1.0, 0.0], [1.0, 0.0]])
         np.testing.assert_allclose(log_match_scores(g, f, f, 0.3),
                                    np.full((2, 2), -math.log(2.0)), rtol=0, atol=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        g = Graph()
+        g = ChainGraph()
         scores = np.exp(log_match_scores(g, g.constant(unit_rows(rng, 3, 4)),
                                          g.constant(unit_rows(rng, 3, 4)), 0.07))
         np.testing.assert_allclose(scores.sum(axis=1), 1.0, rtol=0, atol=1e-9)
@@ -62,7 +70,7 @@ class TestMatchingScores:
         a, b = unit_rows(rng, 5, 6), unit_rows(rng, 5, 6)
         raw_argmax = (a @ b.T).argmax(axis=1)
         for tau in (0.01, 0.07, 1.0, 50.0):
-            g = Graph()
+            g = ChainGraph()
             scores = log_match_scores(g, g.constant(a), g.constant(b), tau)
             np.testing.assert_array_equal(scores.argmax(axis=1), raw_argmax)
 
@@ -404,7 +412,7 @@ class TestTotalLoss:
         g = Graph()
         node = total_loss(g, g.constant(0.9), g.constant(0.7), g.constant(0.4),
                           g.constant(0.2), g.constant(0.3), weights)
-        assert abs(float(node.value) - report.recomputed_total(weights)) <= 1e-9
+        assert abs(float(node.value) - recomputed_total(report, weights)) <= 1e-9
 
 
 def test_uitc_rejects_nonpositive_uncertainty():

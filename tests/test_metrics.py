@@ -17,7 +17,7 @@ from weakpair import metrics
 from weakpair.autograd import Graph
 from weakpair.losses import MAPPINGS, consistency_uncertainty, mapping_value
 from weakpair.metrics import (DEFAULT_RECALL_GRID, RankingResult,
-                              _row_dots, average_precision, margin_stats,
+                              _row_dots, margin_stats,
                               margin_tuples, mean_average_precision, pr_curve,
                               query_uncertainty, rank_queries, recall_at_k,
                               reliability_stats, risk_coverage)
@@ -75,6 +75,11 @@ def ranking_for(flags_list, u=None):
 # -- unit values -----------------------------------------------------------
 
 
+def average_precision(flags):
+    """One query's AP, as rank_queries gives it for ranked flags."""
+    return float(ranking_for([flags]).aps[0])
+
+
 class TestAveragePrecision:
     def test_relevant_first(self):
         assert average_precision([True, False, False]) == 1.0
@@ -87,8 +92,11 @@ class TestAveragePrecision:
         assert abs(average_precision([True, False, True]) - 5.0 / 6.0) <= 1e-15
 
     def test_no_relevant_rejected(self):
+        """AP is undefined without a relevant item: the query is excluded."""
+        result = ranking_for([[False, False]])
+        assert result.aps.shape == (0,) and result.excluded == 1
         with pytest.raises(ValueError):
-            average_precision([False, False])
+            mean_average_precision(result)
 
 
 class TestRecallAtK:

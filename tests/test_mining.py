@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from weakpair.data import GenConfig, PairRecord, generate
 from weakpair.encoders import EmbeddingBatch
 from weakpair.mining import (MiningConfig, MiningStarvationError, PairGroups, _mine,
-                             _scores, build_groups, mine_hard_negatives, sample_weak,
-                             sample_weak_batch)
+                             _scores, build_groups, mine_hard_negatives, sample_weak_batch)
 
 
 def record(identity, view):
@@ -55,12 +54,12 @@ class TestSampleWeak:
         pool = pool_of(2)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            sel = sample_weak(pool[0][0], pool, rng)
+            sel = sample_weak_batch([pool[0][0]], pool, rng)[0]
             assert sel.weak.view == 1 and not sel.degenerate
 
     def test_singleton_identity_degenerates(self):
         pool = pool_of(1)
-        sel = sample_weak(pool[0][0], pool, np.random.default_rng(0))
+        sel = sample_weak_batch([pool[0][0]], pool, np.random.default_rng(0))[0]
         assert sel.degenerate and sel.weak is sel.anchor
 
     def test_uniform_over_other_views(self):
@@ -68,20 +67,20 @@ class TestSampleWeak:
         rng = np.random.default_rng(1)
         counts = np.zeros(5)
         for _ in range(10_000):
-            counts[sample_weak(pool[0][0], pool, rng).weak.view] += 1
+            counts[sample_weak_batch([pool[0][0]], pool, rng)[0].weak.view] += 1
         assert counts[0] == 0
         np.testing.assert_allclose(counts[1:] / 10_000, 0.25, rtol=0, atol=0.02)
 
     def test_identity_absent(self):
         with pytest.raises(KeyError):
-            sample_weak(record(9, 0), pool_of(2), np.random.default_rng(0))
+            sample_weak_batch([record(9, 0)], pool_of(2), np.random.default_rng(0))
 
     def test_never_crosses_identity(self):
         d = generate(GenConfig(20, 3, 4, 5, 5, 0.1, 0.2, 3))
         pool = d.by_identity()
         rng = np.random.default_rng(2)
         for rec in d.records:
-            assert sample_weak(rec, pool, rng).weak.identity == rec.identity
+            assert sample_weak_batch([rec], pool, rng)[0].weak.identity == rec.identity
 
 
 def scalar_weak_draws(anchors, pool, rng):
@@ -100,16 +99,16 @@ def scalar_weak_draws(anchors, pool, rng):
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_batched_weak_draws_equal_per_anchor_draws(counts, picks, seed):
-    """One batched draw gives every anchor the pick that per-anchor
-    sample_weak calls and scalar draws give it, single-record identities
+    """One batched draw gives every anchor the pick that one-anchor batches
+    and scalar draws give it, single-record identities
     (degenerate, no draw) among them, and leaves the stream where they do."""
     pool = pool_of(*counts)
     records = [r for rs in pool.values() for r in rs]
     anchors = [records[p % len(records)] for p in picks]
     rngs = [np.random.default_rng(seed) for _ in range(3)]
     batched = [(s.weak.view, s.degenerate) for s in sample_weak_batch(anchors, pool, rngs[0])]
-    single = [(s.weak.view, s.degenerate) for s in (sample_weak(a, pool, rngs[1])
-                                                    for a in anchors)]
+    single = [(s.weak.view, s.degenerate)
+              for s in (sample_weak_batch([a], pool, rngs[1])[0] for a in anchors)]
     assert batched == single == scalar_weak_draws(anchors, pool, rngs[2])
     assert len({int(rng.integers(2 ** 62)) for rng in rngs}) == 1
 

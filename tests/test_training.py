@@ -23,6 +23,8 @@ from weakpair.training import (CheckpointFormatError, NumericAbort, TrainConfig,
                                checkpoints_equal, load_checkpoint,
                                save_checkpoint, step_lr, train)
 
+from test_losses import recomputed_total
+
 
 REC = PairRecord(0, 0, np.zeros(2), np.zeros(2))
 
@@ -122,7 +124,7 @@ class TestTrainBasics:
         cfg = small_cfg()
         _, log = train(cfg, d)
         for rec in log.steps:
-            assert abs(rec.report.total - rec.report.recomputed_total(cfg.weights())) <= 1e-9
+            assert abs(rec.report.total - recomputed_total(rec.report, cfg.weights())) <= 1e-9
 
     def test_uncertainty_bounds_exponential(self):
         d = dataset()

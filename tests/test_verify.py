@@ -11,6 +11,8 @@ from weakpair.losses import itc_loss, matching_losses, uitc_loss, weak_itc_loss
 from weakpair.training import assemble_losses, encode_step
 from weakpair.verify import LOSS_NAMES, loss_params, losses_builder, random_instance
 
+from test_kernels import assert_bitwise_equal
+
 SEEDS = range(20)
 
 # The oracle: each loss composed on its own, as the battery once built it.
@@ -46,12 +48,6 @@ def oracle_builder(name, inst):
         return build(g, full, encode_step(g, full, inst.data, need_weak), inst)
 
     return fn
-
-
-def assert_bitwise_equal(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), \
-        (got, want)
 
 
 def battery_point(monkeypatch, seed):
