@@ -43,6 +43,8 @@ repository keeps the manifest of its own revision as ``/DIGESTS.json``: a
 change that keeps every output leaves it unchanged, and one that moves
 outputs shows in its diff which.  Another numpy or BLAS build may
 legitimately give other digests; compare its ``environment`` first.
+``tests/test_digests.py`` rebuilds the default and degenerate legs through
+``default_leg`` and ``degenerate_leg`` and compares them with the manifest.
 """
 
 from __future__ import annotations
@@ -107,6 +109,17 @@ def resume_leg(out: Path, train_d: data.DatasetManifest) -> None:
                       *cli.train_log_rows(TrainLog(first.steps + rest.steps)))
 
 
+def default_leg(run: Path) -> None:
+    """The default gen, then train on its train.tsv, eval and diag on its test.tsv."""
+    weakpair(run / "data", "gen", "--out", str(run / "data"))
+    weakpair(run / "train", "train", "--data", str(run / "data" / "train.tsv"),
+             "--out", str(run / "train"))
+    for command in ("eval", "diag"):
+        weakpair(run / command, command, "--data", str(run / "data" / "test.tsv"),
+                 "--checkpoint", str(run / "train" / "checkpoint.json"),
+                 "--out", str(run / command))
+
+
 def text_only_leg(out: Path, run: Path, name: str, copied: str) -> None:
     """eval and diag again, with one default input copied without its companion.
 
@@ -162,29 +175,35 @@ def degenerate_leg(out: Path, train_d: data.DatasetManifest) -> None:
     identities (each epoch ends on a batch of 5), every third of them left
     with one record, which stands in as its own weak counterpart."""
     out.mkdir(parents=True)
-    kept, seen, records = set(train_d.identities()[:16 * 11 + 5]), set(), []
-    for rec in train_d.records:
-        if rec.identity in kept and (rec.identity % 3 or rec.identity not in seen):
-            records.append(rec)
-            seen.add(rec.identity)
-    data.write(dataclasses.replace(train_d, records=records), out / "train.tsv")
+    kept, seen, rows = set(train_d.identities()[:16 * 11 + 5]), set(), []
+    for row, identity in enumerate(train_d.identity.tolist()):
+        if identity in kept and (identity % 3 or identity not in seen):
+            rows.append(row)
+            seen.add(identity)
+    data.write(train_d.take(rows), out / "train.tsv")
     for mode in ABLATION_MODES:
         weakpair(out / mode, "train", "--data", str(out / "train.tsv"), "--out",
                  str(out / mode), "--set", "train.epochs=3",
                  "--set", f"train.ablation_mode={mode}")
 
 
-def write_digests(out: Path) -> None:
-    """out/DIGESTS.json: the environment and every file's sha256 under out."""
+def environment() -> dict:
+    """The Python, numpy and BLAS builds that the digests were taken on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")}}
+
+
+def file_digests(out: Path) -> dict[str, str]:
+    """Every file's sha256 under out, by path relative to out, sorted."""
     files = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
              for path in out.rglob("*") if path.is_file()}
-    manifest = {
-        "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                        "blas": {key: blas.get(key) for key in
-                                 ("name", "version", "openblas configuration")}},
-        "files": dict(sorted(files.items())),
-    }
+    return dict(sorted(files.items()))
+
+
+def write_digests(out: Path) -> None:
+    """out/DIGESTS.json: the environment and every file's sha256 under out."""
+    manifest = {"environment": environment(), "files": file_digests(out)}
     (out / "DIGESTS.json").write_text(json.dumps(manifest, indent=1) + "\n")
 
 
@@ -194,13 +213,7 @@ def main(out: Path) -> None:
     os.chdir(out)
     out = Path(".")
     run = out / "default"
-    weakpair(run / "data", "gen", "--out", str(run / "data"))
-    weakpair(run / "train", "train", "--data", str(run / "data" / "train.tsv"),
-             "--out", str(run / "train"))
-    for command in ("eval", "diag"):
-        weakpair(run / command, command, "--data", str(run / "data" / "test.tsv"),
-                 "--checkpoint", str(run / "train" / "checkpoint.json"),
-                 "--out", str(run / command))
+    default_leg(run)
     text_only_leg(out, run, "tsv-only", "data")
     text_only_leg(out, run, "json-only", "checkpoint")
     mapping_leg(out / "mappings", run / "data")

@@ -199,7 +199,7 @@ def cmd_gen(args) -> int:
     datamod.write(train_split, out_dir / "train.tsv")
     datamod.write(test_split, out_dir / "test.tsv")
     write_resolved(resolved, out_dir)
-    print(f"wrote {len(train_split.records)} train / {len(test_split.records)} "
+    print(f"wrote {len(train_split.identity)} train / {len(test_split.identity)} "
           f"test records to {out_dir}")
     return EXIT_OK
 

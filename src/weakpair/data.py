@@ -13,15 +13,19 @@ File format (one dataset per file, UTF-8):
 Vector values are comma-separated decimals with 17 significant digits, which
 round-trips IEEE float64 exactly.
 
+In memory a dataset is columns (``DatasetManifest``): identity and view as
+int64, image and text as float64 rows.  ``identity_groups`` groups the rows
+by identity once; "record r's other records" is defined there alone.
+
 The TSV is the dataset.  Beside it, ``write`` puts a binary companion
-(see ``companion``), ``<name>.tsv.npy``, holding the records as one
+(see ``companion``), ``<name>.tsv.npy``, holding the columns as one
 structured table (``identity``, ``view`` as ``<i8``; ``image``, ``text`` as
-``<f8`` rows of the header's widths).  ``read`` parses and checks the TSV's
-header line, then takes the records from the companion only when
-``companion.load`` accepts it for the TSV's bytes with the header's dtype,
-its entries are finite and its (identity, view) pairs are unique.
-Otherwise it parses the TSV's records, the only source of record errors.
-Hand-written TSVs need no companion.
+``<f8`` rows of the header's widths).  ``read`` decodes and checks the TSV's
+header line, then takes the columns from the companion only when
+``companion.load`` accepts it for the TSV's bytes with the header's dtype
+and its records pass the checks ``write`` makes.  Otherwise it decodes and
+parses the TSV's records, the only source of record errors.  Hand-written
+TSVs need no companion.
 """
 
 from __future__ import annotations
@@ -85,19 +89,56 @@ class PairRecord:
 
 @dataclass
 class DatasetManifest:
+    """A dataset as columns, one row per record: identity and view, int64
+    (n,); image and text, float64 C-contiguous (n, raw width)."""
+
     version: str
     gen_config: GenConfig
-    records: list[PairRecord]
+    identity: np.ndarray
+    view: np.ndarray
+    image: np.ndarray
+    text: np.ndarray
     split_tag: str = "none"
 
-    def by_identity(self) -> dict[int, list[PairRecord]]:
-        pools: dict[int, list[PairRecord]] = {}
-        for rec in self.records:
-            pools.setdefault(rec.identity, []).append(rec)
-        return pools
+    @property
+    def records(self) -> list[PairRecord]:
+        """One PairRecord per row, its vectors views of the columns."""
+        return [PairRecord(*rec) for rec in zip(
+            self.identity.tolist(), self.view.tolist(), self.image, self.text)]
 
     def identities(self) -> list[int]:
-        return sorted({rec.identity for rec in self.records})
+        return sorted(set(self.identity.tolist()))  # a plain np.unique imports numpy.ma
+
+    def take(self, rows, split_tag: str | None = None) -> "DatasetManifest":
+        """The records at rows (indices or a mask), in order, as new columns."""
+        return DatasetManifest(self.version, self.gen_config, self.identity[rows],
+                               self.view[rows], self.image[rows], self.text[rows],
+                               self.split_tag if split_tag is None else split_tag)
+
+
+@dataclass(frozen=True)
+class IdentityGroups:
+    """The one definition of a record's identity and its other records, for
+    training, mining and metrics; identities numbered in ascending order."""
+
+    inverse: np.ndarray  # (n,) each record's identity number
+    counts: np.ndarray   # (identities,) records per identity
+    grouped: np.ndarray  # (n,) the records, identity by identity, ascending within one
+    first: np.ndarray    # (identities,) where each identity begins in grouped
+    member: np.ndarray   # (n,) each record's place among its identity's records
+
+    def other(self, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """The k-th record of each row's identity other than the row itself."""
+        return self.grouped[self.first[self.inverse[rows]] + k + (k >= self.member[rows])]
+
+
+def identity_groups(identity: np.ndarray) -> IdentityGroups:
+    _, inverse, counts = np.unique(identity, return_inverse=True, return_counts=True)
+    grouped = np.argsort(inverse, kind="stable")
+    first = np.cumsum(counts) - counts
+    member = np.empty_like(grouped)
+    member[grouped] = np.arange(grouped.shape[0]) - first[inverse[grouped]]
+    return IdentityGroups(inverse, counts, grouped, first, member)
 
 
 def generate(cfg: GenConfig) -> DatasetManifest:
@@ -109,17 +150,20 @@ def generate(cfg: GenConfig) -> DatasetManifest:
                  for _ in range(cfg.views_per_identity)]
     text_map = rng.normal(0.0, scale, size=(cfg.raw_dim_text, cfg.latent_dim))
 
-    records: list[PairRecord] = []
+    n, views = cfg.num_identities * cfg.views_per_identity, cfg.views_per_identity
+    image = np.empty((n, cfg.raw_dim_image))
+    text = np.empty((n, cfg.raw_dim_text))
     for identity in range(cfg.num_identities):
         latent = rng.normal(0.0, 1.0, size=cfg.latent_dim)
-        for view in range(cfg.views_per_identity):
+        for view in range(views):
+            row = identity * views + view
             mask = rng.random(cfg.raw_dim_text) >= cfg.annotation_mask_rate
-            image = view_maps[view] @ latent
-            image = image + cfg.view_noise * rng.normal(0.0, 1.0, size=cfg.raw_dim_image)
-            text = mask * (text_map @ latent)
-            text = text + cfg.view_noise * rng.normal(0.0, 1.0, size=cfg.raw_dim_text)
-            records.append(PairRecord(identity, view, image, text))
-    return DatasetManifest(FORMAT_VERSION, cfg, records)
+            image[row] = view_maps[view] @ latent
+            image[row] += cfg.view_noise * rng.normal(0.0, 1.0, size=cfg.raw_dim_image)
+            text[row] = mask * (text_map @ latent)
+            text[row] += cfg.view_noise * rng.normal(0.0, 1.0, size=cfg.raw_dim_text)
+    rows = np.arange(n, dtype=np.int64)
+    return DatasetManifest(FORMAT_VERSION, cfg, rows // views, rows % views, image, text)
 
 
 def split(d: DatasetManifest, train_fraction: float, seed: int
@@ -127,18 +171,16 @@ def split(d: DatasetManifest, train_fraction: float, seed: int
     """Identity-disjoint train/test partition; record order is preserved."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    ids = d.identities()
-    if len(ids) < 2:
+    groups = identity_groups(d.identity)
+    count = groups.counts.shape[0]
+    if count < 2:
         raise ValueError("cannot split fewer than 2 identities")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    order = [ids[i] for i in rng.permutation(len(ids))]
-    n_train = int(round(len(ids) * train_fraction))
-    n_train = min(max(n_train, 1), len(ids) - 1)
-    train_ids = set(order[:n_train])
-    train = [r for r in d.records if r.identity in train_ids]
-    test = [r for r in d.records if r.identity not in train_ids]
-    return (DatasetManifest(d.version, d.gen_config, train, "train"),
-            DatasetManifest(d.version, d.gen_config, test, "test"))
+    order = rng.permutation(count)
+    n_train = int(round(count * train_fraction))
+    n_train = min(max(n_train, 1), count - 1)
+    train = np.isin(groups.inverse, order[:n_train])
+    return d.take(train, "train"), d.take(~train, "test")
 
 
 def _fmt_vector(v: list[float]) -> str:
@@ -147,6 +189,7 @@ def _fmt_vector(v: list[float]) -> str:
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(GenConfig))
 _FLOAT_FIELDS = {f.name for f in fields(GenConfig) if isinstance(f.default, float)}
+_COLUMNS = ("identity", "view", "image", "text")  # the manifest's, and the table's fields
 
 
 def _table_dtype(cfg: GenConfig) -> np.dtype:
@@ -155,14 +198,11 @@ def _table_dtype(cfg: GenConfig) -> np.dtype:
                      ("text", "<f8", (cfg.raw_dim_text,))])
 
 
-def _is_int64(key) -> bool:
-    return (isinstance(key, (int, np.integer)) and not isinstance(key, bool)
-            and -2**63 <= int(key) < 2**63)
-
-
 def _record_problem(identity, view, image: np.ndarray, text: np.ndarray,
                     cfg: GenConfig, seen: set) -> str | None:
     """Why one record is invalid, or None (then its key joins seen)."""
+    if not all(-2**63 <= key < 2**63 for key in (identity, view)):
+        return "identity and view must be 64-bit integers"
     if not (np.isfinite(image).all() and np.isfinite(text).all()):
         return "non-finite vector entry"
     if image.shape != (cfg.raw_dim_image,) or text.shape != (cfg.raw_dim_text,):
@@ -187,22 +227,24 @@ def write(d: DatasetManifest, path: str | Path) -> None:
         _parse_header(header, path)
     except DatasetFormatError as exc:
         raise ValueError(f"cannot write {exc}") from None
-    table = np.zeros(len(d.records), _table_dtype(cfg))
+    columns = [np.asarray(d.identity), np.asarray(d.view),
+               np.asarray(d.image, dtype=np.float64), np.asarray(d.text, dtype=np.float64)]
+    rows = columns[0].shape[:1]
+    if any(c.shape != rows for c in columns[:2]) or any(c.shape[:1] != rows for c in columns[2:]):
+        raise ValueError(f"cannot write {path}: columns of shapes "
+                         f"{[column.shape for column in columns]} are not one row per record")
+    integral = all(column.dtype.kind in "iu" for column in columns[:2])
     seen: set[tuple[int, int]] = set()
-    for index, rec in enumerate(d.records):
-        image = np.asarray(rec.image_raw, dtype=np.float64)
-        text = np.asarray(rec.text_raw, dtype=np.float64)
-        if all(_is_int64(key) for key in (rec.identity, rec.view)):
-            problem = _record_problem(rec.identity, rec.view, image, text, cfg, seen)
-        else:
-            problem = "identity and view must be 64-bit integers"
+    for index, record in enumerate(zip(*columns)):
+        problem = (_record_problem(*record, cfg, seen) if integral
+                   else "identity and view must be 64-bit integers")
         if problem:
             raise ValueError(f"cannot write {path}: record {index}: {problem}")
-        table[index] = (rec.identity, rec.view, image, text)
+    table = np.zeros(rows, _table_dtype(cfg))
+    for name, column in zip(_COLUMNS, columns):
+        table[name] = column
     lines = [header]
-    for identity, view, image, text in zip(
-            table["identity"].tolist(), table["view"].tolist(),
-            table["image"].tolist(), table["text"].tolist()):
+    for identity, view, image, text in zip(*(table[name].tolist() for name in _COLUMNS)):
         lines.append(f"{identity}\t{view}\t{_fmt_vector(image)}\t{_fmt_vector(text)}")
     companion.write(path, ("\n".join(lines) + "\n").encode("utf-8"), [table])
 
@@ -256,23 +298,22 @@ def _parse_header(line: str, path: str | Path) -> tuple[GenConfig, str]:
     return cfg, split_tag
 
 
-def _companion_records(path: str | Path, raw: bytes, cfg: GenConfig
-                       ) -> list[PairRecord] | None:
-    """The records of path's companion if it is ``write``'s own for raw; else None."""
+def _companion_table(path: str | Path, raw: bytes, cfg: GenConfig) -> np.ndarray | None:
+    """The table of path's companion if it is ``write``'s own for raw; else None."""
     arrays = companion.load(path, raw, [_table_dtype(cfg)])
     if arrays is None:
         return None
     table, = arrays
     if not (np.isfinite(table["image"]).all() and np.isfinite(table["text"]).all()):
         return None
-    identities, views = table["identity"].tolist(), table["view"].tolist()
-    if len(set(zip(identities, views))) != len(table):
+    if len(set(zip(table["identity"].tolist(), table["view"].tolist()))) != len(table):
         return None
-    return [PairRecord(*rec) for rec in zip(identities, views, table["image"], table["text"])]
+    return table
 
 
-def _parse_records(lines: list[str], cfg: GenConfig, path: str | Path) -> list[PairRecord]:
-    records: list[PairRecord] = []
+def _parse_records(lines: list[str], cfg: GenConfig, path: str | Path) -> np.ndarray:
+    """The table of the record lines, as ``write`` puts it in the companion."""
+    records = []
     seen: set[tuple[int, int]] = set()
     for index, line in enumerate(lines):
         if not line:
@@ -290,17 +331,19 @@ def _parse_records(lines: list[str], cfg: GenConfig, path: str | Path) -> list[P
         problem = _record_problem(identity, view, image, text_vec, cfg, seen)
         if problem:
             raise DatasetFormatError(f"{path}: record {index}: {problem}")
-        records.append(PairRecord(identity, view, image, text_vec))
-    return records
+        records.append((identity, view, image, text_vec))
+    return np.array(records, dtype=_table_dtype(cfg))
 
 
 def read(path: str | Path) -> DatasetManifest:
     raw = Path(path).read_bytes()
-    text = _decode(raw, path)
-    end = text.find("\n")
-    first = (text if end < 0 else text[:end]).splitlines()
+    # Only the header line is decoded unless the records are parsed; cut after
+    # its line break, a broken character in it decodes as in the whole text.
+    end = raw.find(b"\n")
+    first = _decode(raw if end < 0 else raw[:end + 1], path).splitlines()
     cfg, split_tag = _parse_header(first[0] if first else "", path)
-    records = _companion_records(path, raw, cfg)
-    if records is None:
-        records = _parse_records(text.splitlines()[1:], cfg, path)
-    return DatasetManifest(FORMAT_VERSION, cfg, records, split_tag)
+    table = _companion_table(path, raw, cfg)
+    if table is None:
+        table = _parse_records(_decode(raw, path).splitlines()[1:], cfg, path)
+    return DatasetManifest(FORMAT_VERSION, cfg,
+                           *(np.ascontiguousarray(table[name]) for name in _COLUMNS), split_tag)

@@ -181,19 +181,14 @@ class EmbeddingBatch:
             raise ValueError("embedding rows must be unit-norm (or flagged zero)")
 
 
-def embed_manifest(params: ModelParams, manifest: DatasetManifest
-                   ) -> tuple[Array, Array, np.ndarray, np.ndarray, int]:
-    """Embed every record; returns (image, text, identities, views, zero_rows)."""
+def embed_manifest(params: ModelParams, manifest: DatasetManifest) -> tuple[Array, Array, int]:
+    """Embed every record; returns (image, text, zero_rows)."""
     g = Graph()
     leaves = {k: g.constant(v, name=k) for k, v in params_to_dict(params).items()}
-    raw_img = np.stack([r.image_raw for r in manifest.records])
-    raw_txt = np.stack([r.text_raw for r in manifest.records])
     # An overflowing tower yields non-finite rows; the caller's check names
     # the first such record, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        f_img = encode(g, leaf_group(leaves, "img"), g.constant(raw_img))
-        f_txt = encode(g, leaf_group(leaves, "txt"), g.constant(raw_txt))
-    identities = np.array([r.identity for r in manifest.records])
-    views = np.array([r.view for r in manifest.records])
+        f_img = encode(g, leaf_group(leaves, "img"), g.constant(manifest.image))
+        f_txt = encode(g, leaf_group(leaves, "txt"), g.constant(manifest.text))
     zero_rows = sum(len(rows) for _, rows in g.zero_norm_rows)
-    return f_img.value, f_txt.value, identities, views, zero_rows
+    return f_img.value, f_txt.value, zero_rows

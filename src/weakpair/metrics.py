@@ -22,6 +22,9 @@ and embedding dot products are taken for all pairs of a stage together by
   consistencies behind uncertainty, the mean margins -- is math.fsum, which
   returns the correctly rounded sum independent of summation order.
 
+A record's same-identity others, for weak margins and uncertainty, come
+from ``data.identity_groups``, as training's batch plans and weak picks do.
+
 That is what lets the per-query references and the brute-force oracles in
 the tests match these implementations exactly rather than to a tolerance.
 """
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DatasetManifest
+from .data import DatasetManifest, identity_groups
 from .encoders import ModelParams, embed_manifest
 from .losses import mapping_value
 from .training import NumericAbort
@@ -140,12 +143,6 @@ def _hit_precisions(hit_ranks: np.ndarray) -> np.ndarray:
     return np.arange(1, hit_ranks.shape[-1] + 1) / hit_ranks
 
 
-def _groups_by_count(counts: np.ndarray):
-    """(count, positions holding it) for every distinct count, ascending."""
-    for count in np.unique(counts).tolist():
-        yield count, np.flatnonzero(counts == count)
-
-
 def _at_most(rows: np.ndarray, row: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """#{i: rows[row[p], i] <= keys[p]} for every p, by one bisection of the
     ascending rows over all p at once (binary lifting: the largest count whose
@@ -250,7 +247,9 @@ def pr_curve(result: RankingResult, grid=DEFAULT_RECALL_GRID) -> PRCurve:
     levels = np.array(grid)
     starts = result.starts
     table = np.empty((n, levels.shape[0]))
-    for count, rows in _groups_by_count(result.counts):
+    # The distinct counts from bincount: a plain np.unique imports numpy.ma.
+    for count in np.flatnonzero(np.bincount(result.counts)).tolist():
+        rows = np.flatnonzero(result.counts == count)
         block = result.hit_ranks[starts[rows, None] + np.arange(count)]
         recalls = np.arange(1, count + 1) / count
         table[rows] = _hit_precisions(block)[:, np.searchsorted(recalls, levels)]
@@ -309,20 +308,6 @@ def margin_stats(txt_emb: np.ndarray, img_emb: np.ndarray,
     )
 
 
-def _identity_order(identities: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each record's identity group and the group sizes (np.unique's inverse
-    and counts), with the records grouped by identity, ascending within it:
-    start[r] is where record r's identity begins in grouped and member[r] is
-    r's place among its own."""
-    _, group, sizes = np.unique(identities, return_inverse=True, return_counts=True)
-    n = group.shape[0]
-    grouped = np.argsort(group, kind="stable")
-    start = (np.cumsum(sizes) - sizes)[group]
-    member = np.empty(n, dtype=np.intp)
-    member[grouped] = np.arange(n) - start[grouped]
-    return group, sizes, grouped, start, member
-
-
 def margin_tuples(identities: np.ndarray,
                   rng: np.random.Generator) -> list[tuple[int, int, int, int]]:
     """One (query, positive, weak, negative) tuple per record.
@@ -331,13 +316,14 @@ def margin_tuples(identities: np.ndarray,
     the identity is a singleton); the negative is any other identity.  Both
     are uniform draws over ascending record indices, weak first.
     """
-    group, sizes, grouped, start, member = _identity_order(identities)
-    if sizes.shape[0] == 1:
+    groups = identity_groups(identities)
+    if groups.counts.shape[0] == 1:
         raise ValueError("margin tuples need at least two identities")
-    n = group.shape[0]
+    n = identities.shape[0]
     if n == 0:
         return []
-    size = sizes[group]
+    group, grouped = groups.inverse, groups.grouped
+    size = groups.counts[group]
     # One generator call for every draw, in per-record order: the weak index
     # among the other members (singletons draw none), then the negative.
     has_weak = size > 1
@@ -347,17 +333,15 @@ def margin_tuples(identities: np.ndarray,
     bounds[weak_at] = size[has_weak] - 1
     bounds[neg_at] = n - size
     draws = rng.integers(bounds)
-    # The k-th member other than q: members from q on shift by one.
-    k = draws[weak_at]
     weak = np.arange(n)
-    weak[has_weak] = grouped[start[has_weak] + k + (k >= member[has_weak])]
+    weak[has_weak] = groups.other(np.flatnonzero(has_weak), draws[weak_at])
     # The k-th record outside the identity: k plus the members ahead of it.
     # A member's count of other-identity records before it (r - member[r])
     # ascends within its identity; offset by identity, one sorted key list.
     stride = n + 1
-    before = group[grouped] * stride + grouped - member[grouped]
+    before = group[grouped] * stride + grouped - groups.member[grouped]
     k = draws[neg_at]
-    neg = k + np.searchsorted(before, group * stride + k, side="right") - start
+    neg = k + np.searchsorted(before, group * stride + k, side="right") - groups.first[group]
     q = range(n)
     return list(zip(q, q, weak.tolist(), neg.tolist()))
 
@@ -371,14 +355,12 @@ def query_uncertainty(img_emb: np.ndarray, txt_emb: np.ndarray,
     which pins their uncertainty to the mapping's floor.  The consistencies
     are mapped together, by the trainer's own mapping (losses.uncertainty).
     """
-    group, sizes, grouped, start, member = _identity_order(identities)
-    others = sizes[group] - 1
-    # Every same-identity pair (q, o != q), q ascending, then o ascending:
-    # q's j-th other is its identity's member j, or member j + 1 from q on.
+    groups = identity_groups(identities)
+    others = groups.counts[groups.inverse] - 1
+    # Every same-identity pair (q, o != q), q ascending, then o ascending.
     ends = np.cumsum(others)
-    pair_q = np.repeat(np.arange(group.shape[0]), others)
-    j = np.arange(pair_q.shape[0]) - np.repeat(ends - others, others)
-    pair_o = grouped[start[pair_q] + j + (j >= member[pair_q])]
+    pair_q = np.repeat(np.arange(others.shape[0]), others)
+    pair_o = groups.other(pair_q, np.arange(pair_q.shape[0]) - np.repeat(ends - others, others))
     sims = (0.5 * (_row_dots(img_emb[pair_q], img_emb[pair_o])
                    + _row_dots(txt_emb[pair_q], txt_emb[pair_o]))).tolist()
     consistency = [math.fsum(sims[end - k:end]) / k if k else 1.0
@@ -405,7 +387,8 @@ def evaluate_model(params: ModelParams, manifest: DatasetManifest, mapping: str,
 
     An encoder that overflows on a record raises NumericAbort naming it.
     """
-    img, txt, identities, _, zero_rows = embed_manifest(params, manifest)
+    img, txt, zero_rows = embed_manifest(params, manifest)
+    identities = manifest.identity
     finite = np.isfinite(img).all(axis=1) & np.isfinite(txt).all(axis=1)
     if not finite.all():
         raise NumericAbort(f"record {int(np.argmin(finite))}: non-finite embedding")

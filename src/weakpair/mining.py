@@ -14,7 +14,7 @@ ranks every anchor's candidates in both directions in one lexsort over a
 leading direction axis (identity clash, then descending score, then index)
 and keeps each row's first k columns; mining for a single anchor in one
 direction is the one-row case of the same kernel.  A batch's weak picks
-likewise come from one draw call.
+are dataset rows, drawn in one call from ``data.identity_groups``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PairRecord
+from .data import IdentityGroups
 from .encoders import EmbeddingBatch
 
 # The group size k that each fixed mining mode implies; custom takes any k.
@@ -58,44 +58,20 @@ class MiningConfig:
         return cls(mode, _MODE_K.get(mode, k))
 
 
-@dataclass
-class WeakSelection:
-    """An anchor record paired with a same-identity counterpart.
-
-    degenerate is set when the identity has no other record and the anchor
-    had to stand in for itself.
-    """
-
-    anchor: PairRecord
-    weak: PairRecord
-    degenerate: bool
-
-    def __post_init__(self):
-        if self.anchor.identity != self.weak.identity:
-            raise ValueError("weak selection crossed identities")
-
-
-def sample_weak_batch(anchors: list[PairRecord], pool: dict[int, list[PairRecord]],
-                      rng: np.random.Generator) -> list[WeakSelection]:
-    """Each anchor's uniform draw among its identity's other records.
+def sample_weak_batch(rows: np.ndarray, groups: IdentityGroups,
+                      rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """Each anchor row's uniform draw among its identity's other records, and
+    the count of anchors with none, which stand in as their own weak row.
 
     One rng.integers call takes every draw, bounded by each non-degenerate
     anchor's count of other records, in anchor order: the same stream as
     one scalar call per such anchor.
     """
-    others = []
-    for anchor in anchors:
-        try:
-            candidates = pool[anchor.identity]
-        except KeyError:
-            raise KeyError(f"identity {anchor.identity} not in pool") from None
-        others.append([r for r in candidates
-                       if (r.identity, r.view) != (anchor.identity, anchor.view)])
-    counts = [len(o) for o in others if o]
-    picks = iter(rng.integers(counts).tolist())
-    return [WeakSelection(anchor, o[next(picks)], False) if o
-            else WeakSelection(anchor, anchor, degenerate=True)
-            for anchor, o in zip(anchors, others)]
+    others = groups.counts[groups.inverse[rows]] - 1
+    drawn = others > 0
+    weak = rows.copy()
+    weak[drawn] = groups.other(rows[drawn], rng.integers(others[drawn]))
+    return weak, int(np.count_nonzero(~drawn))
 
 
 # The mining directions: (anchor rows, candidate rows) of each, as indexes
@@ -132,7 +108,7 @@ def _mine(batch: EmbeddingBatch, anchors: np.ndarray, directions: tuple[str, ...
         raise MiningStarvationError(
             f"anchor {anchors[first]} needs {k} negatives but only {eligible[first]} "
             f"eligible candidates exist (batch of {ids.shape[0]} "
-            f"records over {np.unique(ids).shape[0]} identities)")
+            f"records over {len(set(ids.tolist()))} identities)")
     views = np.stack([batch.image, batch.text])
     scores = _scores(views[sides[:, 0]], views[sides[:, 1]], anchors)
     # lexsort's last key is its primary: same-identity candidates sort last,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import companion
 from .autograd import Array, Graph, Node
-from .data import DatasetManifest, PairRecord
+from .data import DatasetManifest, IdentityGroups, identity_groups
 from .encoders import (EmbeddingBatch, ModelDims, encode, init_model,
                        leaf_group, param_shapes, params_to_dict)
 from .losses import (LossReport, LossWeights, MAPPINGS, MATCHING_BRANCHES,
@@ -251,33 +251,24 @@ def assemble_losses(g: Graph, leaves, enc, groups: PairGroups, mode: str,
     return AssembledLosses(nodes, s_values, u_values, u_mean)
 
 
-def _epoch_plan(ids: list[int], pools: dict[int, list[PairRecord]],
-                cfg: TrainConfig, epoch: int) -> list[PairRecord]:
-    """Identity order and per-identity record choice for one epoch."""
+def _epoch_plan(grouping: IdentityGroups, cfg: TrainConfig, epoch: int) -> np.ndarray:
+    """Identity order and per-identity record choice for one epoch, as rows."""
     rng = np.random.default_rng(_seed_seq(cfg.seed, 101, epoch))
-    records = [pools[ids[i]] for i in rng.permutation(len(ids)).tolist()]
+    order = rng.permutation(grouping.counts.shape[0])
     # One bound per identity in order: the stream of one scalar draw each.
-    picks = rng.integers([len(r) for r in records]).tolist()
-    return [r[pick] for r, pick in zip(records, picks)]
+    return grouping.grouped[grouping.first[order] + rng.integers(grouping.counts[order])]
 
 
-def _step_data(batch: list[PairRecord], pools, cfg: TrainConfig, step: int,
-               need_weak: bool) -> StepData:
-    rng = np.random.default_rng(_seed_seq(cfg.seed, 202, step))
-    # np.array stacks equal-length vectors as np.stack does, in less time.
-    raw_image = np.array([r.image_raw for r in batch])
-    raw_text = np.array([r.text_raw for r in batch])
-    identities = np.array([r.identity for r in batch])
+def _step_data(rows: np.ndarray, data: DatasetManifest, grouping: IdentityGroups,
+               cfg: TrainConfig, step: int, need_weak: bool) -> StepData:
+    raw_image, raw_text = data.image[rows], data.text[rows]
+    identities = data.identity[rows]
     if not need_weak:
         return StepData(raw_image, raw_text, raw_image, raw_text, identities)
-    selections = sample_weak_batch(batch, pools, rng)
-    return StepData(
-        raw_image, raw_text,
-        np.array([s.weak.image_raw for s in selections]),
-        np.array([s.weak.text_raw for s in selections]),
-        identities,
-        degenerate_weak=sum(s.degenerate for s in selections),
-    )
+    rng = np.random.default_rng(_seed_seq(cfg.seed, 202, step))
+    weak, degenerate = sample_weak_batch(rows, grouping, rng)
+    return StepData(raw_image, raw_text, data.image[weak], data.text[weak], identities,
+                    degenerate_weak=degenerate)
 
 
 def _mining_config(cfg: TrainConfig) -> MiningConfig:
@@ -310,20 +301,20 @@ def _check_batches_minable(identities: int, batch_size: int, k: int, start: int,
 def train(cfg: TrainConfig, data: DatasetManifest,
           resume: Checkpoint | None = None,
           stop_at_step: int | None = None) -> tuple[Checkpoint, TrainLog]:
-    """Run the configured schedule; stop_at_step yields a mid-run checkpoint.
+    """Run the configured schedule; stop_at_step (>= the start) yields a mid-run checkpoint.
 
     A checkpoint written at step k and resumed reproduces the uninterrupted
     trajectory bit for bit, because step k's batch plan, weak picks, and
     learning rate are functions of (config, data, k) alone.
     """
     cfg.validate()
-    pools = data.by_identity()
-    ids = data.identities()
-    if len(ids) < 2:
+    grouping = identity_groups(data.identity)
+    identities = grouping.counts.shape[0]
+    if identities < 2:
         raise ValueError("training needs at least 2 identities")
     gen = data.gen_config
     dims = ModelDims(gen.raw_dim_image, gen.raw_dim_text, cfg.hidden_dim, cfg.embed_dim)
-    steps_per_epoch = math.ceil(len(ids) / cfg.batch_size)
+    steps_per_epoch = math.ceil(identities / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
 
     if resume is None:
@@ -339,6 +330,8 @@ def train(cfg: TrainConfig, data: DatasetManifest,
                 f"checkpoint is at step {resume.step}, beyond {total_steps} total")
         params, opt_m, opt_v = resume.params, resume.opt_m, resume.opt_v
         opt_t, start = resume.opt_t, resume.step
+    if stop_at_step is not None and stop_at_step < start:
+        raise ValueError(f"stop_at_step {stop_at_step} is before the start step {start}")
     # AdamW runs once over flat buffers in params' key order (fresh copies);
     # the parameters each step graph reads are reshaped views of flat_p.
     layout = {k: np.shape(v) for k, v in params.items()}
@@ -351,7 +344,7 @@ def train(cfg: TrainConfig, data: DatasetManifest,
     mode = cfg.ablation_mode
     need_weak = mode != "baseline"
     mining_cfg = _mining_config(cfg)
-    _check_batches_minable(len(ids), cfg.batch_size, mining_cfg.k, start, end_step)
+    _check_batches_minable(identities, cfg.batch_size, mining_cfg.k, start, end_step)
     weights = cfg.weights()
     log = TrainLog()
     plan_epoch, plan = -1, []
@@ -360,9 +353,9 @@ def train(cfg: TrainConfig, data: DatasetManifest,
         started = time.perf_counter()
         epoch, pos = divmod(step, steps_per_epoch)
         if epoch != plan_epoch:
-            plan_epoch, plan = epoch, _epoch_plan(ids, pools, cfg, epoch)
-        batch = plan[pos * cfg.batch_size:(pos + 1) * cfg.batch_size]
-        sd = _step_data(batch, pools, cfg, step, need_weak)
+            plan_epoch, plan = epoch, _epoch_plan(grouping, cfg, epoch)
+        rows = plan[pos * cfg.batch_size:(pos + 1) * cfg.batch_size]
+        sd = _step_data(rows, data, grouping, cfg, step, need_weak)
 
         # A diverging step overflows to inf or nan; the finite-loss and
         # finite-parameter checks below name it, so numpy's warnings would

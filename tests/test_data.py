@@ -9,18 +9,20 @@ import dataclasses
 import hashlib
 
 from weakpair import data
-from weakpair.data import (DatasetFormatError, GenConfig, companion_path, generate, read,
-                           split, write)
+from weakpair.data import (DatasetFormatError, GenConfig, companion_path, generate,
+                           identity_groups, read, split, write)
+
+COLUMNS = ("identity", "view", "image", "text")
 
 
 def manifests_equal(a, b):
-    """Same version, generator config, split tag and records."""
-    return ((a.version, a.gen_config, a.split_tag, len(a.records))
-            == (b.version, b.gen_config, b.split_tag, len(b.records))
-            and all((ra.identity, ra.view) == (rb.identity, rb.view)
-                    and np.array_equal(ra.image_raw, rb.image_raw)
-                    and np.array_equal(ra.text_raw, rb.text_raw)
-                    for ra, rb in zip(a.records, b.records)))
+    """Same version, generator config, split tag and columns."""
+    return ((a.version, a.gen_config, a.split_tag) == (b.version, b.gen_config, b.split_tag)
+            and all(np.array_equal(getattr(a, c), getattr(b, c)) for c in COLUMNS))
+
+
+def texts_by_identity(d):
+    return {i: d.text[d.identity == i] for i in d.identities()}
 
 
 def cfg(**overrides):
@@ -43,9 +45,8 @@ class TestGenerate:
 
     def test_noiseless_unmasked_text_identical_across_views(self):
         d = generate(cfg(annotation_mask_rate=0.0, view_noise=0.0))
-        by_id = d.by_identity()
-        for records in by_id.values():
-            np.testing.assert_array_equal(records[0].text_raw, records[1].text_raw)
+        for texts in texts_by_identity(d).values():
+            np.testing.assert_array_equal(texts[0], texts[1])
 
     def test_identity_view_keys_unique(self):
         d = generate(cfg())
@@ -57,15 +58,14 @@ class TestGenerate:
         d = generate(cfg(num_identities=120, views_per_identity=2,
                          latent_dim=8, raw_dim_text=24, raw_dim_image=6,
                          view_noise=0.05, annotation_mask_rate=0.3, seed=1))
-        by_id = d.by_identity()
+        by_id = texts_by_identity(d)
 
         def cos(a, b):
             return float(a @ b) / (np.linalg.norm(a) * np.linalg.norm(b))
 
-        same = [cos(recs[0].text_raw, recs[1].text_raw) for recs in by_id.values()]
+        same = [cos(texts[0], texts[1]) for texts in by_id.values()]
         ids = sorted(by_id)
-        cross = [cos(by_id[ids[i]][0].text_raw, by_id[ids[i + 1]][0].text_raw)
-                 for i in range(len(ids) - 1)]
+        cross = [cos(by_id[ids[i]][0], by_id[ids[i + 1]][0]) for i in range(len(ids) - 1)]
         assert np.mean(cross) < np.mean(same) < 1.0
 
     @pytest.mark.parametrize("bad", [dict(num_identities=0), dict(latent_dim=0),
@@ -88,6 +88,8 @@ class TestSplit:
         train, test = split(d, 0.7, seed=3)
         assert not set(train.identities()) & set(test.identities())
         assert len(train.records) + len(test.records) == len(d.records)
+        assert np.array_equal(np.sort(np.concatenate([train.image, test.image]), axis=0),
+                              np.sort(d.image, axis=0))
         assert train.split_tag == "train" and test.split_tag == "test"
 
     def test_same_seed_same_split(self):
@@ -154,9 +156,9 @@ class TestIO:
         path = tmp_path / "data.tsv"
         write(d, path)
         back = read(path)
-        for line, rec in zip(path.read_text().splitlines()[1:], back.records):
+        for line, image, text in zip(path.read_text().splitlines()[1:], back.image, back.text):
             fields = line.split("\t")
-            for got, field in ((rec.image_raw, fields[2]), (rec.text_raw, fields[3])):
+            for got, field in ((image, fields[2]), (text, fields[3])):
                 want = np.array([float(x) for x in field.split(",")])
                 assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -166,6 +168,8 @@ class TestIO:
         (lambda f: f[:2] + [f[2], "inf" + f[3][f[3].index(","):]], "non-finite"),
         (lambda f: f[:2] + [f[2] + ",1.0", f[3]], "vector length mismatch"),
         (lambda f: ["0", "0"] + f[2:], "duplicate"),
+        (lambda f: [str(2**63)] + f[1:], "identity and view must be 64-bit integers"),
+        (lambda f: [f[0], str(-2**63 - 1)] + f[2:], "identity and view must be 64-bit"),
     ])
     def test_each_check_names_the_record(self, tmp_path, damage, message):
         path = tmp_path / "data.tsv"
@@ -184,6 +188,7 @@ class TestIO:
         path.write_text(header + "\n")
         out = read(path)
         assert out.records == [] and out.gen_config == d.gen_config
+        assert [getattr(out, c).shape for c in COLUMNS] == [(0,), (0,), (0, 5), (0, 4)]
 
     def test_version_mismatch(self, tmp_path):
         d = generate(cfg())
@@ -232,22 +237,26 @@ from hypothesis import given, settings, strategies as st
 _finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
+def with_values(rows):
+    """A one-view dataset whose image and text columns hold rows' 4 values each."""
+    d = generate(cfg(num_identities=len(rows), views_per_identity=1,
+                     raw_dim_image=2, raw_dim_text=2))
+    values = np.array(rows, dtype=np.float64)
+    d.image[:], d.text[:] = values[:, :2], values[:, 2:]
+    return d
+
+
 @given(rows=st.lists(st.tuples(_finite, _finite, _finite, _finite),
                      min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_any_finite_values_round_trip(rows, tmp_path_factory):
     """17-significant-digit rendering is lossless for every float64."""
-    d = generate(cfg(num_identities=len(rows), views_per_identity=1,
-                     raw_dim_image=2, raw_dim_text=2))
-    for rec, (a, b, c, e) in zip(d.records, rows):
-        rec.image_raw = np.array([a, b])
-        rec.text_raw = np.array([c, e])
+    d = with_values(rows)
     path = tmp_path_factory.mktemp("rt") / "data.tsv"
     write(d, path)
     back = read(path)
-    for rec, orig in zip(back.records, d.records):
-        np.testing.assert_array_equal(rec.image_raw, orig.image_raw)
-        np.testing.assert_array_equal(rec.text_raw, orig.text_raw)
+    np.testing.assert_array_equal(back.image, d.image)
+    np.testing.assert_array_equal(back.text, d.text)
 
 
 def test_header_lists_the_generator_config_in_field_order(tmp_path):
@@ -261,15 +270,13 @@ def test_header_lists_the_generator_config_in_field_order(tmp_path):
 # -- the binary companion ---------------------------------------------------
 
 def same_records(a, b):
-    """Equal manifests, vectors compared by bytes (so -0.0 differs from 0.0)."""
+    """Equal manifests, columns compared by dtype, shape and bytes (so -0.0
+    differs from 0.0); a's are contiguous int64 and float64 columns."""
     assert (a.version, a.gen_config, a.split_tag) == (b.version, b.gen_config, b.split_tag)
-    assert len(a.records) == len(b.records)
-    for ra, rb in zip(a.records, b.records):
-        assert (type(ra.identity), type(ra.view)) == (int, int)
-        assert (ra.identity, ra.view) == (rb.identity, rb.view)
-        for va, vb in ((ra.image_raw, rb.image_raw), (ra.text_raw, rb.text_raw)):
-            assert va.dtype == vb.dtype == np.float64 and va.shape == vb.shape
-            assert va.tobytes() == vb.tobytes()
+    for name, dtype in zip(COLUMNS, (np.int64, np.int64, np.float64, np.float64)):
+        va, vb = getattr(a, name), getattr(b, name)
+        assert va.dtype == vb.dtype == dtype and va.shape == vb.shape
+        assert va.flags.c_contiguous and va.tobytes() == vb.tobytes()
 
 
 def outcome(path):
@@ -398,7 +405,12 @@ def test_valid_companion_is_read_without_parsing(tmp_path, monkeypatch):
         raise AssertionError("records parsed from the TSV")
 
     monkeypatch.setattr(data, "_parse_records", no_parse)
+    decoded = []
+    decode = data._decode
+    monkeypatch.setattr(data, "_decode", lambda raw, path: decoded.append(raw) or decode(raw, path))
     same_records(read(path), d)
+    # Only the header line is decoded, through its line break.
+    assert decoded == [path.read_bytes().split(b"\n")[0] + b"\n"]
     companion_path(path).unlink()
     with pytest.raises(AssertionError, match="parsed"):
         read(path)
@@ -412,12 +424,7 @@ _edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
        split_tag=st.sampled_from(["none", "test", ""]))
 @settings(max_examples=80, deadline=None)
 def test_companion_read_equals_parse_bit_for_bit(rows, split_tag, tmp_path_factory):
-    d = generate(cfg(num_identities=len(rows), views_per_identity=1,
-                     raw_dim_image=2, raw_dim_text=2))
-    for rec, (a, b, c, e) in zip(d.records, rows):
-        rec.image_raw = np.array([a, b])
-        rec.text_raw = np.array([c, e])
-    d = dataclasses.replace(d, split_tag=split_tag)
+    d = dataclasses.replace(with_values(rows), split_tag=split_tag)
     path = tmp_path_factory.mktemp("bits") / "data.tsv"
     write(d, path)
     with_companion = read(path)
@@ -427,17 +434,27 @@ def test_companion_read_equals_parse_bit_for_bit(rows, split_tag, tmp_path_facto
     same_records(with_companion, d)
 
 
+def set_entry(d, column, row, value, dtype=None):
+    """Set one entry of d's column, first cast to dtype if given."""
+    values = getattr(d, column).astype(dtype or getattr(d, column).dtype)
+    values[row] = value
+    setattr(d, column, values)
+
+
 @pytest.mark.parametrize("change, message", [
-    (lambda r: setattr(r[2], "image_raw", np.where(np.arange(5) == 1, np.nan, 1.0)),
-     "record 2: non-finite vector entry"),
-    (lambda r: setattr(r[3], "text_raw", np.ones(5)), "record 3: vector length mismatch"),
-    (lambda r: setattr(r[5], "view", r[4].view), "record 5: duplicate (identity, view)"),
-    (lambda r: setattr(r[1], "identity", 1.0), "record 1: identity and view must be"),
-    (lambda r: setattr(r[6], "view", 2**63), "record 6: identity and view must be"),
+    (lambda d: set_entry(d, "image", (2, 1), np.nan), "record 2: non-finite vector entry"),
+    (lambda d: setattr(d, "text", np.ones((8, 5))), "record 0: vector length mismatch"),
+    (lambda d: set_entry(d, "view", 5, 0), "record 5: duplicate (identity, view)"),
+    (lambda d: set_entry(d, "identity", 1, 0, float), "record 0: identity and view must be"),
+    (lambda d: set_entry(d, "view", 6, 2**63, np.uint64), "record 6: identity and view must be"),
+    (lambda d: setattr(d, "view", d.view[:7]),
+     "columns of shapes [(8,), (7,), (8, 5), (8, 4)] are not one row per record"),
 ])
 def test_write_refuses_a_record_read_would_reject(tmp_path, change, message):
+    """Columns write would put in a file that read rejects: the first bad
+    record is named with its first problem, and no file is written."""
     d = generate(cfg())
-    change(d.records)
+    change(d)
     path = tmp_path / "data.tsv"
     with pytest.raises(ValueError, match=re.escape(f"cannot write {path}: {message}")):
         write(d, path)
@@ -472,3 +489,23 @@ def test_non_utf8_byte_names_the_line(tmp_path, where, offset):
         read(path)
     assert str(info.value) == (f"{path}: {where}: not UTF-8 (byte 0xff at offset {at}: "
                                f"invalid start byte)")
+
+
+@given(identity=st.lists(st.integers(-3, 3), max_size=12), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_other_is_the_kth_other_record_of_the_identity(identity, seed):
+    """other(rows, k) against a brute-force list per record of its identity's
+    other records in record order, over unsorted identities and singletons."""
+    identity = np.array(identity, dtype=np.int64)
+    groups = identity_groups(identity)
+    others = [[o for o in range(len(identity)) if identity[o] == identity[r] and o != r]
+              for r in range(len(identity))]
+    assert groups.counts[groups.inverse].tolist() == [len(o) + 1 for o in others]
+    pairs = [(r, k) for r, o in enumerate(others) for k in range(len(o))]
+    rows = np.array([r for r, _ in pairs], dtype=np.intp)
+    ks = np.array([k for _, k in pairs], dtype=np.intp)
+    assert groups.other(rows, ks).tolist() == [others[r][k] for r, k in pairs]
+    # The same through one random row order, as batches index it.
+    order = np.random.default_rng(seed).permutation(len(pairs))
+    assert groups.other(rows[order], ks[order]).tolist() == [others[r][k] for r, k in
+                                                             (pairs[i] for i in order)]

@@ -6,18 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakpair.data import GenConfig, PairRecord, generate
+from weakpair.data import GenConfig, generate, identity_groups
 from weakpair.encoders import EmbeddingBatch
 from weakpair.mining import (MiningConfig, MiningStarvationError, PairGroups, _mine,
                              _scores, build_groups, mine_hard_negatives, sample_weak_batch)
 
 
-def record(identity, view):
-    return PairRecord(identity, view, np.zeros(2), np.zeros(2))
-
-
-def pool_of(*counts):
-    return {i: [record(i, v) for v in range(c)] for i, c in enumerate(counts)}
+def grouping_of(*counts):
+    """The grouping of records whose identity i holds counts[i] consecutive rows."""
+    return identity_groups(np.repeat(np.arange(len(counts)), counts))
 
 
 def random_batch(rng, n_identities, per_identity=1):
@@ -49,67 +46,76 @@ class TestMiningConfig:
             MiningConfig.from_mode("bogus", 3)
 
 
+def weak_draw(anchors, groups, rng):
+    weak, degenerate = sample_weak_batch(np.array(anchors, dtype=np.intp), groups, rng)
+    return weak.tolist(), degenerate
+
+
 class TestSampleWeak:
     def test_two_views_forces_the_other(self):
-        pool = pool_of(2)
+        groups = grouping_of(2)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            sel = sample_weak_batch([pool[0][0]], pool, rng)[0]
-            assert sel.weak.view == 1 and not sel.degenerate
+            assert weak_draw([0], groups, rng) == ([1], 0)
 
     def test_singleton_identity_degenerates(self):
-        pool = pool_of(1)
-        sel = sample_weak_batch([pool[0][0]], pool, np.random.default_rng(0))[0]
-        assert sel.degenerate and sel.weak is sel.anchor
+        assert weak_draw([0], grouping_of(1), np.random.default_rng(0)) == ([0], 1)
 
     def test_uniform_over_other_views(self):
-        pool = pool_of(5)
+        groups = grouping_of(5)
         rng = np.random.default_rng(1)
         counts = np.zeros(5)
         for _ in range(10_000):
-            counts[sample_weak_batch([pool[0][0]], pool, rng)[0].weak.view] += 1
+            counts[weak_draw([0], groups, rng)[0]] += 1
         assert counts[0] == 0
         np.testing.assert_allclose(counts[1:] / 10_000, 0.25, rtol=0, atol=0.02)
 
     def test_identity_absent(self):
-        with pytest.raises(KeyError):
-            sample_weak_batch([record(9, 0)], pool_of(2), np.random.default_rng(0))
+        """A row outside the grouped records has no identity to draw from."""
+        with pytest.raises(IndexError):
+            weak_draw([2], grouping_of(2), np.random.default_rng(0))
 
     def test_never_crosses_identity(self):
         d = generate(GenConfig(20, 3, 4, 5, 5, 0.1, 0.2, 3))
-        pool = d.by_identity()
+        d = d.take(np.random.default_rng(4).permutation(len(d.identity)))
+        groups = identity_groups(d.identity)
         rng = np.random.default_rng(2)
-        for rec in d.records:
-            assert sample_weak_batch([rec], pool, rng)[0].weak.identity == rec.identity
+        rows = np.arange(len(d.identity))
+        for _ in range(20):
+            weak, degenerate = sample_weak_batch(rows, groups, rng)
+            assert np.array_equal(d.identity[weak], d.identity) and degenerate == 0
+            assert not np.any(weak == rows)
 
 
-def scalar_weak_draws(anchors, pool, rng):
-    """(weak view, degenerate) per anchor, one scalar rng.integers call per
-    anchor that has another record."""
+def scalar_weak_draws(anchors, identity, rng):
+    """(weak row, degenerate) per anchor, one scalar rng.integers call per
+    anchor that has another record, over a brute-force list of its others."""
     picks = []
     for anchor in anchors:
-        others = [r for r in pool[anchor.identity] if r.view != anchor.view]
-        picks.append((others[int(rng.integers(len(others)))].view, False) if others
-                     else (anchor.view, True))
+        others = [r for r in range(len(identity))
+                  if identity[r] == identity[anchor] and r != anchor]
+        picks.append((others[int(rng.integers(len(others)))], False) if others
+                     else (anchor, True))
     return picks
 
 
-@given(counts=st.lists(st.integers(1, 4), min_size=1, max_size=8),
+@given(identity=st.lists(st.integers(0, 5), min_size=1, max_size=12),
        picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=20),
        seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_batched_weak_draws_equal_per_anchor_draws(counts, picks, seed):
+def test_batched_weak_draws_equal_per_anchor_draws(identity, picks, seed):
     """One batched draw gives every anchor the pick that one-anchor batches
-    and scalar draws give it, single-record identities
-    (degenerate, no draw) among them, and leaves the stream where they do."""
-    pool = pool_of(*counts)
-    records = [r for rs in pool.values() for r in rs]
-    anchors = [records[p % len(records)] for p in picks]
+    and scalar draws give it, over unsorted identities with single-record
+    ones (degenerate, no draw) among them, and leaves the stream where they
+    do."""
+    groups = identity_groups(np.array(identity, dtype=np.int64))
+    anchors = [p % len(identity) for p in picks]
     rngs = [np.random.default_rng(seed) for _ in range(3)]
-    batched = [(s.weak.view, s.degenerate) for s in sample_weak_batch(anchors, pool, rngs[0])]
-    single = [(s.weak.view, s.degenerate)
-              for s in (sample_weak_batch([a], pool, rngs[1])[0] for a in anchors)]
-    assert batched == single == scalar_weak_draws(anchors, pool, rngs[2])
+    weak, degenerate = weak_draw(anchors, groups, rngs[0])
+    single = [weak_draw([a], groups, rngs[1]) for a in anchors]
+    scalar = scalar_weak_draws(anchors, identity, rngs[2])
+    assert [(w, bool(d)) for [w], d in single] == scalar
+    assert weak == [w for w, _ in scalar] and degenerate == sum(d for _, d in scalar)
     assert len({int(rng.integers(2 ** 62)) for rng in rngs}) == 1
 
 

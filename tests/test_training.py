@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from weakpair import cli, training
 from weakpair.companion import companion_path
-from weakpair.data import GenConfig, PairRecord, generate
+from weakpair.data import GenConfig, generate, identity_groups
 from weakpair.encoders import ModelDims, init_model, params_to_dict
 from weakpair.losses import U_BOUNDS
 from weakpair.mining import MiningStarvationError
@@ -24,9 +24,6 @@ from weakpair.training import (CheckpointFormatError, NumericAbort, TrainConfig,
                                save_checkpoint, step_lr, train)
 
 from test_losses import recomputed_total
-
-
-REC = PairRecord(0, 0, np.zeros(2), np.zeros(2))
 
 
 def dataset(num_identities=12, views=3, seed=7, **overrides):
@@ -191,8 +188,7 @@ class TestTrainBasics:
         """Identities with one record stand in as their own weak counterpart:
         each step logs its StepData's count, and train_log.csv writes it."""
         full = dataset()
-        kept = [r for r in full.records if r.identity % 3 or r.view == 0]
-        d = dataclasses.replace(full, records=kept)
+        d = full.take((full.identity % 3 != 0) | (full.view == 0))
         counts = []
         step_data = training._step_data
 
@@ -212,19 +208,19 @@ class TestTrainBasics:
     @pytest.mark.parametrize("seed", range(40))
     def test_batched_plan_draws_equal_scalar_draws(self, seed):
         """_epoch_plan's one batched record draw picks what one scalar draw
-        per identity picks, over identities with one to four records."""
+        per identity picks from its records in row order, identities in
+        ascending order, over unsorted rows of one to four per identity."""
         rng = np.random.default_rng(seed)
-        counts = rng.integers(1, 5, size=int(rng.integers(2, 30))).tolist()
-        pools = {i: [dataclasses.replace(REC, identity=i, view=v) for v in range(c)]
-                 for i, c in enumerate(counts)}
-        ids = sorted(pools)
+        counts = rng.integers(1, 5, size=int(rng.integers(2, 30)))
+        identity = rng.permutation(np.repeat(np.arange(counts.shape[0]) * 7 - 30, counts))
+        ids = sorted(set(identity.tolist()))
         cfg = small_cfg(seed=seed)
         stream = np.random.default_rng(training._seed_seq(cfg.seed, 101, 3))
         expect = []
         for i in stream.permutation(len(ids)):
-            records = pools[ids[int(i)]]
-            expect.append(records[int(stream.integers(len(records)))])
-        assert training._epoch_plan(ids, pools, cfg, 3) == expect
+            rows = np.flatnonzero(identity == ids[int(i)]).tolist()
+            expect.append(rows[int(stream.integers(len(rows)))])
+        assert training._epoch_plan(identity_groups(identity), cfg, 3).tolist() == expect
 
     def test_too_few_identities(self):
         with pytest.raises(ValueError):
@@ -252,7 +248,7 @@ class TestFailureContracts:
         steps = []
         step_data = training._step_data
         monkeypatch.setattr(training, "_step_data",
-                            lambda *args: steps.append(args[3]) or step_data(*args))
+                            lambda *args: steps.append(args[4]) or step_data(*args))
         if first is None:
             ckpt, _ = train(cfg, d, resume=resume, stop_at_step=stop)
             assert steps == list(range(start, ckpt.step)) and ckpt.step == (stop or 6)
@@ -447,6 +443,18 @@ class TestCheckpointing:
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointFormatError, match=f"^{re.escape(str(path))}: {message}"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("start, stop", [(3, 1), (3, 2), (0, -3), (3, -1)])
+    def test_stop_before_the_start_step_is_refused(self, start, stop):
+        """A stop before the run's start step would label the checkpoint with
+        a step its parameters never saw; it names both steps and runs none."""
+        d = dataset()
+        resume = train(small_cfg(), d, stop_at_step=start)[0] if start else None
+        with pytest.raises(ValueError,
+                           match=f"^stop_at_step {stop} is before the start step {start}$"):
+            train(small_cfg(), d, resume=resume, stop_at_step=stop)
+        ckpt, log = train(small_cfg(), d, resume=resume, stop_at_step=start)
+        assert (ckpt.step, ckpt.opt_t, log.steps) == (start, start, [])
 
     def test_resume_config_must_match(self):
         d = dataset()
