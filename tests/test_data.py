@@ -445,6 +445,7 @@ def set_entry(d, column, row, value, dtype=None):
     (lambda d: set_entry(d, "image", (2, 1), np.nan), "record 2: non-finite vector entry"),
     (lambda d: setattr(d, "text", np.ones((8, 5))), "record 0: vector length mismatch"),
     (lambda d: set_entry(d, "view", 5, 0), "record 5: duplicate (identity, view)"),
+    (lambda d: set_entry(d, "identity", 1, 2**63, np.uint64), "record 1: identity and view must be"),
     (lambda d: set_entry(d, "identity", 1, 0, float), "record 0: identity and view must be"),
     (lambda d: set_entry(d, "view", 6, 2**63, np.uint64), "record 6: identity and view must be"),
     (lambda d: setattr(d, "view", d.view[:7]),
