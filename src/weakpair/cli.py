@@ -125,6 +125,8 @@ def gradcheck_config_from(resolved: dict[str, dict]) -> dict:
         raise ConfigError(f"gradcheck.tol must be finite and positive, got {section['tol']}")
     if not lo <= section["eps"] <= hi:
         raise ConfigError(f"gradcheck.eps must be in [{lo:g}, {hi:g}], got {section['eps']}")
+    if section["seed"] < 0:
+        raise ConfigError(f"gradcheck.seed must be >= 0, got {section['seed']}")
     return section
 
 

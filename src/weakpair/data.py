@@ -131,6 +131,14 @@ class IdentityGroups:
         """The k-th record of each row's identity other than the row itself."""
         return self.grouped[self.first[self.inverse[rows]] + k + (k >= self.member[rows])]
 
+    def other_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every (record, other record of its identity) pair: records ascending,
+        then each record's others ascending."""
+        others = self.counts[self.inverse] - 1
+        rows = np.repeat(np.arange(others.shape[0]), others)
+        k = np.arange(rows.shape[0]) - np.repeat(np.cumsum(others) - others, others)
+        return rows, self.other(rows, k)
+
 
 def identity_groups(identity: np.ndarray) -> IdentityGroups:
     _, inverse, counts = np.unique(identity, return_inverse=True, return_counts=True)
@@ -181,10 +189,6 @@ def split(d: DatasetManifest, train_fraction: float, seed: int
     n_train = min(max(n_train, 1), count - 1)
     train = np.isin(groups.inverse, order[:n_train])
     return d.take(train, "train"), d.take(~train, "test")
-
-
-def _fmt_vector(v: list[float]) -> str:
-    return ",".join(format(x, ".17g") for x in v)
 
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(GenConfig))
@@ -243,9 +247,12 @@ def write(d: DatasetManifest, path: str | Path) -> None:
     table = np.zeros(rows, _table_dtype(cfg))
     for name, column in zip(_COLUMNS, columns):
         table[name] = column
+    # One %-format per record; "%.17g" % x renders as format(x, ".17g") does.
+    record = "\t".join(["%d", "%d", *(",".join(["%.17g"] * table[name].shape[1])
+                                       for name in _COLUMNS[2:])])
     lines = [header]
     for identity, view, image, text in zip(*(table[name].tolist() for name in _COLUMNS)):
-        lines.append(f"{identity}\t{view}\t{_fmt_vector(image)}\t{_fmt_vector(text)}")
+        lines.append(record % (identity, view, *image, *text))
     companion.write(path, ("\n".join(lines) + "\n").encode("utf-8"), [table])
 
 

@@ -10,8 +10,9 @@ a function of those ranks.
 Each stage is one pass over whole arrays rather than a loop over queries:
 ranks are bisected for every (query, relevant item) pair of a block of
 queries at once, a ranking is held as arrays over its queries, the
-precision table is filled per group of queries with equal relevant counts,
-and embedding dot products are taken for all pairs of a stage together by
+precision-recall curve takes each group of queries with equal relevant
+counts as one block and sums each distinct precision column once, and
+embedding dot products are taken for all pairs of a stage together by
 ``_row_dots``.  The passes keep the per-query arithmetic bit for bit:
 
 - every precision is one int/int division m / r_m (``_hit_precisions``, or
@@ -20,10 +21,12 @@ and embedding dot products are taken for all pairs of a stage together by
   through the same dot kernel as a one-pair ``a @ b`` (tests pin this);
 - every sum that leaves numpy -- AP, mAP, the macro precision columns, the
   consistencies behind uncertainty, the mean margins -- is math.fsum, which
-  returns the correctly rounded sum independent of summation order.
+  returns the correctly rounded sum independent of summation order, so a
+  column gathered group by group sums as the per-query table's column does.
 
-A record's same-identity others, for weak margins and uncertainty, come
-from ``data.identity_groups``, as training's batch plans and weak picks do.
+A record's same-identity others, for relevance, weak margins and
+uncertainty, come from ``data.identity_groups``, as training's batch plans
+and weak picks do.
 
 That is what lets the per-query references and the brute-force oracles in
 the tests match these implementations exactly rather than to a tolerance.
@@ -31,6 +34,7 @@ the tests match these implementations exactly rather than to a tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -233,7 +237,10 @@ def pr_curve(result: RankingResult, grid=DEFAULT_RECALL_GRID) -> PRCurve:
     """Macro-averaged precision over a fixed recall grid, plus trapezoid AUC.
 
     The area integrates from recall 0, extending the first grid value left,
-    so a ranker with precision 1 everywhere scores exactly 1.
+    so a ranker with precision 1 everywhere scores exactly 1.  A level's
+    column of per-query precisions depends only on the rank index each
+    relevant-count group picks there, so levels that pick alike share one
+    fsum: with 4 relevant items per query, 4 sums serve the 100 levels.
     """
     n = _rankable(result)
     grid = list(grid)
@@ -243,17 +250,22 @@ def pr_curve(result: RankingResult, grid=DEFAULT_RECALL_GRID) -> PRCurve:
         raise ValueError("recall grid must be strictly increasing")
     # A level's precision is m / r_m for the first m with recall m / R >= level;
     # R / R == 1.0 reaches every level in the grid.  Queries with equal R
-    # share the level -> m lookup, so each group fills its rows at once.
+    # share the level -> m lookup.
     levels = np.array(grid)
     starts = result.starts
-    table = np.empty((n, levels.shape[0]))
+    blocks, picks = [], []
     # The distinct counts from bincount: a plain np.unique imports numpy.ma.
     for count in np.flatnonzero(np.bincount(result.counts)).tolist():
         rows = np.flatnonzero(result.counts == count)
         block = result.hit_ranks[starts[rows, None] + np.arange(count)]
         recalls = np.arange(1, count + 1) / count
-        table[rows] = _hit_precisions(block)[:, np.searchsorted(recalls, levels)]
-    macro = [math.fsum(column.tolist()) / n for column in table.T]
+        blocks.append(_hit_precisions(block))
+        picks.append(np.searchsorted(recalls, levels).tolist())
+    keys = list(zip(*picks))  # each level's m in every group
+    sums = {key: math.fsum(itertools.chain.from_iterable(
+                block[:, m].tolist() for block, m in zip(blocks, key)))
+            for key in dict.fromkeys(keys)}
+    macro = [sums[key] / n for key in keys]
     xs = [0.0] + grid
     ys = [macro[0]] + macro
     auc = math.fsum((xs[i] - xs[i - 1]) * (ys[i] + ys[i - 1]) / 2
@@ -357,10 +369,8 @@ def query_uncertainty(img_emb: np.ndarray, txt_emb: np.ndarray,
     """
     groups = identity_groups(identities)
     others = groups.counts[groups.inverse] - 1
-    # Every same-identity pair (q, o != q), q ascending, then o ascending.
     ends = np.cumsum(others)
-    pair_q = np.repeat(np.arange(others.shape[0]), others)
-    pair_o = groups.other(pair_q, np.arange(pair_q.shape[0]) - np.repeat(ends - others, others))
+    pair_q, pair_o = groups.other_pairs()
     sims = (0.5 * (_row_dots(img_emb[pair_q], img_emb[pair_o])
                    + _row_dots(txt_emb[pair_q], txt_emb[pair_o]))).tolist()
     consistency = [math.fsum(sims[end - k:end]) / k if k else 1.0
@@ -393,7 +403,9 @@ def evaluate_model(params: ModelParams, manifest: DatasetManifest, mapping: str,
     if not finite.all():
         raise NumericAbort(f"record {int(np.argmin(finite))}: non-finite embedding")
     scores = txt @ img.T
-    relevance = identities[:, None] == identities[None, :]
+    # A query's relevant items: itself and its identity's other records.
+    relevance = np.eye(identities.shape[0], dtype=bool)
+    relevance[identity_groups(identities).other_pairs()] = True
     uncertainties = query_uncertainty(img, txt, identities, mapping)
     ranking = rank_queries(scores, relevance, uncertainties)
     rng = np.random.default_rng(np.random.SeedSequence([eval_seed & ((1 << 64) - 1), 77]))

@@ -336,10 +336,11 @@ class TestGradcheckCommand:
 
     @pytest.mark.parametrize("setting", [
         "points=0", "points=-1", "tol=nan", "tol=inf", "tol=-1", "tol=0",
-        "eps=1", "eps=1e-9", "eps=nan"])
+        "eps=1", "eps=1e-9", "eps=nan", "seed=-1"])
     def test_section_rejected_before_any_check(self, setting, capsys):
         """A battery of no points, a tolerance nothing can meet (or everything
-        meets) and an eps outside grad_check's range are config errors."""
+        meets), an eps outside grad_check's range and a seed numpy cannot
+        take are config errors."""
         assert main(["gradcheck", "--set", f"gradcheck.{setting}"]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""

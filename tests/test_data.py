@@ -259,6 +259,36 @@ def test_any_finite_values_round_trip(rows, tmp_path_factory):
     np.testing.assert_array_equal(back.text, d.text)
 
 
+_edge = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                         -2.2250738585072014e-308, 1.7976931348623157e308,
+                         -1.7976931348623157e308])
+
+
+@given(data=st.data(), image_width=st.integers(1, 4), text_width=st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_records_render_as_per_entry_format(data, image_width, text_width, tmp_path_factory):
+    """Each TSV record line is identity, view and every entry's
+    format(x, ".17g"), over arbitrary finite float64 with signed zeros,
+    subnormals and the largest magnitudes, and over any int64 keys."""
+    n = data.draw(st.integers(1, 5))
+    d = generate(cfg(num_identities=n, views_per_identity=1,
+                     raw_dim_image=image_width, raw_dim_text=text_width))
+    d.identity[:] = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n,
+                                       max_size=n, unique=True))
+    d.view[:] = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n))
+    values = st.lists(_finite | _edge, min_size=image_width + text_width,
+                      max_size=image_width + text_width)
+    rows = np.array(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+    d.image[:], d.text[:] = rows[:, :image_width], rows[:, image_width:]
+    path = tmp_path_factory.mktemp("fmt") / "data.tsv"
+    write(d, path)
+    want = ["\t".join([str(identity), str(view), ",".join(format(x, ".17g") for x in image),
+                       ",".join(format(x, ".17g") for x in text)])
+            for identity, view, image, text in zip(d.identity.tolist(), d.view.tolist(),
+                                                   d.image.tolist(), d.text.tolist())]
+    assert path.read_text().split("\n")[1:] == want + [""]
+
+
 def test_header_lists_the_generator_config_in_field_order(tmp_path):
     write(generate(cfg()), tmp_path / "d.tsv")
     assert (tmp_path / "d.tsv").read_text().splitlines()[0] == (
@@ -510,3 +540,16 @@ def test_other_is_the_kth_other_record_of_the_identity(identity, seed):
     order = np.random.default_rng(seed).permutation(len(pairs))
     assert groups.other(rows[order], ks[order]).tolist() == [others[r][k] for r, k in
                                                              (pairs[i] for i in order)]
+
+
+@given(identity=st.lists(st.integers(-5, 5).map(lambda i: 3 * i), max_size=16))
+@settings(max_examples=200, deadline=None)
+def test_other_pairs_are_every_same_identity_pair(identity):
+    """other_pairs against a brute-force list of (record, other record of its
+    identity), over unsorted, gapped and negative identities with singletons."""
+    identity = np.array(identity, dtype=np.int64)
+    rows, others = identity_groups(identity).other_pairs()
+    n = identity.shape[0]
+    want = [(r, o) for r in range(n) for o in range(n) if identity[o] == identity[r] and o != r]
+    assert rows.dtype.kind == others.dtype.kind == "i"
+    assert list(zip(rows.tolist(), others.tolist())) == want

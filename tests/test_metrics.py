@@ -15,9 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from weakpair import metrics
 from weakpair.autograd import Graph
+from weakpair.data import GenConfig, generate
+from weakpair.encoders import ModelDims, embed_manifest, init_model
 from weakpair.losses import MAPPINGS, consistency_uncertainty, mapping_value
 from weakpair.metrics import (DEFAULT_RECALL_GRID, RankingResult,
-                              _row_dots, margin_stats,
+                              _row_dots, evaluate_model, margin_stats,
                               margin_tuples, mean_average_precision, pr_curve,
                               query_uncertainty, rank_queries, recall_at_k,
                               reliability_stats, risk_coverage)
@@ -578,6 +580,56 @@ def test_ranking_a_large_gallery_holds_no_whole_score_copy(step):
         tracemalloc.stop()
     assert peak < 4 * 2 ** 20, f"rank_queries peaked at {peak / 2 ** 20:.2f} MB"
     assert_rankings_bits_equal(got, reference_rank_queries(scores, relevance, u))
+
+
+# Breakpoints of counts 1-7 interleave; some levels sit exactly on one.
+_INTERLEAVED_GRID = (1 / 7, 1 / 6, 0.2, 0.25, 2 / 7, 1 / 3, 0.4, 3 / 7, 0.5, 4 / 7, 0.6,
+                     2 / 3, 5 / 7, 0.75, 0.8, 5 / 6, 6 / 7, 1.0)
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_RECALL_GRID, _INTERLEAVED_GRID])
+def test_pr_curve_over_interleaved_count_groups_matches_per_query_table(grid):
+    """50 queries of each relevant count 1-7, their counts cycling through
+    the query order: levels pick different rank indices in different groups,
+    and the macro precisions and trapezoid AUC equal the per-query table's."""
+    rng = np.random.default_rng(11)
+    n_q, gallery = 350, 60
+    scores = rng.normal(size=(n_q, gallery))
+    relevance = np.zeros((n_q, gallery), dtype=bool)
+    for q in range(n_q):
+        relevance[q, rng.choice(gallery, 1 + q % 7, replace=False)] = True
+    result = rank_queries(scores, relevance, np.zeros(n_q))
+    assert np.bincount(result.counts).tolist() == [0] + [50] * 7
+    curve = pr_curve(result, grid)
+    want = reference_pr_precisions(result, grid)
+    assert_bits_equal(curve.recalls, np.array(grid))
+    assert_bits_equal(curve.precisions, want)
+    xs, ys = [0.0, *grid], [want[0], *want.tolist()]
+    auc = math.fsum((xs[i] - xs[i - 1]) * (ys[i] + ys[i - 1]) / 2 for i in range(1, len(xs)))
+    assert_bits_equal(curve.auc, auc)
+
+
+@given(ids=st.lists(st.integers(-4, 4).map(lambda i: 5 * i), min_size=2, max_size=30),
+       seed=st.integers(0, 2 ** 32 - 1), mapping=st.sampled_from(MAPPINGS))
+@settings(max_examples=60, deadline=None)
+def test_evaluate_model_ranks_against_identity_equality(ids, seed, mapping):
+    """Eval's relevance, built from the identity grouping, ranks as the
+    dense identity comparison does, over unsorted, gapped and negative
+    identities with singletons."""
+    identities = np.array(ids, dtype=np.int64)
+    if np.unique(identities).shape[0] < 2:
+        return
+    n = identities.shape[0]
+    manifest = generate(GenConfig(num_identities=n, views_per_identity=1, latent_dim=3,
+                                  raw_dim_image=5, raw_dim_text=4, seed=seed))
+    manifest.identity[:] = identities
+    params = init_model(seed, ModelDims(5, 4, 4, 3))
+    img, txt, _ = embed_manifest(params, manifest)
+    u = query_uncertainty(img, txt, identities, mapping)
+    want = rank_queries(txt @ img.T, identities[:, None] == identities[None, :], u)
+    got = evaluate_model(params, manifest, mapping, eval_seed=seed)
+    assert_rankings_bits_equal(got.ranking, want)
+    assert_bits_equal(got.uncertainties, u)
 
 
 @given(ids=st.lists(st.integers(0, 6), min_size=1, max_size=40),
