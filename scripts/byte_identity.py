@@ -43,6 +43,8 @@ repository keeps the manifest of its own revision as ``/DIGESTS.json``: a
 change that keeps every output leaves it unchanged, and one that moves
 outputs shows in its diff which.  Another numpy or BLAS build may
 legitimately give other digests; compare its ``environment`` first.
+``python3 scripts/compare_digests.py OUT_DIR/DIGESTS.json`` does both
+comparisons against ``/DIGESTS.json`` and names every file that differs.
 ``tests/test_digests.py`` rebuilds the default and degenerate legs through
 ``default_leg`` and ``degenerate_leg`` and compares them with the manifest.
 """

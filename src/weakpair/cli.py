@@ -15,6 +15,7 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -396,7 +397,10 @@ def cmd_diag(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, so
+    in-process callers of main share it."""
     parser = argparse.ArgumentParser(
         prog="weakpair",
         description="Uncertainty-aware weak-pair metric learning workbench")

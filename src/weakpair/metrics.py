@@ -4,8 +4,10 @@ Queries are texts, galleries are images, and an item is relevant iff it
 shares the query's identity.  Rankings order by descending score with ties
 broken by lower gallery index, so every metric is a pure function of the
 scores and flags regardless of input order.  A query keeps only the ranks of
-its relevant items, read off its score row sorted once: every metric here is
-a function of those ranks.
+its relevant items, read off its score row sorted once as float32; the few
+relevant items whose float32 value another item of the row shares are
+recounted in float64 (``rank_queries`` says why that is exact).  Every metric
+here is a function of those ranks.
 
 Each stage is one pass over whole arrays rather than a loop over queries:
 ranks are bisected for every (query, relevant item) pair of a block of
@@ -48,7 +50,9 @@ from .training import NumericAbort
 DEFAULT_RECALL_GRID = tuple(i / 100 for i in range(1, 100)) + (1.0,)
 RISK_COVERAGE_POINTS = 20
 MARGIN_HIST_BINS = 40  # fixed-width bins over [-2, 2]
-RANK_CHUNK = 64  # gallery rows (sorted query rows, or tied pairs' rows) held at once
+# Gallery rows held at once: query rows sorted as float32, or the float64
+# rows of pairs recounted because their float32 value is shared.
+RANK_CHUNK = 128
 
 
 @dataclass
@@ -149,18 +153,17 @@ def _hit_precisions(hit_ranks: np.ndarray) -> np.ndarray:
 
 def _at_most(rows: np.ndarray, row: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """#{i: rows[row[p], i] <= keys[p]} for every p, by one bisection of the
-    ascending rows over all p at once (binary lifting: the largest count whose
-    last value is still <= the key)."""
+    ascending rows over all p at once.  Each pair's count stays within
+    [lo, lo + n] of its row while the shared window n halves, one gather and
+    one compare per halving; at n == 1 the value at lo decides."""
     width = rows.shape[1]
     flat, base = rows.ravel(), row * width
-    count = np.zeros(keys.shape[0], dtype=np.intp)
-    step = 1 << (width.bit_length() - 1)
-    while step:
-        probe = count + step
-        fits = probe <= width
-        count += step * (fits & (flat[base + np.minimum(probe, width) - 1] <= keys))
-        step >>= 1
-    return count
+    pos, n = base.copy(), width  # pos = base + lo
+    while n > 1:
+        half = n >> 1
+        np.add(pos, half, out=pos, where=flat[pos + half] <= keys)
+        n -= half
+    return pos - base + (flat[pos] <= keys)
 
 
 def rank_queries(scores: np.ndarray, relevance: np.ndarray,
@@ -169,9 +172,15 @@ def rank_queries(scores: np.ndarray, relevance: np.ndarray,
 
     Relevant item j of query q ranks 1 + #{i: s_qi > s_qj} + #{i: s_qi == s_qj,
     i < j}, its position in the descending order with ties to the lower
-    index.  Query rows are sorted RANK_CHUNK at a time and each pair's
-    #{i: s_qi <= s_qj} is bisected from its sorted row; the tie count is
-    taken over the gallery row only for pairs whose key is not alone in it.
+    index.  Query rows are sorted as float32 copies RANK_CHUNK at a time and
+    each pair's #{i: f32(s_qi) <= f32(s_qj)} is bisected from its sorted row.
+    Rounding to float32 is monotone, so f32(s_qi) > f32(s_qj) implies
+    s_qi > s_qj and f32(s_qi) < f32(s_qj) implies s_qi < s_qj: a pair whose
+    float32 value is alone in its row takes its exact rank from that count.
+    Pairs whose float32 value is shared -- true ties, signed zeros, scores
+    closer than float32 resolves, subnormals, and finite scores beyond
+    float32's range, which cast to +-inf -- are recounted exactly over their
+    float64 gallery rows.
     """
     n_queries, n_gallery = scores.shape
     if relevance.shape != scores.shape:
@@ -186,27 +195,36 @@ def rank_queries(scores: np.ndarray, relevance: np.ndarray,
         raise ValueError(f"query {int(np.argmin(finite))}: non-finite score")
     pair_q, pair_j = np.divmod(np.flatnonzero(relevance), n_gallery)
     keys = scores[pair_q, pair_j]
+    # Scores beyond float32's range round to +-inf: intended, and still monotone.
+    with np.errstate(over="ignore"):
+        keys32 = keys.astype(np.float32)
     ranks = np.empty(pair_q.shape[0], dtype=np.intp)
-    tied = np.zeros(pair_q.shape[0], dtype=bool)
+    shared = np.zeros(pair_q.shape[0], dtype=bool)
     for lo in range(0, n_queries, RANK_CHUNK):
         # Pairs arrive grouped by query, so a block's pairs are one slice.
         a, b = np.searchsorted(pair_q, (lo, lo + RANK_CHUNK)).tolist()
         if a == b:
             continue
-        rows, row, key = np.sort(scores[lo:lo + RANK_CHUNK], axis=1), pair_q[a:b] - lo, keys[a:b]
+        with np.errstate(over="ignore"):
+            rows = scores[lo:lo + RANK_CHUNK].astype(np.float32)
+        rows.sort(axis=1)
+        row, key = pair_q[a:b] - lo, keys32[a:b]
         at_most = _at_most(rows, row, key)
         ranks[a:b] = 1 + n_gallery - at_most
-        # The key is the last value <= itself; an equal value before it is a tie.
-        tied[a:b] = (at_most >= 2) & (rows[row, np.maximum(at_most - 2, 0)] == key)
-    tied = np.flatnonzero(tied)
+        # The key is the last value <= itself; an equal value before it shares it.
+        shared[a:b] = (at_most >= 2) & (rows[row, np.maximum(at_most - 2, 0)] == key)
+    shared = np.flatnonzero(shared)
     indices = np.arange(n_gallery)
-    for lo in range(0, tied.shape[0], RANK_CHUNK):
-        pairs = tied[lo:lo + RANK_CHUNK]
-        ahead = scores[pair_q[pairs]] == keys[pairs, None]
+    for lo in range(0, shared.shape[0], RANK_CHUNK):
+        pairs = shared[lo:lo + RANK_CHUNK]
+        row, key = scores[pair_q[pairs]], keys[pairs, None]
+        ahead = row == key
         ahead &= indices < pair_j[pairs, None]
-        ranks[pairs] += np.count_nonzero(ahead, axis=1)
-    # Order each query's ranks ascending.
-    ranks = ranks[np.lexsort((ranks, pair_q))]
+        ahead |= row > key
+        ranks[pairs] = 1 + np.count_nonzero(ahead, axis=1)
+    # Order each query's ranks ascending: ranks lie in [1, n_gallery].
+    stride = n_gallery + 1
+    ranks = np.sort(pair_q * stride + ranks) - pair_q * stride
     counts = np.bincount(pair_q, minlength=n_queries)
     ranked = np.flatnonzero(counts)
     counts = counts[ranked]

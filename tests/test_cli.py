@@ -15,8 +15,8 @@ import pytest
 
 from weakpair import data
 from weakpair.autograd import Graph
-from weakpair.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME,
-                          ablation_cells, load_config, main)
+from weakpair.cli import (DEFAULTS, EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME,
+                          ablation_cells, build_parser, load_config, main)
 from weakpair.encoders import dict_to_params, embed_manifest
 from weakpair.metrics import evaluate_model
 from weakpair.training import load_checkpoint
@@ -386,6 +386,30 @@ class TestConfigPlumbing:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_back_to_back_calls_share_no_overrides(self, tmp_path):
+        """main reuses one parser; a --set given to one call is absent from
+        the next, and a call without --set leaves the parser's empty list
+        empty for the one after it."""
+        assert build_parser() is build_parser()
+        assert main(["gen", "--out", str(tmp_path / "a"), *SMALL_GEN,
+                     "--set", "gen.seed=9"]) == EXIT_OK
+        assert main(["gen", "--out", str(tmp_path / "b"), "--seed", "4"]) == EXIT_OK
+        first = load_config(str(tmp_path / "a" / "resolved.cfg"), [])
+        second = load_config(str(tmp_path / "b" / "resolved.cfg"), [])
+        assert first["gen"]["seed"] == 9 and first["gen"]["num_identities"] == 24
+        assert second["gen"] == {**DEFAULTS["gen"], "seed": 4}
+        args = build_parser().parse_args(["gen", "--out", str(tmp_path / "c")])
+        assert args.set == [] and args.seed is None
+
+    def test_usage_error_leaves_the_next_call_working(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", *SMALL_GEN, "--set", "gen.seed=3"])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert main(["gen", "--out", str(tmp_path / "ok"), *SMALL_GEN]) == EXIT_OK
+        resolved = load_config(str(tmp_path / "ok" / "resolved.cfg"), [])
+        assert resolved["gen"]["seed"] == DEFAULTS["gen"]["seed"]
 
 
 class TestLeakageCrossCheck:

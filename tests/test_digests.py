@@ -1,4 +1,5 @@
-"""The committed DIGESTS.json against a rebuild of a fast subset of its outputs."""
+"""The committed DIGESTS.json against a rebuild of a fast subset of its outputs,
+and scripts/compare_digests.py on small manifests."""
 
 import importlib.util
 import json
@@ -15,9 +16,8 @@ LEGS = {"default/": 28, "degenerate/": 17, "tsv-only/": 18, "json-only/": 18,
         "mappings/": 44, "gallery/": 28, "resume/": 15}
 
 
-def byte_identity():
-    spec = importlib.util.spec_from_file_location(
-        "byte_identity", ROOT / "scripts" / "byte_identity.py")
+def script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -29,9 +29,9 @@ def rebuilt(tmp_path_factory):
     script's own functions, in its order.  The digests hold for the builds
     the manifest names; on another Python, numpy or BLAS build the tests are
     skipped, naming both."""
-    script = byte_identity()
+    byte_identity = script("byte_identity")
     manifest = json.loads((ROOT / "DIGESTS.json").read_text())
-    here = script.environment()
+    here = byte_identity.environment()
     if here != manifest["environment"]:
         pytest.skip(f"DIGESTS.json was recorded on {manifest['environment']}, "
                     f"this build is {here}")
@@ -40,15 +40,15 @@ def rebuilt(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(out)
         run = Path("default")
-        script.default_leg(run)
-        script.text_only_leg(Path("."), run, "tsv-only", "data")
-        script.text_only_leg(Path("."), run, "json-only", "checkpoint")
-        script.mapping_leg(Path("mappings"), run / "data")
-        script.gallery_leg(Path("gallery"))
+        byte_identity.default_leg(run)
+        byte_identity.text_only_leg(Path("."), run, "tsv-only", "data")
+        byte_identity.text_only_leg(Path("."), run, "json-only", "checkpoint")
+        byte_identity.mapping_leg(Path("mappings"), run / "data")
+        byte_identity.gallery_leg(Path("gallery"))
         train_d = data.read(run / "data" / "train.tsv")
-        script.resume_leg(Path("resume"), train_d)
-        script.degenerate_leg(Path("degenerate"), train_d)
-    return manifest["files"], script.file_digests(out)
+        byte_identity.resume_leg(Path("resume"), train_d)
+        byte_identity.degenerate_leg(Path("degenerate"), train_d)
+    return manifest["files"], byte_identity.file_digests(out)
 
 
 def leg_digests(files, legs):
@@ -75,3 +75,39 @@ def test_leg_matches_the_committed_digests(rebuilt, leg):
     want = leg_digests(committed, leg)
     assert len(want) == LEGS[leg]
     assert leg_digests(got, leg) == want
+
+
+ENVIRONMENT = {"python": "3.11.7", "numpy": "2.4.6", "blas": {"name": "openblas"}}
+
+
+def test_compare_digests_lists_every_differing_missing_and_new_path(
+        tmp_path, capsys, monkeypatch):
+    """The script against a small committed manifest under a stand-in root."""
+    compare = script("compare_digests")
+    monkeypatch.setattr(compare, "ROOT", tmp_path)
+    committed = {"environment": ENVIRONMENT,
+                 "files": {"a/x.csv": "11", "a/y.csv": "22", "b/z.txt": "33"}}
+    (tmp_path / "DIGESTS.json").write_text(json.dumps(committed))
+    argv = [str(tmp_path / "fresh.json")]
+
+    (tmp_path / "fresh.json").write_text(json.dumps(committed))
+    assert compare.main(argv) == 0
+    assert capsys.readouterr().out == \
+        f"3 digests and the environment match {tmp_path / 'DIGESTS.json'}\n"
+
+    fresh = {"environment": ENVIRONMENT,
+             "files": {"a/x.csv": "11", "a/y.csv": "2f", "c/w.txt": "44"}}
+    (tmp_path / "fresh.json").write_text(json.dumps(fresh))
+    assert compare.main(argv) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs a/y.csv", "missing b/z.txt", "new c/w.txt"]
+
+
+def test_compare_digests_checks_the_environment_first():
+    compare = script("compare_digests")
+    files = {"a/x.csv": "11"}
+    other = {**ENVIRONMENT, "numpy": "2.5.0"}
+    lines = compare.compare({"environment": ENVIRONMENT, "files": files},
+                            {"environment": other, "files": {**files, "a/v.csv": "55"}})
+    assert lines[0].startswith("environment differs:") and "2.5.0" in lines[0]
+    assert lines[1:] == ["new a/v.csv"]

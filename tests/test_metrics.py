@@ -8,6 +8,7 @@ so agreement is exact rather than approximate.
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -557,6 +558,72 @@ def test_blocked_ranks_match_per_query_reference(data):
         patch.setattr(metrics, "RANK_CHUNK", chunk)
         got = rank_queries(scores, relevance, u)
     assert_rankings_bits_equal(got, reference_rank_queries(scores, relevance, u))
+
+
+def float32_class(x):
+    """x and its float64 neighbours: distinct scores with one float32 value."""
+    x = np.float64(x)
+    values = [x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf),
+              np.nextafter(np.nextafter(x, np.inf), np.inf)]
+    assert len(set(values)) == 4 and len({np.float32(v) for v in values}) == 1
+    return values
+
+
+def rank_like_reference(values, n_q=5, seed=0):
+    """Rank rows that each hold every value of values, in its own order and
+    with its own relevant items, against the per-query reference; float32
+    casts may not warn."""
+    rng = np.random.default_rng(seed)
+    values = np.array(values, dtype=np.float64)
+    scores = np.stack([rng.permutation(values) for _ in range(n_q)])
+    relevance = rng.random(scores.shape) < 0.6
+    relevance[0] = True
+    u = rng.random(n_q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rank_queries(scores, relevance, u)
+    assert_rankings_bits_equal(got, reference_rank_queries(scores, relevance, u))
+
+
+@pytest.mark.parametrize("key", [0.3, -0.7, 1.0, 1e-3, 123.456, -2.0 ** 40])
+def test_keys_one_ulp_apart_rank_as_in_float64(key):
+    """A key beside its float64 neighbours, which float32 cannot separate,
+    and a twin of it that ties exactly."""
+    cls = float32_class(key)
+    rank_like_reference(cls + [cls[0], 2.0 * key, 0.5 * key, 0.0])
+
+
+def test_signed_zeros_rank_as_equal_scores():
+    rank_like_reference([0.0, -0.0, 0.0, -0.0, -0.0, 1.0, -1.0, 0.25])
+
+
+def test_subnormals_rank_as_in_float64():
+    """float64 subnormals all round to a float32 zero; float32's own
+    subnormals keep their order."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    normal = np.finfo(np.float64).smallest_normal
+    tiny32 = float(np.finfo(np.float32).smallest_subnormal)
+    rank_like_reference([tiny, -tiny, 2 * tiny, np.nextafter(normal, 0.0), normal, -normal,
+                         1e-310, 0.0, -0.0, tiny32, 2 * tiny32, -tiny32, 1e-40, 1e-30])
+
+
+def test_scores_beyond_float32_range_rank_without_cast_warnings():
+    """Finite scores past float32's largest value cast to +-inf, where they
+    share one float32 value; the casts raise no overflow warning."""
+    big = float(np.finfo(np.float32).max)
+    top = np.finfo(np.float64).max
+    rank_like_reference([1e39, -1e39, 3.5e38, -3.5e38, big, np.nextafter(big, np.inf), -big,
+                         1e300, -1e300, top, -top, top, 1.0, -1.0], n_q=6)
+
+
+@pytest.mark.parametrize("chunk", [2, 3])
+def test_shared_float32_class_split_across_blocks(chunk):
+    """One shared-float32 class in every query row over several blocks of
+    rows, so its pairs also fill several chunks of the float64 recount."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "RANK_CHUNK", chunk)
+        rank_like_reference(float32_class(0.3) + float32_class(-0.3) + [0.3, 0.1, -0.3, 0.0],
+                            n_q=3 * chunk + 1, seed=chunk)
 
 
 @pytest.mark.parametrize("step", [0.0, 2.0 ** -6])
