@@ -28,13 +28,18 @@ then resumed from the in-memory checkpoint, writing both checkpoints and the
 joined ``train_log.csv``); a degenerate leg (a 3-epoch ``train`` per ablation
 mode on a dataset whose single-record identities are their own weak
 counterparts and whose epochs end on a short batch); ``weakpair gradcheck
---out`` at its default 100 points; and acceptance criterion 07's runs
-(``tests/test_acceptance.py`` ``GEN``/``TRAIN``, seeds 1-5 x
-baseline/uitc/uitc_gitm), each writing its checkpoint, ``train_log.csv``,
-the ``weakpair eval`` outputs and the held-out mAP, plus the three medians.
-Console output (with paths relative to the output directory) and the
-``resolved.cfg`` files are written too; none holds a timing.  Takes a few
-minutes on one core.
+--out`` at its default 100 points; acceptance criterion 07's runs (the
+default config at 60 epochs, seeds 1-5 x baseline/uitc/uitc_gitm, through
+``cli.run_grid``; ``tests/test_digests.py`` pins this definition to
+``tests/test_acceptance.py``'s ``GEN``, ``TRAIN``, split, ``SEEDS`` and
+``EVAL_SEED``), each writing its checkpoint, ``train_log.csv``, the
+``weakpair eval`` outputs and the held-out mAP, plus the three medians; and
+an ablate leg (``weakpair ablate`` on the default config: the losses and
+the mappings grid at seeds 1,2 for 2 epochs, and the losses grid at
+``train.batch_size=2``, whose neg3v6 run is an error row).  Console output
+(with paths relative to the output directory) and the ``resolved.cfg``
+files are written too; none holds a timing.  Takes under a minute on one
+core.
 
 Last, ``OUT_DIR/DIGESTS.json`` records the sha256 of every file written, by
 path relative to ``OUT_DIR`` in sorted order, with the Python and numpy
@@ -45,8 +50,8 @@ outputs shows in its diff which.  Another numpy or BLAS build may
 legitimately give other digests; compare its ``environment`` first.
 ``python3 scripts/compare_digests.py OUT_DIR/DIGESTS.json`` does both
 comparisons against ``/DIGESTS.json`` and names every file that differs.
-``tests/test_digests.py`` rebuilds the default and degenerate legs through
-``default_leg`` and ``degenerate_leg`` and compares them with the manifest.
+``tests/test_digests.py`` rebuilds every leg but gradcheck and criterion 07
+through the leg functions here and compares them with the manifest.
 """
 
 from __future__ import annotations
@@ -54,7 +59,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-import importlib.util
 import io
 import json
 import math
@@ -70,8 +74,6 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from weakpair import cli, data  # noqa: E402
-from weakpair.encoders import dict_to_params  # noqa: E402
-from weakpair.metrics import evaluate_model  # noqa: E402
 from weakpair.training import (ABLATION_MODES, TrainLog, save_checkpoint,  # noqa: E402
                                train)
 
@@ -85,14 +87,6 @@ def weakpair(out: Path, *argv: str) -> None:
     (out / "stdout.txt").write_text(buffer.getvalue())
     if code != 0:
         raise SystemExit(f"weakpair {' '.join(argv)} exited {code}")
-
-
-def acceptance_module():
-    spec = importlib.util.spec_from_file_location(
-        "acceptance", ROOT / "tests" / "test_acceptance.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def resume_leg(out: Path, train_d: data.DatasetManifest) -> None:
@@ -189,6 +183,33 @@ def degenerate_leg(out: Path, train_d: data.DatasetManifest) -> None:
                  "--set", f"train.ablation_mode={mode}")
 
 
+# Acceptance criterion 07 for cli.run_grid: the default config at 60 epochs,
+# one cell per ablation mode (tests/test_digests.py pins it to the battery's).
+CRITERION_07 = cli.load_config(None, ["train.epochs=60"])
+CRITERION_07_CELLS = [(mode, {"ablation_mode": mode}) for mode in ABLATION_MODES]
+
+
+def criterion_07_runs(seeds: list[int]):
+    """cli.run_grid over criterion 07's cells; a run's error is raised."""
+    for run in cli.run_grid(CRITERION_07, CRITERION_07_CELLS, seeds):
+        if run.error is not None:
+            raise run.error
+        yield run
+
+
+def ablate_leg(out: Path) -> None:
+    """``weakpair ablate`` on the default config: both grids at seeds 1,2 for
+    2 epochs, and the losses grid at batch size 2, where neg3v6 cannot mine
+    and its one run is an error row."""
+    for name, *settings in (("losses", "ablate.seeds=1,2", "train.epochs=2"),
+                            ("mappings", "ablate.grid=mappings", "ablate.seeds=1,2",
+                             "train.epochs=2"),
+                            ("batch2", "train.batch_size=2", "ablate.seeds=1",
+                             "train.epochs=2")):
+        argv = [arg for setting in settings for arg in ("--set", setting)]
+        weakpair(out / name, "ablate", "--out", str(out / name), *argv)
+
+
 def environment() -> dict:
     """The Python, numpy and BLAS builds that the digests were taken on."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -225,29 +246,22 @@ def main(out: Path) -> None:
     degenerate_leg(out / "degenerate", train_d)
     weakpair(out / "gradcheck", "gradcheck", "--out", str(out / "gradcheck"))
 
-    acc = acceptance_module()
-    runs = out / "criterion07"
-    runs.mkdir(parents=True, exist_ok=True)
-    train_d, test_d = data.split(data.generate(acc.GEN), 5.0 / 6.0, seed=100)
-    data.write(test_d, runs / "test.tsv")
+    leg = out / "criterion07"
+    leg.mkdir()
+    data.write(cli.generated_split(CRITERION_07)[1], leg / "test.tsv")
     maps: dict[str, list[float]] = {}
-    for seed in acc.SEEDS:
-        for mode in ("baseline", "uitc", "uitc_gitm"):
-            cfg = dataclasses.replace(acc.TRAIN, seed=seed, ablation_mode=mode)
-            ckpt, log = train(cfg, train_d)
-            cell = runs / f"{mode}-seed{seed}"
-            cell.mkdir()
-            save_checkpoint(ckpt, cell / "checkpoint.json")
-            cli.write_csv(cell / "train_log.csv", *cli.train_log_rows(log))
-            result = evaluate_model(dict_to_params(ckpt.params), test_d, cfg.mapping,
-                                    eval_seed=acc.EVAL_SEED)
-            (cell / "map.txt").write_text(repr(result.mean_ap) + "\n")
-            maps.setdefault(mode, []).append(result.mean_ap)
-            weakpair(cell / "eval", "eval", "--data", str(runs / "test.tsv"),
-                     "--checkpoint", str(cell / "checkpoint.json"),
-                     "--out", str(cell / "eval"))
-    (runs / "medians.txt").write_text("".join(
+    for run in criterion_07_runs(cli.ablation_seeds(CRITERION_07["ablate"]["seeds"])):
+        cell = leg / f"{run.cell}-seed{run.seed}"
+        cell.mkdir()
+        save_checkpoint(run.checkpoint, cell / "checkpoint.json")
+        cli.write_csv(cell / "train_log.csv", *cli.train_log_rows(run.log))
+        (cell / "map.txt").write_text(repr(run.result.mean_ap) + "\n")
+        maps.setdefault(run.cell, []).append(run.result.mean_ap)
+        weakpair(cell / "eval", "eval", "--data", str(leg / "test.tsv"),
+                 "--checkpoint", str(cell / "checkpoint.json"), "--out", str(cell / "eval"))
+    (leg / "medians.txt").write_text("".join(
         f"{mode} {float(np.median(values))!r}\n" for mode, values in maps.items()))
+    ablate_leg(out / "ablate")
     write_digests(out)
 
 

@@ -1,10 +1,12 @@
 """Held-out mAP of the three ablation modes over many seeds, as paired deltas.
 
-Trains acceptance criterion 07's configuration (``tests/test_acceptance.py``
-``GEN``/``TRAIN``, same split and eval seed) for every seed and every mode
-of baseline, uitc and uitc_gitm, then prints one row per seed and the
-paired deltas uitc - baseline and uitc_gitm - uitc: mean, standard error
-and the number of seeds on which the delta is positive.  Pairing by seed
+Trains acceptance criterion 07's configuration, the default config at 60
+epochs (``byte_identity.CRITERION_07``, which ``tests/test_digests.py`` pins
+to ``tests/test_acceptance.py``'s ``GEN``, ``TRAIN``, split and eval seed),
+through ``cli.run_grid`` for every seed and every mode of baseline, uitc
+and uitc_gitm, then prints one row per seed and the paired deltas
+uitc - baseline and uitc_gitm - uitc: mean, standard error and the number
+of seeds on which the delta is positive.  Pairing by seed
 removes the seed-to-seed spread of mAP, which is far larger than the GITM
 effect, so two checkouts can be compared on the deltas:
 
@@ -18,8 +20,6 @@ minutes on one core for 20 seeds.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import importlib.util
 import math
 import sys
 from pathlib import Path
@@ -29,20 +29,10 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from weakpair import data  # noqa: E402
-from weakpair.encoders import dict_to_params  # noqa: E402
-from weakpair.metrics import evaluate_model  # noqa: E402
-from weakpair.training import ABLATION_MODES, train  # noqa: E402
+from byte_identity import criterion_07_runs  # noqa: E402
+from weakpair.training import ABLATION_MODES  # noqa: E402
 
 PAIRS = (("uitc", "baseline"), ("uitc_gitm", "uitc"))
-
-
-def acceptance_module():
-    spec = importlib.util.spec_from_file_location(
-        "acceptance", ROOT / "tests" / "test_acceptance.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def seed_range(text: str) -> list[int]:
@@ -55,16 +45,9 @@ def seed_range(text: str) -> list[int]:
 
 def held_out_maps(seeds: list[int]) -> dict[str, list[float]]:
     """mode -> held-out mAP per seed, in seeds' order."""
-    acc = acceptance_module()
-    train_d, test_d = data.split(data.generate(acc.GEN), 5.0 / 6.0, seed=100)
     maps: dict[str, list[float]] = {mode: [] for mode in ABLATION_MODES}
-    for seed in seeds:
-        for mode in ABLATION_MODES:
-            cfg = dataclasses.replace(acc.TRAIN, seed=seed, ablation_mode=mode)
-            ckpt, _ = train(cfg, train_d)
-            result = evaluate_model(dict_to_params(ckpt.params), test_d, cfg.mapping,
-                                    eval_seed=acc.EVAL_SEED)
-            maps[mode].append(result.mean_ap)
+    for run in criterion_07_runs(seeds):
+        maps[run.cell].append(run.result.mean_ap)
     return maps
 
 

@@ -16,9 +16,11 @@ import configparser
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +32,8 @@ from .encoders import dict_to_params
 from .losses import MAPPINGS
 from .metrics import EvalResult, evaluate_model
 from .mining import MiningStarvationError
-from .training import (CheckpointFormatError, NumericAbort, TrainConfig,
-                       load_checkpoint, save_checkpoint, train)
+from .training import (Checkpoint, CheckpointFormatError, NumericAbort, TrainConfig,
+                       TrainLog, load_checkpoint, save_checkpoint, train)
 from .verify import run_battery
 
 
@@ -109,6 +111,14 @@ def gen_config_from(resolved: dict[str, dict]) -> GenConfig:
         raise ConfigError("gen.train_fraction must be in (0, 1), "
                           f"got {resolved['gen']['train_fraction']}")
     return GenConfig(**{f.name: resolved["gen"][f.name] for f in dataclasses.fields(GenConfig)})
+
+
+def generated_split(resolved: dict[str, dict]
+                    ) -> tuple[datamod.DatasetManifest, datamod.DatasetManifest]:
+    """The generated dataset, split into its train and test sets."""
+    full = datamod.generate(gen_config_from(resolved))
+    return datamod.split(full, resolved["gen"]["train_fraction"],
+                         resolved["gen"]["split_seed"])
 
 
 def train_config_from(resolved: dict[str, dict]) -> TrainConfig:
@@ -192,13 +202,9 @@ def write_summary(path: Path, result: EvalResult, identities: int, mapping: str,
 
 def cmd_gen(args) -> int:
     resolved = load_config(args.config, args.set, args.seed, "gen")
-    cfg = gen_config_from(resolved)
-    cfg.validate()
+    train_split, test_split = generated_split(resolved)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    full = datamod.generate(cfg)
-    train_split, test_split = datamod.split(full, resolved["gen"]["train_fraction"],
-                                            resolved["gen"]["split_seed"])
     datamod.write(train_split, out_dir / "train.tsv")
     datamod.write(test_split, out_dir / "test.tsv")
     write_resolved(resolved, out_dir)
@@ -314,44 +320,58 @@ def ablation_seeds(raw) -> list[int]:
     return seeds
 
 
-def run_ablation(resolved: dict[str, dict]) -> list[list]:
-    """Train and evaluate every (cell, seed); append per-cell medians.
+@dataclasses.dataclass
+class GridRun:
+    """One (cell, seed) of run_grid: its config, then its outputs, or the
+    error that stopped it."""
+    cell: str
+    seed: int
+    config: TrainConfig
+    checkpoint: Checkpoint | None = None
+    log: TrainLog | None = None
+    result: EvalResult | None = None
+    error: Exception | None = None
 
-    Every cell's config is validated before the first training; a cell
-    that then fails at run time is recorded and the remaining cells still
-    run.  All cells share one generated dataset and split.
-    """
-    seeds = ablation_seeds(resolved["ablate"]["seeds"])
-    cells = ablation_cells(resolved["ablate"]["grid"])
-    configs = {(cell, seed): TrainConfig(**{**resolved["train"], **patch, "seed": seed})
-               for cell, patch in cells for seed in seeds}
-    for cfg in configs.values():
+
+def run_grid(resolved: dict[str, dict], cells: list[tuple[str, dict]],
+             seeds: list[int]) -> Iterator[GridRun]:
+    """Train resolved["train"], patched by each cell and seed, on the generated
+    train split and evaluate it on the test split, cell by cell.  Every config
+    is validated before the first training; a run that then fails carries its
+    error, and the remaining runs still go."""
+    configs = [(cell, seed, TrainConfig(**{**resolved["train"], **patch, "seed": seed}))
+               for cell, patch in cells for seed in seeds]
+    for *_, cfg in configs:
         cfg.validate()
-    gen_cfg = gen_config_from(resolved)
-    full = datamod.generate(gen_cfg)
-    train_split, test_split = datamod.split(full, resolved["gen"]["train_fraction"],
-                                            resolved["gen"]["split_seed"])
-    eval_seed = resolved["eval"]["eval_seed"]
+    train_split, test_split = generated_split(resolved)
+    for cell, seed, cfg in configs:
+        run = GridRun(cell, seed, cfg)
+        try:
+            run.checkpoint, run.log = train(cfg, train_split)
+            run.result = evaluate_model(dict_to_params(run.checkpoint.params), test_split,
+                                        cfg.mapping, eval_seed=resolved["eval"]["eval_seed"])
+        except (ValueError, NumericAbort, MiningStarvationError) as exc:
+            run.error = exc
+        yield run
+
+
+def run_ablation(resolved: dict[str, dict]) -> list[list]:
+    """A row per run of the ablate grid, a failed run as an error row, and
+    after each cell's runs its median row, if any run of it succeeded."""
+    seeds = ablation_seeds(resolved["ablate"]["seeds"])
+    runs = run_grid(resolved, ablation_cells(resolved["ablate"]["grid"]), seeds)
     rows: list[list] = []
-    for cell, _ in cells:
-        per_seed: dict[str, list[float]] = {"r1": [], "r5": [], "r10": [], "map": []}
-        for seed in seeds:
-            cfg = configs[cell, seed]
-            try:
-                ckpt, _ = train(cfg, train_split)
-                result = evaluate_model(dict_to_params(ckpt.params), test_split,
-                                        cfg.mapping, eval_seed=eval_seed)
-            except (ValueError, NumericAbort, MiningStarvationError) as exc:
-                rows.append([cell, seed, "error", "error", "error", str(exc)])
+    for cell, cell_runs in itertools.groupby(runs, key=lambda run: run.cell):
+        scores = []
+        for run in cell_runs:
+            if run.error is not None:
+                rows.append([cell, run.seed, "error", "error", "error", str(run.error)])
                 continue
-            values = (result.recalls[1], result.recalls[5], result.recalls[10],
-                      result.mean_ap)
-            for key, value in zip(("r1", "r5", "r10", "map"), values):
-                per_seed[key].append(value)
-            rows.append([cell, seed, *values])
-        if per_seed["map"]:
-            rows.append([cell, "median",
-                         *(float(np.median(per_seed[k])) for k in ("r1", "r5", "r10", "map"))])
+            scores.append([run.result.recalls[1], run.result.recalls[5],
+                           run.result.recalls[10], run.result.mean_ap])
+            rows.append([cell, run.seed, *scores[-1]])
+        if scores:
+            rows.append([cell, "median", *(float(np.median(column)) for column in zip(*scores))])
     return rows
 
 

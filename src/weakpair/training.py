@@ -194,7 +194,7 @@ class AssembledLosses:
     u_values: Array | None
     u_mean: float | None
 
-    def report(self, weights: LossWeights) -> LossReport:
+    def report(self) -> LossReport:
         def val(key: str) -> float:
             node = self.nodes.get(key)
             return float(node.value) if node is not None else 0.0
@@ -375,7 +375,7 @@ def train(cfg: TrainConfig, data: DatasetManifest,
             groups = build_groups(batch_emb, mining_cfg)
 
             assembled = assemble_losses(g, leaves, enc, groups, mode, cfg.mapping, weights)
-            report = assembled.report(weights)
+            report = assembled.report()
             if not math.isfinite(report.total):
                 raise NumericAbort(
                     f"step {step}: non-finite loss; components itc={report.itc} "

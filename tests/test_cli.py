@@ -515,6 +515,8 @@ def test_bad_train_fraction_is_config_error_before_generating(tmp_path, capsys, 
     ("ablate", "ablate.seeds=1,x", "ablate.seeds: invalid literal"),
     ("ablate", "ablate.seeds=-3", "ablate.seeds must be >= 0"),
     ("ablate", "ablate.seeds=1,1,2", "ablate.seeds names seed 1 twice"),
+    ("ablate", "ablate.seeds=", "ablate.seeds must name at least one seed"),
+    ("ablate", "ablate.grid=nope", "unknown ablation grid 'nope'"),
     ("ablate", "train.mining_k=0", "mining_mode/mining_k"),
 ])
 def test_bad_setting_is_config_error_before_any_training(workspace, tmp_path, capsys,
