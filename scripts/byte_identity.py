@@ -50,8 +50,8 @@ outputs shows in its diff which.  Another numpy or BLAS build may
 legitimately give other digests; compare its ``environment`` first.
 ``python3 scripts/compare_digests.py OUT_DIR/DIGESTS.json`` does both
 comparisons against ``/DIGESTS.json`` and names every file that differs.
-``tests/test_digests.py`` rebuilds every leg but gradcheck and criterion 07
-through the leg functions here and compares them with the manifest.
+``tests/test_digests.py`` rebuilds every leg but criterion 07 through the
+functions here and compares them with the manifest.
 """
 
 from __future__ import annotations

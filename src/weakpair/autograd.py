@@ -33,9 +33,10 @@ Graph      records a node with the vjp, for backward().  Graphs are eager: a
            collector.
 Evaluator  keeps the value and drops the vjp, for many parameter points at
            once: a stacked value carries a leading replica axis ahead of its
-           own shape.  grad_check_losses evaluates every perturbed copy of
-           the parameters in one such pass, for every loss its builder
-           returns; grad_check is its one-loss form.
+           own shape.  grad_check_losses evaluates the perturbed copies of
+           the parameters in such passes, one per block of one parameter
+           group's coordinates with every other parameter shared, for every
+           loss its builder returns; grad_check is its one-loss form.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ Array = np.ndarray
 REL_ERR_FLOOR = 1e-8
 # The finite-difference steps grad_check accepts.
 EPS_RANGE = (1e-7, 1e-3)
+# The most perturbed replicas one long-double pass of grad_check_losses holds.
+BLOCK_REPLICAS = 256
 
 
 class GraphError(ValueError):
@@ -66,6 +69,8 @@ def _sum(v: Array, ndim: int) -> Array:
 
 
 def _finite(value, name: str | None, dtype=np.float64) -> Array:
+    if type(value) is float and math.isfinite(value):  # a constant needs no array pass
+        return np.asarray(value, dtype=dtype)
     arr = np.asarray(value, dtype=dtype)
     if not np.isfinite(arr).all():
         raise GraphError(f"non-finite leaf {name or ''!r}")
@@ -421,6 +426,12 @@ class Graph(_Ops):
     def constant(self, value, name: str | None = None) -> Node:
         return self.leaf(value, trainable=False, name=name)
 
+    def checked_leaf(self, value: Array, name: str) -> Node:
+        """A trainable leaf of a float64 array the caller has already checked
+        finite, taken as is: the trainer's parameters, which it checks after
+        every update."""
+        return self._append("leaf", (), value, True, True, None, name)
+
     def _append(self, *fields) -> Node:
         node = Node(len(self.nodes), *fields)
         self.nodes.append(node)
@@ -578,6 +589,33 @@ def relative_error(a: Array, n: Array) -> Array:
     return np.abs(a - n) / denom
 
 
+def _blocks(params: Mapping[str, Array]) -> list[dict[str, Array]]:
+    """The coordinates each long-double pass perturbs, key -> flat coordinates
+    within the key, in params order.  A pass takes whole coordinates of one
+    group, the keys that share a dotted prefix or else every undotted key, up
+    to BLOCK_REPLICAS // 2 of them; groups come in the order of their first
+    key."""
+    groups: dict[str | None, list[str]] = {}
+    for k in params:
+        groups.setdefault(k.split(".")[0] if "." in k else None, []).append(k)
+    width = BLOCK_REPLICAS // 2
+    blocks = []
+    for keys in groups.values():
+        block, free = {}, width
+        for k in keys:
+            done, size = 0, np.size(params[k])
+            while done < size:
+                take = min(free, size - done)
+                block[k] = np.arange(done, done + take)
+                done, free = done + take, free - take
+                if not free:
+                    blocks.append(block)
+                    block, free = {}, width
+        if block:
+            blocks.append(block)
+    return blocks
+
+
 def grad_check_losses(build: Callable[[Graph | Evaluator, Mapping],
                                       Mapping[str, Node | Stacked]],
                       params: Mapping[str, Array],
@@ -594,10 +632,15 @@ def grad_check_losses(build: Callable[[Graph | Evaluator, Mapping],
     loss's report covers; its partials keep ``params`` order.
 
     The analytic gradients come from one float64 Graph, one backward per
-    loss.  The numeric ones come from one long-double Evaluator pass over 2P
-    replicas for the P parameter coordinates (numbered through ``params`` in
-    order): replica 2j moves coordinate j by +eps and replica 2j+1 by -eps,
-    and every loss is read off the same replicas.  Long double keeps the
+    loss.  The numeric ones come from long-double Evaluator passes, one per
+    block of coordinates (_blocks): a block's pass stacks a +eps and a -eps
+    replica of each of its coordinates (replicas 2j and 2j+1 for its j-th)
+    and takes every other parameter as one shared leaf, so an op reading no
+    perturbed parameter runs once, and at most BLOCK_REPLICAS replicas are
+    alive at once.  Each replica's loss is the value one pass over all 2P
+    replicas would give it, bit for bit, and every loss is read off the same
+    replicas; the quotients are placed at their coordinates' numbers
+    through ``params``, so the partials keep its order.  Long double keeps the
     difference quotients clear of float64 rounding of the loss value, which
     at step 1e-5 leaves ~5e-12 of noise on every numeric partial and would
     swamp true gradients near the 1e-8 relative-error floor.
@@ -609,26 +652,35 @@ def grad_check_losses(build: Callable[[Graph | Evaluator, Mapping],
     losses = build(graph, leaves)
 
     sizes = [np.size(v) for v in params.values()]
-    replicas = 2 * sum(sizes)
+    starts = dict(zip(params, np.cumsum([0] + sizes[:-1])))
+    wide = {k: np.asarray(v, dtype=np.longdouble) for k, v in params.items()}
     eps_wide = np.longdouble(eps)
     evaluator = Evaluator(np.longdouble)
-    stacked, first = {}, 0
-    for (k, v), size in zip(params.items(), sizes):
-        base = np.asarray(v, dtype=np.longdouble)
-        copies = np.repeat(base.reshape(1, size), replicas, axis=0)
-        coords = np.arange(size)
-        copies[2 * (first + coords), coords] += eps_wide
-        copies[2 * (first + coords) + 1, coords] -= eps_wide
-        stacked[k] = evaluator.stack(copies.reshape((replicas,) + base.shape), name=k)
-        first += size
-    values = build(evaluator, stacked)
+    quotients = {name: np.zeros(sum(sizes)) for name in losses}
+    for block in _blocks(params):
+        replicas = 2 * sum(coords.size for coords in block.values())
+        lv, first = {}, 0
+        for k, base in wide.items():
+            if k not in block:
+                lv[k] = evaluator.leaf(base, name=k)
+                continue
+            coords, size = block[k], base.size
+            rows = 2 * (first + np.arange(coords.size))
+            copies = np.repeat(base.reshape(1, size), replicas, axis=0)
+            copies[rows, coords] += eps_wide
+            copies[rows + 1, coords] -= eps_wide
+            lv[k] = evaluator.stack(copies.reshape((replicas,) + base.shape), name=k)
+            first += coords.size
+        values = build(evaluator, lv)
+        numbers = np.concatenate([starts[k] + coords for k, coords in block.items()])
+        for name in losses:
+            f = np.broadcast_to(values[name].value, (replicas,))
+            quotients[name][numbers] = ((f[0::2] - f[1::2]) / (2.0 * eps_wide)).astype(np.float64)
 
     reports = {}
     for name, loss in losses.items():
         grads = graph.backward(loss)
-        f = np.broadcast_to(values[name].value, (replicas,))
-        quotients = ((f[0::2] - f[1::2]) / (2.0 * eps_wide)).astype(np.float64)
-        parts = dict(zip(params, np.split(quotients, np.cumsum(sizes)[:-1])))
+        parts = dict(zip(params, np.split(quotients[name], np.cumsum(sizes)[:-1])))
         analytic = {k: grads[leaves[k]] for k in params if k in subsets[name]}
         numeric = {k: parts[k].reshape(np.shape(params[k])) for k in analytic}
         max_err, worst = 0.0, None

@@ -383,9 +383,13 @@ def cmd_ablate(args) -> int:
     write_csv(out_dir / "ablation.csv",
               ["cell", "seed", "r1", "r5", "r10", "map"], rows)
     write_resolved(resolved, out_dir)
-    for row in rows:
-        if row[1] == "median":
-            print(f"{row[0]:22s} median R@1={row[2]:.4f} mAP={row[5]:.4f}")
+    for cell, cell_rows in itertools.groupby(rows, key=lambda row: row[0]):
+        *runs, last = cell_rows
+        if last[1] == "median":
+            print(f"{cell:22s} median R@1={last[2]:.4f} mAP={last[5]:.4f}")
+        else:
+            failed = len(runs) + 1
+            print(f"{cell:22s} no median: {failed}/{failed} seeds failed")
     return EXIT_OK
 
 

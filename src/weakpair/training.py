@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import companion
-from .autograd import Array, Graph, Node
+from .autograd import Array, Graph, GraphError, Node
 from .data import DatasetManifest, IdentityGroups, identity_groups
 from .encoders import (EmbeddingBatch, ModelDims, encode, init_model,
                        leaf_group, param_shapes, params_to_dict)
@@ -345,6 +345,10 @@ def train(cfg: TrainConfig, data: DatasetManifest,
     need_weak = mode != "baseline"
     mining_cfg = _mining_config(cfg)
     _check_batches_minable(identities, cfg.batch_size, mining_cfg.k, start, end_step)
+    # The step graphs take the parameters unchecked: they are checked here
+    # once, then after every update.
+    if start < end_step and not np.all(np.isfinite(flat_p)):
+        raise GraphError(f"non-finite leaf {_non_finite_key(params)!r}")
     weights = cfg.weights()
     log = TrainLog()
     plan_epoch, plan = -1, []
@@ -362,7 +366,7 @@ def train(cfg: TrainConfig, data: DatasetManifest,
         # only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
             g = Graph()
-            leaves = {k: g.leaf(v, trainable=True, name=k) for k, v in params.items()}
+            leaves = {k: g.checked_leaf(v, k) for k, v in params.items()}
             enc = encode_step(g, leaves, sd, need_weak)
             if g.zero_norm_rows:
                 raise NumericAbort(f"step {step}: encoder produced zero-norm embeddings")
@@ -394,8 +398,8 @@ def train(cfg: TrainConfig, data: DatasetManifest,
             update = (flat_m / bc1) / (np.sqrt(flat_v / bc2) + _ADAM_EPS)
             flat_p[:] = flat_p - lr * (update + decay * flat_p)
             if not np.all(np.isfinite(flat_p)):
-                name = next(k for k, v in params.items() if not np.all(np.isfinite(v)))
-                raise NumericAbort(f"step {step}: parameter {name} became non-finite")
+                raise NumericAbort(
+                    f"step {step}: parameter {_non_finite_key(params)} became non-finite")
 
         if assembled.u_values is not None:
             u_min, u_max = float(assembled.u_values.min()), float(assembled.u_values.max())
@@ -408,6 +412,10 @@ def train(cfg: TrainConfig, data: DatasetManifest,
         {k: v.copy() for k, v in _views(layout, flat).items()}
         for flat in (flat_p, flat_m, flat_v)), opt_t, end_step)
     return ckpt, log
+
+
+def _non_finite_key(params: dict[str, Array]) -> str:
+    return next(k for k, v in params.items() if not np.all(np.isfinite(v)))
 
 
 def _flatten(layout: dict, arrays: dict[str, Array]) -> Array:

@@ -6,10 +6,11 @@ cosine and log-softmax formulas.  Loss-level checks then validate the graph
 the trainer actually builds, at many random parameter points.  Each point
 takes all five losses (itc, uitc, itm, gitm = gitm_txt + gitm_img, total)
 from one uitc_gitm training.assemble_losses: one float64 Graph with one
-backward per loss, and one long-double stacked pass over the total loss's
-parameters, each loss over its own subset (loss_params).  The uncertainty
-weight carries no gradient, so the checks fix it at its value (the frozen
-form); a separate bit-exactness check confirms the two forms agree.
+backward per loss, and long-double stacked passes over the total loss's
+parameters, one per block of a parameter group's coordinates, each loss over
+its own subset (loss_params).  The uncertainty weight carries no gradient,
+so the checks fix it at its value (the frozen form); a separate bit-exactness
+check confirms the two forms agree.
 """
 
 from __future__ import annotations
@@ -215,8 +216,9 @@ def loss_params(name: str, inst: LossInstance) -> dict[str, np.ndarray]:
 
 def check_losses(points: int = 100, seed: int = 0, eps: float = 1e-5,
                  tol: float = 1e-4) -> list[CheckResult]:
-    """Every loss at each point, from one graph and one stacked pass over the
-    total loss's parameters; each loss is reported over its own subset."""
+    """Every loss at each point, from one graph and one stacked pass per block
+    of the total loss's parameters; each loss is reported over its own
+    subset."""
     worst = {name: 0.0 for name in LOSS_NAMES}
     for point in range(points):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 505, point]))

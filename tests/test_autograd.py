@@ -2,14 +2,16 @@
 
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakpair.autograd import (Graph, GraphError, _cosine, _l2_normalize, _log_softmax_at,
-                               _log_softmax_at_vjp, grad_check, relative_error)
+from weakpair.autograd import (Evaluator, Graph, GraphError, _cosine, _l2_normalize,
+                               _log_softmax_at, _log_softmax_at_vjp, grad_check,
+                               relative_error)
 from weakpair.verify import LOSS_NAMES, loss_builder, loss_params, random_instance
 
 
@@ -192,6 +194,18 @@ class TestShapesAndSugar:
         np.testing.assert_array_equal(g.backward(g.sum(out))[x], [-1.0, -1.0])
         with pytest.raises(GraphError, match="non-finite"):
             g.mul(x, math.inf)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, 1.5])
+    def test_float_constants_checked_on_both_fronts(self, value):
+        """A Python float skips the array pass of the finiteness check, not
+        the check: a non-finite one is named, a finite one takes the dtype."""
+        for front in (Graph(), Evaluator(np.longdouble)):
+            if math.isfinite(value):
+                leaf = front.constant(value, name="c")
+                assert leaf.value.dtype == front.dtype and leaf.value == value
+                continue
+            with pytest.raises(GraphError, match=re.escape("non-finite leaf 'c'")):
+                front.constant(value, name="c")
 
     def test_shape_mismatch_rejected(self):
         g = Graph()

@@ -13,13 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weakpair import data
+from weakpair import cli, data
 from weakpair.autograd import Graph
 from weakpair.cli import (DEFAULTS, EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME,
                           ablation_cells, build_parser, load_config, main)
 from weakpair.encoders import dict_to_params, embed_manifest
 from weakpair.metrics import evaluate_model
-from weakpair.training import load_checkpoint
+from weakpair.training import NumericAbort, load_checkpoint
 
 
 SMALL_GEN = ["--set", "gen.num_identities=24", "--set", "gen.views_per_identity=3",
@@ -309,6 +309,31 @@ class TestAblate:
         by_cell = {r[0]: r for r in rows}
         assert by_cell["uitc_gitm_neg3v6"][2] == "error"
         assert float(by_cell["baseline"][5]) >= 0.0
+
+
+    def test_cell_whose_every_seed_failed_still_prints_a_line(self, tmp_path, capsys,
+                                                              monkeypatch):
+        """A cell with no median row prints how many of its seeds failed in
+        its place; a cell with one failed seed of two keeps its median."""
+        trained = cli.train
+
+        def failing_train(cfg, dataset):
+            if cfg.ablation_mode == "uitc" or (cfg.ablation_mode, cfg.seed) == ("baseline", 2):
+                raise NumericAbort("step 0: diverged")
+            return trained(cfg, dataset)
+
+        monkeypatch.setattr(cli, "train", failing_train)
+        code = main(["ablate", "--out", str(tmp_path / "abl"), *SMALL_GEN,
+                     *SMALL_TRAIN, "--set", "ablate.seeds=1,2"])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            name for name, _ in ablation_cells("losses")]
+        assert lines[1] == f"{'uitc':22s} no median: 2/2 seeds failed"
+        assert all(re.fullmatch(r"\S+ +median R@1=\d\.\d{4} mAP=\d\.\d{4}", line)
+                   for line in lines[:1] + lines[2:])
+        rows = read_csv(tmp_path / "abl" / "ablation.csv")[1:]
+        assert [r[1:3] for r in rows if r[0] == "uitc"] == [["1", "error"], ["2", "error"]]
 
 
 class TestGradcheckCommand:

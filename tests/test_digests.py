@@ -17,9 +17,9 @@ from weakpair import cli, data
 
 ROOT = Path(__file__).resolve().parents[1]
 # The legs rebuilt here, with the number of files DIGESTS.json records for
-# each: all but gradcheck and criterion 07.
+# each: all but criterion 07.
 LEGS = {"default/": 28, "degenerate/": 17, "tsv-only/": 18, "json-only/": 18,
-        "mappings/": 44, "gallery/": 28, "resume/": 15, "ablate/": 9}
+        "mappings/": 44, "gallery/": 28, "resume/": 15, "ablate/": 9, "gradcheck/": 3}
 
 
 def script(name):
@@ -54,6 +54,7 @@ def rebuilt(tmp_path_factory):
         train_d = data.read(run / "data" / "train.tsv")
         byte_identity.resume_leg(Path("resume"), train_d)
         byte_identity.degenerate_leg(Path("degenerate"), train_d)
+        byte_identity.weakpair(Path("gradcheck"), "gradcheck", "--out", "gradcheck")
         byte_identity.ablate_leg(Path("ablate"))
     return manifest["files"], byte_identity.file_digests(out)
 
@@ -73,12 +74,13 @@ def test_default_and_degenerate_legs_match_the_committed_digests(rebuilt):
 
 
 @pytest.mark.parametrize("leg", ["tsv-only/", "json-only/", "mappings/", "gallery/", "resume/",
-                                 "ablate/"])
+                                 "ablate/", "gradcheck/"])
 def test_leg_matches_the_committed_digests(rebuilt, leg):
     """Every file of one more leg: eval and diag read from the text form of
     the test set or of the checkpoint, the linear and power mappings, bench
     eval_gallery's 1000-record gallery at seed 21, each ablation mode
-    stopped mid-epoch and resumed, and three small ablate runs."""
+    stopped mid-epoch and resumed, three small ablate runs, and the default
+    gradient battery."""
     committed, got = rebuilt
     want = leg_digests(committed, leg)
     assert len(want) == LEGS[leg]

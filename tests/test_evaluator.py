@@ -155,10 +155,13 @@ def test_mixed_stacked_and_shared_operands():
         assert_bitwise_equal(replica, graph_value(fn, point))
 
 
-def test_grad_check_builds_one_graph_and_one_stacked_pass(monkeypatch):
-    """A per-coordinate rebuild would call the builder ~2P more times."""
+def test_grad_check_builds_one_graph_and_one_pass_per_block(monkeypatch):
+    """One builder call per block of replicas, each stacking whole
+    coordinates of one parameter group in params order; a per-coordinate
+    rebuild would call the builder ~2P more times."""
     inst = random_instance(np.random.default_rng(7))
     build = loss_builder("total", inst)
+    params = loss_params("total", inst)
     built = []
     init = autograd.Graph.__init__
 
@@ -167,15 +170,33 @@ def test_grad_check_builds_one_graph_and_one_stacked_pass(monkeypatch):
         init(graph)
 
     monkeypatch.setattr(autograd.Graph, "__init__", counting_init)
-    fronts = []
+    fronts, passes = [], []
 
     def counting_build(g, lv):
         fronts.append(type(g))
+        if isinstance(g, Evaluator):
+            passes.append({k: leaf.value.shape[0] for k, leaf in lv.items() if leaf.stacked})
         return build(g, lv)
 
-    report = grad_check(counting_build, loss_params("total", inst))
-    assert len(built) == 1 and fronts == [Graph, Evaluator]
+    report = grad_check(counting_build, params)
+    assert len(built) == 1 and fronts == [Graph] + [Evaluator] * 4
+    groups = [[k for k in params if k.startswith(prefix)] for prefix in ("img.", "txt.", "head.")]
+    assert [list(stacked) for stacked in passes] == groups + [["log_tau", "log_gamma"]]
+    for stacked, keys in zip(passes, groups + [["log_tau", "log_gamma"]]):
+        replicas = 2 * sum(np.size(params[k]) for k in keys)
+        assert set(stacked.values()) == {replicas} and replicas <= autograd.BLOCK_REPLICAS
     assert report.passed, report.max_rel_error
+
+
+def test_blocks_cut_a_group_into_whole_coordinates(monkeypatch):
+    """A group larger than the bound is cut into blocks of whole coordinates
+    that may span keys; undotted keys form one group wherever they stand."""
+    monkeypatch.setattr(autograd, "BLOCK_REPLICAS", 6)
+    params = {"a": np.zeros(2), "g.x": np.zeros((2, 2)), "g.y": np.zeros(()), "b": np.zeros(1),
+              "h.z": np.zeros(0)}
+    blocks = [{k: list(coords) for k, coords in block.items()}
+              for block in autograd._blocks(params)]
+    assert blocks == [{"a": [0, 1], "b": [0]}, {"g.x": [0, 1, 2]}, {"g.x": [3], "g.y": [0]}]
 
 
 @pytest.mark.parametrize("loss", ["itc", "gitm"])

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weakpair import cli, training
+from weakpair.autograd import Graph, GraphError
 from weakpair.companion import companion_path
 from weakpair.data import GenConfig, generate, identity_groups
 from weakpair.encoders import ModelDims, init_model, params_to_dict
@@ -352,6 +353,33 @@ class TestOptimizer:
             with pytest.raises(NumericAbort,
                                match=re.escape(f"step 2: parameter {first} became non-finite")):
                 train(cfg, d, resume=mid)
+
+    def test_resume_with_a_nan_parameter_fails_before_any_step(self, monkeypatch):
+        """The step graphs take the parameters unchecked, so train checks them
+        once at the start: the leaf's own error, naming the key, no step run."""
+        d = dataset()
+        cfg = small_cfg()
+        mid, _ = train(cfg, d, stop_at_step=2)
+        bad = dataclasses.replace(mid, params={k: v.copy() for k, v in mid.params.items()})
+        bad.params["txt.b1"][1] = np.nan
+        graphs = []
+        monkeypatch.setattr(training, "Graph", lambda: graphs.append(1) or Graph())
+        with pytest.raises(GraphError, match=re.escape("non-finite leaf 'txt.b1'")):
+            train(cfg, d, resume=bad)
+        assert graphs == []
+        # With no step to run nothing reads the parameters, as before.
+        assert train(cfg, d, resume=bad, stop_at_step=2)[0].step == 2
+
+    def test_nan_learning_rate_mid_run_aborts_naming_the_parameter(self, monkeypatch):
+        d = dataset()
+        cfg = small_cfg()
+        lr = training.step_lr
+        monkeypatch.setattr(training, "step_lr", lambda step, total, c: (
+            math.nan if step == 3 else lr(step, total, c)))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericAbort,
+                               match=re.escape("step 3: parameter img.w1 became non-finite")):
+                train(cfg, d)
 
     def test_checkpoint_arrays_share_no_memory(self):
         d = dataset()

@@ -1,15 +1,19 @@
-"""The loss battery's shared pass: every loss of a point from one uitc_gitm
-graph and one stacked pass, against the per-loss checks it replaced."""
+"""The loss battery's shared passes: every loss of a point from one uitc_gitm
+graph and one stacked pass per block of replicas, against the per-loss checks
+and the single stacked pass they replaced."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from weakpair import autograd, verify
-from weakpair.autograd import grad_check, grad_check_losses
+from weakpair.autograd import Evaluator, grad_check, grad_check_losses
 from weakpair.encoders import leaf_group
 from weakpair.losses import itc_loss, matching_losses, uitc_loss, weak_itc_loss
 from weakpair.training import assemble_losses, encode_step
-from weakpair.verify import LOSS_NAMES, loss_params, losses_builder, random_instance
+from weakpair.verify import (LOSS_NAMES, _op_cases, loss_params, losses_builder,
+                             random_instance)
 
 from test_kernels import assert_bitwise_equal
 
@@ -104,7 +108,9 @@ def test_partials_outside_each_subset_are_exactly_zero(seed):
             assert not report.numeric[k].any(), (name, k)
 
 
-def test_one_graph_and_one_stacked_pass_per_point(monkeypatch):
+def test_one_graph_and_one_pass_per_block_per_point(monkeypatch):
+    """One Graph, then one Evaluator pass per parameter group at the check
+    shapes (img, txt, head and the two scalars): four builds, not ~2P."""
     events = []
     graph_init, evaluator_init = autograd.Graph.__init__, autograd.Evaluator.__init__
     make_instance, make_builder = verify.random_instance, verify.losses_builder
@@ -137,7 +143,76 @@ def test_one_graph_and_one_stacked_pass_per_point(monkeypatch):
     monkeypatch.setattr(verify, "losses_builder", counting_builder)
     verify.check_losses(points=1, seed=3)
     loss_half = events[events.index("instance") + 1:]
-    assert loss_half == ["graph", "Graph", "evaluator", "Evaluator"]
+    assert loss_half == ["graph", "Graph", "evaluator"] + ["Evaluator"] * 4
+
+
+def single_pass_numeric(build, params, eps=1e-5):
+    """Every loss's numeric partials from one long-double pass over all 2P
+    replicas, as grad_check_losses computed them before it cut the replicas
+    into blocks."""
+    sizes = [np.size(v) for v in params.values()]
+    replicas = 2 * sum(sizes)
+    eps_wide = np.longdouble(eps)
+    ev = Evaluator(np.longdouble)
+    stacked, first = {}, 0
+    for (k, v), size in zip(params.items(), sizes):
+        base = np.asarray(v, dtype=np.longdouble)
+        copies = np.repeat(base.reshape(1, size), replicas, axis=0)
+        coords = np.arange(size)
+        copies[2 * (first + coords), coords] += eps_wide
+        copies[2 * (first + coords) + 1, coords] -= eps_wide
+        stacked[k] = ev.stack(copies.reshape((replicas,) + base.shape), name=k)
+        first += size
+    numeric = {}
+    for name, value in build(ev, stacked).items():
+        f = np.broadcast_to(value.value, (replicas,))
+        quotients = ((f[0::2] - f[1::2]) / (2.0 * eps_wide)).astype(np.float64)
+        parts = np.split(quotients, np.cumsum(sizes)[:-1])
+        numeric[name] = {k: part.reshape(np.shape(v))
+                         for (k, v), part in zip(params.items(), parts)}
+    return numeric
+
+
+@pytest.mark.parametrize("bound", [2, 10, 256])
+@pytest.mark.parametrize("seed", range(4))
+def test_blocked_partials_equal_the_single_pass(monkeypatch, bound, seed):
+    """Every loss's numeric partials over every parameter, bit for bit, with
+    the block bound splitting groups (2 and 10 replicas) or not (256)."""
+    monkeypatch.setattr(autograd, "BLOCK_REPLICAS", bound)
+    inst = random_instance(np.random.default_rng(np.random.SeedSequence([seed, 505, 0])))
+    params, build = loss_params("total", inst), losses_builder(inst)
+    reports = grad_check_losses(build, params, {name: params for name in LOSS_NAMES})
+    want = single_pass_numeric(build, params)
+    for name in LOSS_NAMES:
+        assert list(reports[name].numeric) == list(params)
+        for k in params:
+            assert_bitwise_equal(reports[name].numeric[k], want[name][k])
+
+
+@pytest.mark.parametrize("bound", [2, 10, 256])
+@pytest.mark.parametrize("seed", range(2))
+def test_blocked_op_partials_equal_the_single_pass(monkeypatch, bound, seed):
+    monkeypatch.setattr(autograd, "BLOCK_REPLICAS", bound)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 404, 0]))
+    for name, params, fn in _op_cases(rng):
+        got = grad_check(fn, params).numeric
+        want = single_pass_numeric(lambda g, lv: {"loss": fn(g, lv)}, params)["loss"]
+        assert list(got) == list(params), name
+        for k in params:
+            assert_bitwise_equal(got[k], want[k])
+
+
+def test_one_battery_point_holds_under_a_megabyte():
+    """The replicas of one block, not all 2P of a point, are alive at once:
+    a single pass over every replica peaked at ~2.4 MB here."""
+    verify.check_losses(points=1, seed=11)  # warm-up
+    tracemalloc.start()
+    try:
+        verify.check_losses(points=1, seed=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_loss_builder_picks_the_shared_node():
