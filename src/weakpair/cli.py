@@ -28,7 +28,6 @@ import numpy as np
 from . import data as datamod
 from .autograd import EPS_RANGE
 from .data import DatasetFormatError, GenConfig
-from .encoders import dict_to_params
 from .losses import MAPPINGS
 from .metrics import EvalResult, evaluate_model
 from .mining import MiningStarvationError
@@ -273,8 +272,7 @@ def _evaluate_checkpoint(args, include_metrics: bool, train_data=None) -> EvalRe
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     eval_seed = resolved["eval"]["eval_seed"]
-    result = evaluate_model(dict_to_params(ckpt.params), dataset,
-                            ckpt.config.mapping, eval_seed=eval_seed)
+    result = evaluate_model(ckpt.params, dataset, ckpt.config.mapping, eval_seed=eval_seed)
     write_eval_outputs(result, out_dir, include_metrics)
     write_summary(out_dir / "summary.json", result, len(dataset.identities()),
                   ckpt.config.mapping, eval_seed)
@@ -348,8 +346,8 @@ def run_grid(resolved: dict[str, dict], cells: list[tuple[str, dict]],
         run = GridRun(cell, seed, cfg)
         try:
             run.checkpoint, run.log = train(cfg, train_split)
-            run.result = evaluate_model(dict_to_params(run.checkpoint.params), test_split,
-                                        cfg.mapping, eval_seed=resolved["eval"]["eval_seed"])
+            run.result = evaluate_model(run.checkpoint.params, test_split, cfg.mapping,
+                                        eval_seed=resolved["eval"]["eval_seed"])
         except (ValueError, NumericAbort, MiningStarvationError) as exc:
             run.error = exc
         yield run

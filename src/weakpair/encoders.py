@@ -3,51 +3,29 @@
 Each modality gets its own two-layer tower (affine, tanh, affine) whose
 output rows are L2-normalized, so downstream cosine scores are plain dot
 products.  The fusion head maps a pair of embeddings, together with their
-elementwise product, through a hidden tanh layer to a single match logit;
-its sigmoid is the match probability.  The product term gives the head the
-second-order interaction needed to separate hard negatives.
+elementwise product, through a hidden tanh layer (w_*, b_hidden, w_out) and
+a direct affine path (v_*, b_out) to a single match logit; its sigmoid is
+the match probability.  The product term gives the head the second-order
+interaction needed to separate hard negatives, and through the direct path
+match supervision acts on the embedding dot products themselves.
+
+The model is one flat name -> array mapping, in key order: img.* and txt.*
+(w1, b1, w2, b2 per tower), head.*, log_tau (tau = exp(log_tau)) and
+log_gamma (gamma = exp(log_gamma)).  Training, checkpoints and evaluation
+all use that one form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, TypeVar
 
 import numpy as np
 
 from .autograd import Array, Graph, Node
 from .data import DatasetManifest
 
-
-@dataclass
-class EncoderParams:
-    """One tower: hidden affine + tanh, then output affine."""
-
-    w1: Array
-    b1: Array
-    w2: Array
-    b2: Array
-
-
-@dataclass
-class FusionHeadParams:
-    """Pair scorer over (f_a, f_b, f_a*f_b); affine maps stored blockwise.
-
-    The logit is the sum of a tanh hidden path (w_*, b_hidden, w_out) and a
-    direct affine path (v_*) from the same concatenation.  The direct
-    product-block path matters: through it, match supervision acts on the
-    embedding dot products themselves, not only on head internals.
-    """
-
-    w_img: Array
-    w_txt: Array
-    w_prod: Array
-    b_hidden: Array
-    w_out: Array
-    v_img: Array
-    v_txt: Array
-    v_prod: Array
-    b_out: Array
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -58,89 +36,60 @@ class ModelDims:
     embed_dim: int
 
 
-@dataclass
-class ModelParams:
-    image_tower: EncoderParams
-    text_tower: EncoderParams
-    head: FusionHeadParams
-    log_tau: Array   # temperature, tau = exp(log_tau)
-    log_gamma: Array  # uncertainty scale, gamma = exp(log_gamma)
-
-
-# Parameter dicts use dotted keys so optimizers and checkpoints can treat
-# the model as a flat name -> array mapping.
 _TOWER_KEYS = ("w1", "b1", "w2", "b2")
 _HEAD_KEYS = ("w_img", "w_txt", "w_prod", "b_hidden", "w_out",
               "v_img", "v_txt", "v_prod", "b_out")
+# The model's keys, in order.
+_KEYS = (*(f"{tower}.{k}" for tower in ("img", "txt") for k in _TOWER_KEYS),
+         *(f"head.{k}" for k in _HEAD_KEYS), "log_tau", "log_gamma")
 
 
-def params_to_dict(model: ModelParams) -> dict[str, Array]:
-    out: dict[str, Array] = {}
-    for prefix, tower in (("img", model.image_tower), ("txt", model.text_tower)):
-        for key in _TOWER_KEYS:
-            out[f"{prefix}.{key}"] = getattr(tower, key)
-    for key in _HEAD_KEYS:
-        out[f"head.{key}"] = getattr(model.head, key)
-    out["log_tau"] = model.log_tau
-    out["log_gamma"] = model.log_gamma
-    return out
+def dict_to_params(d: Mapping[str, Array]) -> dict[str, Array]:
+    """The model's arrays from d, in key order; a missing key raises KeyError
+    and any other key is dropped."""
+    return {k: d[k] for k in _KEYS}
 
 
-def dict_to_params(d: Mapping[str, Array]) -> ModelParams:
-    img = EncoderParams(*(d[f"img.{k}"] for k in _TOWER_KEYS))
-    txt = EncoderParams(*(d[f"txt.{k}"] for k in _TOWER_KEYS))
-    head = FusionHeadParams(*(d[f"head.{k}"] for k in _HEAD_KEYS))
-    return ModelParams(img, txt, head, d["log_tau"], d["log_gamma"])
-
-
-def leaf_group(leaves: Mapping[str, Node], prefix: str) -> dict[str, Node]:
+def leaf_group(leaves: Mapping[str, T], prefix: str) -> dict[str, T]:
     cut = len(prefix) + 1
     return {k[cut:]: v for k, v in leaves.items() if k.startswith(prefix + ".")}
 
 
 def _layout(dims: ModelDims) -> dict[str, tuple[tuple[int, ...], int]]:
-    """Every parameter's (shape, fan-in), in params_to_dict's key order.  A
+    """Every parameter's (shape, fan-in), in the model's key order.  A
     weight's fan-in is the width it reads (the head's but w_out's is the
     3 * embed_dim pair); fan-in 0 marks a zero-initialised bias or scalar."""
     e, h = dims.embed_dim, dims.hidden_dim
     pair, score = ((e, h), 3 * e), ((e, 1), 3 * e)
-    head = {"w_img": pair, "w_txt": pair, "w_prod": pair, "b_hidden": ((h,), 0),
-            "w_out": ((h, 1), h), "v_img": score, "v_txt": score, "v_prod": score,
-            "b_out": ((1,), 0)}
-    layout = {}
+    layout = {"head.w_img": pair, "head.w_txt": pair, "head.w_prod": pair,
+              "head.b_hidden": ((h,), 0), "head.w_out": ((h, 1), h),
+              "head.v_img": score, "head.v_txt": score, "head.v_prod": score,
+              "head.b_out": ((1,), 0), "log_tau": ((), 0), "log_gamma": ((), 0)}
     for prefix, raw in (("img", dims.raw_dim_image), ("txt", dims.raw_dim_text)):
-        tower = {"w1": ((raw, h), raw), "b1": ((h,), 0), "w2": ((h, e), h), "b2": ((e,), 0)}
-        layout.update({f"{prefix}.{k}": tower[k] for k in _TOWER_KEYS})
-    layout.update({f"head.{k}": head[k] for k in _HEAD_KEYS})
-    return {**layout, "log_tau": ((), 0), "log_gamma": ((), 0)}
+        layout.update({f"{prefix}.w1": ((raw, h), raw), f"{prefix}.b1": ((h,), 0),
+                       f"{prefix}.w2": ((h, e), h), f"{prefix}.b2": ((e,), 0)})
+    return dict_to_params(layout)
 
 
 def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
-    """Every parameter's shape, in params_to_dict's key order."""
+    """Every parameter's shape, in the model's key order."""
     return {key: shape for key, (shape, _) in _layout(dims).items()}
 
 
-def init_params(seed: int, dims: ModelDims
-                ) -> tuple[EncoderParams, EncoderParams, FusionHeadParams]:
-    """Symmetric 1/sqrt(fan_in) weights, zero biases, deterministic per seed;
-    weights are drawn in key order."""
+def init_model(seed: int, dims: ModelDims, tau_init: float = 0.07) -> dict[str, Array]:
+    """The initial model, in key order: symmetric 1/sqrt(fan_in) weights drawn
+    in key order, deterministic per seed; zero biases; tau = tau_init and
+    gamma = 1."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 17]))
-    arrays = {}
+    params = {}
     for key, (shape, fan_in) in _layout(dims).items():
         if fan_in:
             bound = 1.0 / np.sqrt(fan_in)
-            arrays[key] = rng.uniform(-bound, bound, size=shape)
+            params[key] = rng.uniform(-bound, bound, size=shape)
         else:
-            arrays[key] = np.zeros(shape)
-    model = dict_to_params(arrays)
-    return model.image_tower, model.text_tower, model.head
-
-
-def init_model(seed: int, dims: ModelDims, tau_init: float = 0.07) -> ModelParams:
-    image_tower, text_tower, head = init_params(seed, dims)
-    return ModelParams(image_tower, text_tower, head,
-                       log_tau=np.asarray(np.log(tau_init)),
-                       log_gamma=np.asarray(0.0))
+            params[key] = np.zeros(shape)
+    params["log_tau"] = np.asarray(np.log(tau_init))
+    return params
 
 
 def encode(g: Graph, tower: Mapping[str, Node], raw: Node) -> Node:
@@ -181,10 +130,11 @@ class EmbeddingBatch:
             raise ValueError("embedding rows must be unit-norm (or flagged zero)")
 
 
-def embed_manifest(params: ModelParams, manifest: DatasetManifest) -> tuple[Array, Array, int]:
-    """Embed every record; returns (image, text, zero_rows)."""
+def embed_manifest(params: Mapping[str, Array],
+                   manifest: DatasetManifest) -> tuple[Array, Array, int]:
+    """Embed every record with the model's towers; returns (image, text, zero_rows)."""
     g = Graph()
-    leaves = {k: g.constant(v, name=k) for k, v in params_to_dict(params).items()}
+    leaves = {k: g.constant(v, name=k) for k, v in params.items()}
     # An overflowing tower yields non-finite rows; the caller's check names
     # the first such record, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -40,8 +40,8 @@ MAPPINGS = ("exponential", "linear", "power")
 
 @dataclass
 class LossWeights:
-    alpha: float = 0.5
-    beta: float = 0.1
+    alpha: float
+    beta: float
 
 
 @dataclass

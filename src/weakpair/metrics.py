@@ -39,11 +39,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .data import DatasetManifest, identity_groups
-from .encoders import ModelParams, embed_manifest
+from .encoders import embed_manifest
 from .losses import mapping_value
 from .training import NumericAbort
 
@@ -409,7 +410,7 @@ class EvalResult:
     zero_norm_rows: int
 
 
-def evaluate_model(params: ModelParams, manifest: DatasetManifest, mapping: str,
+def evaluate_model(params: Mapping[str, np.ndarray], manifest: DatasetManifest, mapping: str,
                    eval_seed: int = 0, recall_ks=(1, 5, 10)) -> EvalResult:
     """Embed a dataset and run the full diagnostic battery on it.
 

@@ -28,7 +28,7 @@ from . import companion
 from .autograd import Array, Graph, GraphError, Node
 from .data import DatasetManifest, IdentityGroups, identity_groups
 from .encoders import (EmbeddingBatch, ModelDims, encode, init_model,
-                       leaf_group, param_shapes, params_to_dict)
+                       leaf_group, param_shapes)
 from .losses import (LossReport, LossWeights, MAPPINGS, MATCHING_BRANCHES,
                      batch_uncertainty, itc_loss, matching_losses, total_loss,
                      uitc_loss, weak_itc_loss)
@@ -109,6 +109,10 @@ class TrainConfig:
 
     def weights(self) -> LossWeights:
         return LossWeights(self.alpha, self.beta)
+
+
+# Each TrainConfig field's type, in field order.
+_CONFIG_KINDS = {f.name: type(f.default) for f in fields(TrainConfig)}
 
 
 @dataclass
@@ -318,7 +322,7 @@ def train(cfg: TrainConfig, data: DatasetManifest,
     total_steps = cfg.epochs * steps_per_epoch
 
     if resume is None:
-        params = params_to_dict(init_model(cfg.seed, dims, cfg.tau_init))
+        params = init_model(cfg.seed, dims, cfg.tau_init)
         opt_m = {k: np.zeros_like(v) for k, v in params.items()}
         opt_v = {k: np.zeros_like(v) for k, v in params.items()}
         opt_t, start = 0, 0
@@ -452,8 +456,7 @@ _HEAD_STATE = ("format_version", "step", "opt_t", "raw_dim_image", "raw_dim_text
 # The head's entries, in order, and their types.  Each entry is str() of its
 # value, which int() or float() reads back exactly; one text vector loads
 # faster than a structured row.
-_HEAD_FIELDS = {**{name: int for name in _HEAD_STATE},
-                **{f.name: type(f.default) for f in fields(TrainConfig)}}
+_HEAD_FIELDS = {**{name: int for name in _HEAD_STATE}, **_CONFIG_KINDS}
 _HEAD = np.dtype("<U32")
 _NUMBERS = {int, float}  # the types json.loads gives JSON numbers
 
@@ -519,14 +522,14 @@ def _checkpoint(payload, decode, path: str | Path) -> Checkpoint:
         raise CheckpointFormatError(
             f"{path}: version {payload['format_version']}, expected {CHECKPOINT_VERSION}")
     try:
-        kinds = {f.name: type(f.default) for f in fields(TrainConfig)}
-        unknown = set(payload["config"]) - set(kinds)
+        unknown = set(payload["config"]) - set(_CONFIG_KINDS)
         if unknown:
             raise CheckpointFormatError(f"unknown config keys {sorted(unknown)}")
         for key, value in payload["config"].items():
-            if type(value) not in ((int, float) if kinds[key] is float else (kinds[key],)):
+            kind = _CONFIG_KINDS[key]
+            if type(value) not in ((int, float) if kind is float else (kind,)):
                 raise CheckpointFormatError(
-                    f"config: {key} must be {kinds[key].__name__}, got {value!r}")
+                    f"config: {key} must be {kind.__name__}, got {value!r}")
         cfg = TrainConfig(**payload["config"])
         try:
             cfg.validate()

@@ -23,11 +23,13 @@ from .autograd import Graph, grad_check, grad_check_losses
 from .encoders import EmbeddingBatch, ModelDims, param_shapes
 from .losses import LossWeights, batch_uncertainty
 from .mining import MiningConfig, PairGroups, build_groups
-from .training import StepData, assemble_losses, encode_step
+from .training import StepData, TrainConfig, assemble_losses, encode_step
 
 _CHECK_DIMS = ModelDims(raw_dim_image=4, raw_dim_text=3, hidden_dim=4, embed_dim=3)
 _CHECK_BATCH = 3
 _CHECK_K = 1
+# The trainer's default loss settings: the mapping and the weights alpha, beta.
+_TRAIN = TrainConfig()
 
 
 @dataclass
@@ -130,8 +132,8 @@ class LossInstance:
     data: StepData
     groups: PairGroups
     u_mean: float
-    mapping: str = "exponential"
-    weights: LossWeights = field(default_factory=LossWeights)
+    mapping: str = _TRAIN.mapping
+    weights: LossWeights = field(default_factory=_TRAIN.weights)
 
 
 def random_instance(rng: np.random.Generator, dims: ModelDims = _CHECK_DIMS,
@@ -158,7 +160,7 @@ def random_instance(rng: np.random.Generator, dims: ModelDims = _CHECK_DIMS,
     batch = EmbeddingBatch(enc[0].value, enc[1].value, enc[2].value, enc[3].value,
                            data.identities)
     groups = build_groups(batch, MiningConfig("custom", k))
-    _, _, u_mean = batch_uncertainty(*(e.value for e in enc), "exponential")
+    _, _, u_mean = batch_uncertainty(*(e.value for e in enc), _TRAIN.mapping)
     return LossInstance(params, data, groups, u_mean)
 
 

@@ -17,7 +17,7 @@ from weakpair import cli, data
 from weakpair.autograd import Graph
 from weakpair.cli import (DEFAULTS, EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_RUNTIME,
                           ablation_cells, build_parser, load_config, main)
-from weakpair.encoders import dict_to_params, embed_manifest
+from weakpair.encoders import embed_manifest
 from weakpair.metrics import evaluate_model
 from weakpair.training import NumericAbort, load_checkpoint
 
@@ -251,7 +251,7 @@ class TestEval:
         text = (tmp_path / "a" / "summary.json").read_text()
         assert (tmp_path / "b" / "summary.json").read_text() == text
         ckpt, manifest = load_checkpoint(checkpoint), data.read(dataset)
-        result = evaluate_model(dict_to_params(ckpt.params), manifest,
+        result = evaluate_model(ckpt.params, manifest,
                                 ckpt.config.mapping, eval_seed=11)
         assert json.loads(text) == {
             "records": len(manifest.records),
@@ -500,7 +500,7 @@ def test_overflowing_encoder_is_runtime_error_naming_the_record(workspace, tmp_p
     checkpoint = tmp_path / "checkpoint.json"
     checkpoint.write_text(json.dumps(payload))
     dataset = workspace / "data" / "test.tsv"
-    img, txt, *_ = embed_manifest(dict_to_params(load_checkpoint(checkpoint).params),
+    img, txt, *_ = embed_manifest(load_checkpoint(checkpoint).params,
                                   data.read(dataset))
     first = np.flatnonzero(~(np.isfinite(img).all(axis=1) & np.isfinite(txt).all(axis=1)))[0]
     capsys.readouterr()

@@ -5,14 +5,14 @@ import pytest
 
 from weakpair.autograd import Graph, GraphError, grad_check
 from weakpair.encoders import (EmbeddingBatch, ModelDims, dict_to_params,
-                               encode, init_model, init_params, leaf_group,
-                               match_logit, params_to_dict)
+                               encode, init_model, leaf_group, match_logit,
+                               param_shapes)
 
 DIMS = ModelDims(raw_dim_image=6, raw_dim_text=5, hidden_dim=4, embed_dim=3)
 
 
 def tower_nodes(g, model, prefix):
-    leaves = {k: g.constant(v, name=k) for k, v in params_to_dict(model).items()}
+    leaves = {k: g.constant(v, name=k) for k, v in model.items()}
     return leaf_group(leaves, prefix), leaves
 
 
@@ -29,7 +29,7 @@ class TestEncode:
     def test_zero_parameters_raise_flag(self):
         model = init_model(1, DIMS)
         for field in ("w1", "b1", "w2", "b2"):
-            setattr(model.image_tower, field, np.zeros_like(getattr(model.image_tower, field)))
+            model[f"img.{field}"] = np.zeros_like(model[f"img.{field}"])
         g = Graph()
         tower, _ = tower_nodes(g, model, "img")
         encode(g, tower, g.constant(np.ones((2, 6))))
@@ -55,34 +55,49 @@ class TestEncode:
 
 class TestInit:
     def test_same_seed_identical(self):
-        a = params_to_dict(init_model(9, DIMS))
-        b = params_to_dict(init_model(9, DIMS))
+        a = init_model(9, DIMS)
+        b = init_model(9, DIMS)
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_biases_zero(self):
-        img, txt, head = init_params(4, DIMS)
-        for arr in (img.b1, img.b2, txt.b1, txt.b2, head.b_hidden, head.b_out):
-            assert not arr.any()
+        model = init_model(4, DIMS)
+        for key in ("img.b1", "img.b2", "txt.b1", "txt.b2", "head.b_hidden", "head.b_out"):
+            assert not model[key].any()
+
+    def test_temperature_and_gamma(self):
+        model = init_model(4, DIMS, tau_init=0.2)
+        assert model["log_tau"] == np.log(0.2) and model["log_tau"].shape == ()
+        assert model["log_gamma"] == 0.0 and model["log_gamma"].shape == ()
 
     def test_forward_finite_at_init(self):
         rng = np.random.default_rng(2)
         model = init_model(5, DIMS)
         g = Graph()
-        leaves = {k: g.constant(v) for k, v in params_to_dict(model).items()}
+        leaves = {k: g.constant(v) for k, v in model.items()}
         f_img = encode(g, leaf_group(leaves, "img"), g.constant(rng.normal(size=(8, 6))))
         f_txt = encode(g, leaf_group(leaves, "txt"), g.constant(rng.normal(size=(8, 5))))
         z = match_logit(g, leaf_group(leaves, "head"), f_img, f_txt)
         assert z.shape == (8, 1) and np.all(np.isfinite(z.value))
 
     def test_weight_scale_follows_fan_in(self):
-        img, _, _ = init_params(0, ModelDims(100, 100, 50, 8))
-        assert np.abs(img.w1).max() <= 1.0 / np.sqrt(100)
+        model = init_model(0, ModelDims(100, 100, 50, 8))
+        assert np.abs(model["img.w1"]).max() <= 1.0 / np.sqrt(100)
 
-    def test_round_trip_dict(self):
+    @pytest.mark.parametrize("dims", [DIMS, ModelDims(7, 2, 9, 5)])
+    def test_keys_and_shapes_follow_param_shapes(self, dims):
+        model = init_model(3, dims)
+        assert list(model) == list(param_shapes(dims))
+        assert {k: v.shape for k, v in model.items()} == param_shapes(dims)
+
+    def test_dict_to_params_keeps_key_order(self):
         model = init_model(7, DIMS)
-        d = params_to_dict(model)
-        again = params_to_dict(dict_to_params(d))
-        assert all(np.array_equal(d[k], again[k]) for k in d)
+        shuffled = {k: model[k] for k in reversed(model)}
+        out = dict_to_params({**shuffled, "extra": np.zeros(2)})
+        assert list(out) == list(model)
+        assert all(out[k] is model[k] for k in model)
+        del shuffled["head.w_out"]
+        with pytest.raises(KeyError, match="head.w_out"):
+            dict_to_params(shuffled)
 
 
 def sigmoid(z):
@@ -93,11 +108,10 @@ class TestMatchProbability:
     """The match probability is sigmoid(match_logit)."""
 
     def test_zero_head_gives_half(self):
-        import dataclasses
         model = init_model(1, DIMS)
-        for field in dataclasses.fields(model.head):
-            setattr(model.head, field.name,
-                    np.zeros_like(getattr(model.head, field.name)))
+        for key in param_shapes(DIMS):
+            if key.startswith("head."):
+                model[key] = np.zeros_like(model[key])
         g = Graph()
         head, _ = tower_nodes(g, model, "head")
         f = g.constant(np.eye(3)[:2])
@@ -133,8 +147,7 @@ class TestMatchProbability:
         f_img /= np.linalg.norm(f_img, axis=1, keepdims=True)
         f_txt = rng.normal(size=(3, 3))
         f_txt /= np.linalg.norm(f_txt, axis=1, keepdims=True)
-        head_params = {k[5:]: v for k, v in params_to_dict(init_model(4, DIMS)).items()
-                       if k.startswith("head.")}
+        head_params = leaf_group(init_model(4, DIMS), "head")
         perturbed = {k: v + rng.normal(0.0, 0.3, size=v.shape)
                      for k, v in head_params.items()}
         labels = np.array([[1.0], [0.0], [1.0]])

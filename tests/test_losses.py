@@ -326,10 +326,8 @@ class TestBceLogits:
 
 
 def zero_head_nodes(g):
-    import dataclasses
-    model = init_model(0, ModelDims(4, 4, 3, 4))
-    return {f.name: g.constant(np.zeros_like(getattr(model.head, f.name)))
-            for f in dataclasses.fields(model.head)}
+    head = leaf_group(init_model(0, ModelDims(4, 4, 3, 4)), "head")
+    return {k: g.constant(np.zeros_like(v)) for k, v in head.items()}
 
 
 def three_identity_batch(rng):
@@ -423,7 +421,6 @@ def test_uitc_rejects_nonpositive_uncertainty():
 
 def test_gitm_batched_equals_mean_of_group_losses():
     """The flat batched branch mean must equal the mean over per-group means."""
-    import dataclasses
     rng = np.random.default_rng(21)
     for trial in range(20):
         n = int(rng.integers(4, 8))
@@ -436,8 +433,7 @@ def test_gitm_batched_equals_mean_of_group_losses():
         groups = build_groups(batch, MiningConfig("neg3v6", 2))
         model = init_model(trial, ModelDims(5, 5, 4, 5))
         g = Graph()
-        head = {f.name: g.constant(getattr(model.head, f.name))
-                for f in dataclasses.fields(model.head)}
+        head = {k: g.constant(v) for k, v in leaf_group(model, "head").items()}
         enc = embeddings(g, batch)
         txt_b, img_b = matching_losses(g, head, groups, enc, ("gitm_txt", "gitm_img")).values()
         txts, imgs = [], []
@@ -557,5 +553,5 @@ def test_random_instance_u_mean_is_the_assembled_one():
         leaves = {k: g.leaf(v, name=k) for k, v in inst.params.items()}
         enc = encode_step(g, leaves, inst.data, need_weak=True)
         assembled = assemble_losses(g, leaves, enc, inst.groups, "uitc_gitm",
-                                    "exponential", LossWeights())
+                                    inst.mapping, inst.weights)
         assert inst.u_mean == assembled.u_mean

@@ -17,7 +17,7 @@ from weakpair import cli, training
 from weakpair.autograd import Graph, GraphError
 from weakpair.companion import companion_path
 from weakpair.data import GenConfig, generate, identity_groups
-from weakpair.encoders import ModelDims, init_model, params_to_dict
+from weakpair.encoders import ModelDims, init_model
 from weakpair.losses import U_BOUNDS
 from weakpair.mining import MiningStarvationError
 from weakpair.training import (CheckpointFormatError, NumericAbort, TrainConfig,
@@ -86,7 +86,7 @@ class TestTrainBasics:
         cfg = small_cfg(epochs=0)
         ckpt, log = train(cfg, d)
         dims = ModelDims(10, 8, cfg.hidden_dim, cfg.embed_dim)
-        init = params_to_dict(init_model(cfg.seed, dims, cfg.tau_init))
+        init = init_model(cfg.seed, dims, cfg.tau_init)
         assert not log.steps
         assert all(np.array_equal(ckpt.params[k], init[k]) for k in init)
 
