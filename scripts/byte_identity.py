@@ -50,8 +50,8 @@ outputs shows in its diff which.  Another numpy or BLAS build may
 legitimately give other digests; compare its ``environment`` first.
 ``python3 scripts/compare_digests.py OUT_DIR/DIGESTS.json`` does both
 comparisons against ``/DIGESTS.json`` and names every file that differs.
-``tests/test_digests.py`` rebuilds every leg but criterion 07 through the
-functions here and compares them with the manifest.
+``tests/test_digests.py`` rebuilds every leg but criterion 07 through
+``fast_legs`` and compares them with the manifest.
 """
 
 from __future__ import annotations
@@ -230,11 +230,8 @@ def write_digests(out: Path) -> None:
     (out / "DIGESTS.json").write_text(json.dumps(manifest, indent=1) + "\n")
 
 
-def main(out: Path) -> None:
-    """Writes under out, with paths relative to it so console lines match."""
-    out.mkdir(parents=True)
-    os.chdir(out)
-    out = Path(".")
+def fast_legs(out: Path) -> None:
+    """Every leg but criterion 07, under out."""
     run = out / "default"
     default_leg(run)
     text_only_leg(out, run, "tsv-only", "data")
@@ -245,6 +242,15 @@ def main(out: Path) -> None:
     resume_leg(out / "resume", train_d)
     degenerate_leg(out / "degenerate", train_d)
     weakpair(out / "gradcheck", "gradcheck", "--out", str(out / "gradcheck"))
+    ablate_leg(out / "ablate")
+
+
+def main(out: Path) -> None:
+    """Writes under out, with paths relative to it so console lines match."""
+    out.mkdir(parents=True)
+    os.chdir(out)
+    out = Path(".")
+    fast_legs(out)
 
     leg = out / "criterion07"
     leg.mkdir()
@@ -261,7 +267,6 @@ def main(out: Path) -> None:
                  "--checkpoint", str(cell / "checkpoint.json"), "--out", str(cell / "eval"))
     (leg / "medians.txt").write_text("".join(
         f"{mode} {float(np.median(values))!r}\n" for mode, values in maps.items()))
-    ablate_leg(out / "ablate")
     write_digests(out)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from . import data as datamod
 from .autograd import EPS_RANGE
 from .data import DatasetFormatError, GenConfig
-from .losses import MAPPINGS
+from .losses import LossReport, MAPPINGS
 from .metrics import EvalResult, evaluate_model
 from .mining import MiningStarvationError
 from .training import (Checkpoint, CheckpointFormatError, NumericAbort, TrainConfig,
@@ -213,14 +213,12 @@ def cmd_gen(args) -> int:
 
 
 def train_log_rows(log) -> tuple[list[str], list[list]]:
-    header = ["step", "lr", "itc", "uitc", "itm", "gitm_txt", "gitm_img",
-              "total", "mean_s_w", "mean_u_w", "u_min", "u_max", "degenerate_weak"]
-    rows = []
-    for rec in log.steps:
-        r = rec.report
-        rows.append([rec.step, rec.lr, r.itc, r.uitc, r.itm, r.gitm_txt,
-                     r.gitm_img, r.total, r.mean_s_w, r.mean_u_w,
-                     rec.u_min, rec.u_max, rec.degenerate_weak])
+    """One row per step: step, lr, every LossReport field, the u range and
+    the degenerate weak picks."""
+    terms = [f.name for f in dataclasses.fields(LossReport)]
+    header = ["step", "lr", *terms, "u_min", "u_max", "degenerate_weak"]
+    rows = [[rec.step, rec.lr, *(getattr(rec.report, t) for t in terms),
+             rec.u_min, rec.u_max, rec.degenerate_weak] for rec in log.steps]
     return header, rows
 
 

@@ -22,7 +22,9 @@ matching_losses
                itm over each strong pair plus its two directional hard
                negatives, and the group-wise gitm_txt and gitm_img, each
                averaging its weak-positive term with K mined negatives.
-total_loss     itc + itm + alpha * uitc + beta * (gitm_txt + gitm_img).
+
+training.assemble_losses builds the terms a TrainConfig's ablation mode
+uses and their total, itc + itm + alpha * uitc + beta * (gitm_txt + gitm_img).
 """
 
 from __future__ import annotations
@@ -36,12 +38,6 @@ from .encoders import match_logit
 from .mining import MATCHING_BRANCHES, PairGroups  # noqa: F401  (re-exported)
 
 MAPPINGS = ("exponential", "linear", "power")
-
-
-@dataclass
-class LossWeights:
-    alpha: float
-    beta: float
 
 
 @dataclass
@@ -188,14 +184,3 @@ def matching_losses(g: Graph, head, groups: PairGroups, enc,
     return {b: g.mean(g.take_rows((term,), np.arange(start, end)))
             for b, start, end in zip(branches, bounds[:-1], bounds[1:])}
 
-
-def total_loss(g: Graph, itc: Node, itm: Node, uitc: Node | None,
-               gitm_txt: Node | None, gitm_img: Node | None,
-               weights: LossWeights) -> Node:
-    """Weighted sum of the enabled objectives (absent terms contribute zero)."""
-    total = g.add(itc, itm)
-    if uitc is not None:
-        total = g.add(total, g.mul(uitc, weights.alpha))
-    if gitm_txt is not None:
-        total = g.add(total, g.mul(g.add(gitm_txt, gitm_img), weights.beta))
-    return total

@@ -29,9 +29,8 @@ from .autograd import Array, Graph, GraphError, Node
 from .data import DatasetManifest, IdentityGroups, identity_groups
 from .encoders import (EmbeddingBatch, ModelDims, encode, init_model,
                        leaf_group, param_shapes)
-from .losses import (LossReport, LossWeights, MAPPINGS, MATCHING_BRANCHES,
-                     batch_uncertainty, itc_loss, matching_losses, total_loss,
-                     uitc_loss, weak_itc_loss)
+from .losses import (LossReport, MAPPINGS, MATCHING_BRANCHES, batch_uncertainty,
+                     itc_loss, matching_losses, uitc_loss, weak_itc_loss)
 from .mining import (MiningConfig, MiningStarvationError, PairGroups,
                      build_groups, sample_weak_batch)
 
@@ -91,8 +90,9 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, got {self.warmup_steps}")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("loss weights must be non-negative")
+        for name in ("alpha", "beta"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.mapping not in MAPPINGS:
             raise ValueError(f"unknown mapping {self.mapping!r}")
         if self.ablation_mode not in ABLATION_MODES:
@@ -106,9 +106,6 @@ class TrainConfig:
 
     def mining(self) -> MiningConfig:
         return MiningConfig(self.mining_mode, self.mining_k)
-
-    def weights(self) -> LossWeights:
-        return LossWeights(self.alpha, self.beta)
 
 
 # Each TrainConfig field's type, in field order.
@@ -191,27 +188,6 @@ class StepData:
     degenerate_weak: int = 0
 
 
-@dataclass
-class AssembledLosses:
-    nodes: dict[str, Node | None]
-    s_values: Array | None
-    u_values: Array | None
-    u_mean: float | None
-
-    def report(self) -> LossReport:
-        def val(key: str) -> float:
-            node = self.nodes.get(key)
-            return float(node.value) if node is not None else 0.0
-
-        return LossReport(
-            itc=val("itc"), uitc=val("uitc"), itm=val("itm"),
-            gitm_txt=val("gitm_txt"), gitm_img=val("gitm_img"),
-            total=val("total"),
-            mean_s_w=float(self.s_values.mean()) if self.s_values is not None else 0.0,
-            mean_u_w=float(self.u_values.mean()) if self.u_values is not None else 0.0,
-        )
-
-
 def encode_step(g: Graph, leaves, data: StepData, need_weak: bool
                 ) -> tuple[Node, Node, Node | None, Node | None]:
     img_tower, txt_tower = leaf_group(leaves, "img"), leaf_group(leaves, "txt")
@@ -224,35 +200,49 @@ def encode_step(g: Graph, leaves, data: StepData, need_weak: bool
     return f_img, f_txt, f_img_w, f_txt_w
 
 
-def assemble_losses(g: Graph, leaves, enc, groups: PairGroups, mode: str,
-                    mapping: str, weights: LossWeights,
-                    u_override: float | None = None) -> AssembledLosses:
-    """Build the mode's loss nodes from already-encoded embeddings.
+def assemble_losses(g: Graph, leaves, enc, groups: PairGroups, cfg: TrainConfig,
+                    u_override: float | None = None
+                    ) -> tuple[dict[str, Node], Array | None, Array | None]:
+    """(nodes, s_w, u_w): the loss terms of cfg's ablation mode, from
+    already-encoded embeddings, then "total" at cfg's alpha and beta.
 
-    groups must be mined beforehand (from the same embeddings) so rebuilding
-    with perturbed parameters keeps the discrete structure fixed.  The
-    uncertainty weight is a value (batch_uncertainty), never a node; with
-    u_override it is that constant instead, the frozen form used by
-    finite-difference checks.
+    itc and itm always, uitc unless baseline, gitm_txt and gitm_img in
+    uitc_gitm.  groups must be mined beforehand (from the same embeddings)
+    so rebuilding with perturbed parameters keeps the discrete structure
+    fixed.  The uncertainty weight is a value (batch_uncertainty, whose
+    per-anchor s_w and u_w are returned), never a node; with u_override it
+    is that constant instead, the frozen form used by finite-difference
+    checks, and s_w and u_w are None, as in baseline.
     """
     f_img, f_txt, f_img_w, f_txt_w = enc
-    nodes: dict[str, Node | None] = {
-        "itc": itc_loss(g, f_img, f_txt, leaves["log_tau"]),
-        "uitc": None, "gitm_txt": None, "gitm_img": None,
-    }
+    mode = cfg.ablation_mode
+    nodes = {"itc": itc_loss(g, f_img, f_txt, leaves["log_tau"])}
     nodes.update(matching_losses(g, leaf_group(leaves, "head"), groups, enc,
                                  MATCHING_BRANCHES if mode == "uitc_gitm" else ("itm",)))
-    s_values = u_values = u_mean = None
-    if mode in ("uitc", "uitc_gitm"):
+    s_values = u_values = None
+    if mode != "baseline":
         weak_itc = weak_itc_loss(g, f_img, f_txt, f_img_w, f_txt_w, leaves["log_tau"])
         if u_override is None:
-            s_values, u_values, u_mean = batch_uncertainty(*(f.value for f in enc), mapping)
-        else:
-            u_mean = u_override
-        nodes["uitc"] = uitc_loss(g, weak_itc, u_mean, leaves["log_gamma"])
-    nodes["total"] = total_loss(g, nodes["itc"], nodes["itm"], nodes["uitc"],
-                                nodes["gitm_txt"], nodes["gitm_img"], weights)
-    return AssembledLosses(nodes, s_values, u_values, u_mean)
+            s_values, u_values, u_override = batch_uncertainty(*(f.value for f in enc),
+                                                               cfg.mapping)
+        nodes["uitc"] = uitc_loss(g, weak_itc, u_override, leaves["log_gamma"])
+    total = g.add(nodes["itc"], nodes["itm"])
+    if "uitc" in nodes:
+        total = g.add(total, g.mul(nodes["uitc"], cfg.alpha))
+    if "gitm_txt" in nodes:
+        total = g.add(total, g.mul(g.add(nodes["gitm_txt"], nodes["gitm_img"]), cfg.beta))
+    nodes["total"] = total
+    return nodes, s_values, u_values
+
+
+def _loss_report(nodes: dict[str, Node], s_values: Array | None,
+                 u_values: Array | None) -> LossReport:
+    """Each LossReport field, in order, from assemble_losses' output: a term's
+    value, or the mean of s_w or u_w; 0.0 for what the mode does not build."""
+    values = {k: float(node.value) for k, node in nodes.items()}
+    if s_values is not None:
+        values.update(mean_s_w=float(s_values.mean()), mean_u_w=float(u_values.mean()))
+    return LossReport(*(values.get(f.name, 0.0) for f in fields(LossReport)))
 
 
 def _epoch_plan(grouping: IdentityGroups, cfg: TrainConfig, epoch: int) -> np.ndarray:
@@ -345,15 +335,13 @@ def train(cfg: TrainConfig, data: DatasetManifest,
                             for k, shape in layout.items()])
 
     end_step = total_steps if stop_at_step is None else min(stop_at_step, total_steps)
-    mode = cfg.ablation_mode
-    need_weak = mode != "baseline"
+    need_weak = cfg.ablation_mode != "baseline"
     mining_cfg = _mining_config(cfg)
     _check_batches_minable(identities, cfg.batch_size, mining_cfg.k, start, end_step)
     # The step graphs take the parameters unchecked: they are checked here
     # once, then after every update.
     if start < end_step and not np.all(np.isfinite(flat_p)):
         raise GraphError(f"non-finite leaf {_non_finite_key(params)!r}")
-    weights = cfg.weights()
     log = TrainLog()
     plan_epoch, plan = -1, []
 
@@ -382,15 +370,12 @@ def train(cfg: TrainConfig, data: DatasetManifest,
                 sd.identities)
             groups = build_groups(batch_emb, mining_cfg)
 
-            assembled = assemble_losses(g, leaves, enc, groups, mode, cfg.mapping, weights)
-            report = assembled.report()
+            nodes, s_values, u_values = assemble_losses(g, leaves, enc, groups, cfg)
+            report = _loss_report(nodes, s_values, u_values)
             if not math.isfinite(report.total):
-                raise NumericAbort(
-                    f"step {step}: non-finite loss; components itc={report.itc} "
-                    f"itm={report.itm} uitc={report.uitc} gitm_txt={report.gitm_txt} "
-                    f"gitm_img={report.gitm_img}")
+                raise NumericAbort(f"step {step}: non-finite loss; {report}")
 
-            grads = g.backward(assembled.nodes["total"])
+            grads = g.backward(nodes["total"])
             grad = np.concatenate([grads[leaf].reshape(-1) for leaf in leaves.values()])
             lr = step_lr(step, total_steps, cfg)
             opt_t += 1
@@ -405,8 +390,8 @@ def train(cfg: TrainConfig, data: DatasetManifest,
                 raise NumericAbort(
                     f"step {step}: parameter {_non_finite_key(params)} became non-finite")
 
-        if assembled.u_values is not None:
-            u_min, u_max = float(assembled.u_values.min()), float(assembled.u_values.max())
+        if u_values is not None:
+            u_min, u_max = float(u_values.min()), float(u_values.max())
         else:
             u_min = u_max = float("nan")
         log.steps.append(StepRecord(step, lr, report, u_min, u_max,

@@ -15,20 +15,20 @@ check confirms the two forms agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .autograd import Graph, grad_check, grad_check_losses
 from .encoders import EmbeddingBatch, ModelDims, param_shapes
-from .losses import LossWeights, batch_uncertainty
+from .losses import batch_uncertainty
 from .mining import MiningConfig, PairGroups, build_groups
 from .training import StepData, TrainConfig, assemble_losses, encode_step
 
 _CHECK_DIMS = ModelDims(raw_dim_image=4, raw_dim_text=3, hidden_dim=4, embed_dim=3)
 _CHECK_BATCH = 3
 _CHECK_K = 1
-# The trainer's default loss settings: the mapping and the weights alpha, beta.
+# The trainer's default loss settings: uitc_gitm, its mapping and alpha, beta.
 _TRAIN = TrainConfig()
 
 
@@ -132,8 +132,6 @@ class LossInstance:
     data: StepData
     groups: PairGroups
     u_mean: float
-    mapping: str = _TRAIN.mapping
-    weights: LossWeights = field(default_factory=_TRAIN.weights)
 
 
 def random_instance(rng: np.random.Generator, dims: ModelDims = _CHECK_DIMS,
@@ -189,9 +187,8 @@ def losses_builder(inst: LossInstance):
         # Parameters outside the checked subset stay at their frozen values.
         full = {k: (lv[k] if k in lv else g.constant(v, name=k))
                 for k, v in inst.params.items()}
-        nodes = assemble_losses(g, full, encode_step(g, full, inst.data, need_weak=True),
-                                inst.groups, "uitc_gitm", inst.mapping, inst.weights,
-                                u_override=inst.u_mean).nodes
+        nodes, _, _ = assemble_losses(g, full, encode_step(g, full, inst.data, need_weak=True),
+                                      inst.groups, _TRAIN, u_override=inst.u_mean)
         return {"itc": nodes["itc"], "uitc": nodes["uitc"], "itm": nodes["itm"],
                 "gitm": g.add(nodes["gitm_txt"], nodes["gitm_img"]),
                 "total": nodes["total"]}
@@ -239,10 +236,10 @@ def uitc_gradients(inst: LossInstance, frozen: bool):
     g = Graph()
     leaves = {k: g.leaf(v, trainable=True, name=k) for k, v in inst.params.items()}
     enc = encode_step(g, leaves, inst.data, need_weak=True)
-    out = assemble_losses(g, leaves, enc, inst.groups, "uitc", inst.mapping,
-                          inst.weights,
-                          u_override=inst.u_mean if frozen else None)
-    grads = g.backward(out.nodes["uitc"])
+    nodes, _, _ = assemble_losses(g, leaves, enc, inst.groups,
+                                  replace(_TRAIN, ablation_mode="uitc"),
+                                  u_override=inst.u_mean if frozen else None)
+    grads = g.backward(nodes["uitc"])
     return {k: grads[leaves[k]] for k in inst.params}
 
 

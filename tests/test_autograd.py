@@ -45,6 +45,20 @@ class TestL2Normalize:
         np.testing.assert_array_equal(out.value[0], [0.0, 0.0])
         assert g.zero_norm_rows == [(out.id, (0,))]
 
+    def test_tower_backward_gives_zero_rows_no_gradient(self):
+        """w2 = b2 = 0 makes every row zero; backward through the flagged rows
+        must give w2 and b2 exactly 0, not h.T @ g and g's column sums."""
+        rng = np.random.default_rng(3)
+        g = Graph()
+        leaves = [g.leaf(v, trainable=True, name=name) for name, v in (
+            ("x", rng.normal(size=(3, 4))), ("w1", rng.normal(size=(4, 5))),
+            ("b1", rng.normal(size=5)), ("w2", np.zeros((5, 2))), ("b2", np.zeros(2)))]
+        out = g.tower(*leaves)
+        assert g.zero_norm_rows == [(out.id, (0, 1, 2))]
+        grads = g.backward(g.sum(g.mul(out, g.constant(rng.normal(size=(3, 2))))))
+        for leaf in leaves:
+            assert np.all(grads[leaf] == 0.0), leaf.name
+
 
 class TestCosineMatrix:
     def test_orthogonal(self):

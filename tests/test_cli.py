@@ -535,6 +535,11 @@ def test_bad_train_fraction_is_config_error_before_generating(tmp_path, capsys, 
     ("train", "train.embed_dim=0", "embed_dim must be >= 1"),
     ("train", "train.hidden_dim=-2", "hidden_dim must be >= 1"),
     ("train", "train.seed=-1", "seed must be >= 0"),
+    ("train", "train.epochs=-1", "epochs must be >= 0, got -1"),
+    ("train", "train.base_lr=0", "base_lr must be positive, got 0.0"),
+    ("train", "train.warmup_steps=-1", "warmup_steps must be >= 0, got -1"),
+    ("train", "train.alpha=-0.5", "alpha must be >= 0, got -0.5"),
+    ("train", "train.beta=-1", "beta must be >= 0, got -1.0"),
     ("gen", "gen.seed=-5", "seed must be >= 0"),
     ("gen", "gen.split_seed=-5", "gen.split_seed must be >= 0"),
     ("ablate", "ablate.seeds=1,x", "ablate.seeds: invalid literal"),

@@ -32,7 +32,7 @@ def script(name):
 @pytest.fixture(scope="module")
 def rebuilt(tmp_path_factory):
     """The committed digests of the legs, and those of the legs rebuilt by the
-    script's own functions, in its order.  The digests hold for the builds
+    script's own fast_legs.  The digests hold for the builds
     the manifest names; on another Python, numpy or BLAS build the tests are
     skipped, naming both."""
     byte_identity = script("byte_identity")
@@ -45,17 +45,7 @@ def rebuilt(tmp_path_factory):
     # Relative paths, as the script runs, so the console lines match too.
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(out)
-        run = Path("default")
-        byte_identity.default_leg(run)
-        byte_identity.text_only_leg(Path("."), run, "tsv-only", "data")
-        byte_identity.text_only_leg(Path("."), run, "json-only", "checkpoint")
-        byte_identity.mapping_leg(Path("mappings"), run / "data")
-        byte_identity.gallery_leg(Path("gallery"))
-        train_d = data.read(run / "data" / "train.tsv")
-        byte_identity.resume_leg(Path("resume"), train_d)
-        byte_identity.degenerate_leg(Path("degenerate"), train_d)
-        byte_identity.weakpair(Path("gradcheck"), "gradcheck", "--out", "gradcheck")
-        byte_identity.ablate_leg(Path("ablate"))
+        byte_identity.fast_legs(Path("."))
     return manifest["files"], byte_identity.file_digests(out)
 
 

@@ -14,7 +14,7 @@ from weakpair.autograd import (Evaluator, Graph, GraphError, _affine, _affine_vj
                                _cosine_vjp, _l2_normalize, _l2_normalize_vjp, _log_softmax_at,
                                _log_softmax_at_vjp, _tanh_vjp)
 from weakpair.encoders import ModelDims
-from weakpair.training import assemble_losses, encode_step
+from weakpair.training import TrainConfig, assemble_losses, encode_step
 from weakpair.verify import random_instance
 
 
@@ -228,10 +228,10 @@ def test_step_gradients_equal_the_chains(mode):
             g = graph_type()
             leaves = {k: g.leaf(v, trainable=True, name=k) for k, v in inst.params.items()}
             enc = encode_step(g, leaves, inst.data, need_weak=mode != "baseline")
-            out = assemble_losses(g, leaves, enc, inst.groups, mode, inst.mapping,
-                                  inst.weights)
-            grads = g.backward(out.nodes["total"])
-            results.append(({k: v.value for k, v in out.nodes.items() if v is not None},
+            nodes, _, _ = assemble_losses(g, leaves, enc, inst.groups,
+                                          TrainConfig(ablation_mode=mode))
+            grads = g.backward(nodes["total"])
+            results.append(({k: v.value for k, v in nodes.items()},
                              {k: grads[leaves[k]] for k in inst.params}))
         (values, grads), (chain_values, chain_grads) = results
         assert values.keys() == chain_values.keys()

@@ -1,5 +1,6 @@
 """Loss semantics: closed forms, bounds, stop-gradient, and composition."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,15 +11,13 @@ from weakpair import losses
 from weakpair.autograd import Graph
 from weakpair.encoders import (EmbeddingBatch, ModelDims, init_model, leaf_group,
                                match_logit)
-from weakpair.losses import (LossReport, LossWeights, MAPPINGS, MATCHING_BRANCHES,
-                             U_BOUNDS, consistency_uncertainty, itc_loss,
-                             itm_term, mapping_value, matching_losses,
-                             total_loss, uitc_loss)
+from weakpair.losses import (MAPPINGS, MATCHING_BRANCHES, U_BOUNDS, consistency_uncertainty,
+                             itc_loss, itm_term, mapping_value, matching_losses, uitc_loss)
 from weakpair.mining import MiningConfig, build_groups
-from weakpair.training import encode_step
+from weakpair.training import TrainConfig, _loss_report, assemble_losses, encode_step
 from weakpair.verify import random_instance, stop_gradient_bitexact
 
-from test_kernels import ChainGraph
+from test_kernels import ChainGraph, assert_bitwise_equal
 
 
 def unit_rows(rng, n, d):
@@ -30,10 +29,11 @@ def log_tau_const(g, tau=0.07):
     return g.constant(math.log(tau))
 
 
-def recomputed_total(report, weights):
-    """itc + itm + alpha * uitc + beta * (gitm_txt + gitm_img), from a report's values."""
-    return (report.itc + report.itm + weights.alpha * report.uitc
-            + weights.beta * (report.gitm_txt + report.gitm_img))
+def recomputed_total(report, cfg):
+    """itc + itm + alpha * uitc + beta * (gitm_txt + gitm_img), from a report's
+    values and cfg's alpha and beta."""
+    return (report.itc + report.itm + cfg.alpha * report.uitc
+            + cfg.beta * (report.gitm_txt + report.gitm_img))
 
 
 def log_match_scores(g, a, b, tau):
@@ -390,27 +390,65 @@ class TestGitmLoss:
             assert img.inputs[0].shape == (1 + k, 1)
 
 
+def assembled(inst, mode, u_override=None, **overrides):
+    """training.assemble_losses of a random instance at the default config in
+    mode, with overrides to its other fields."""
+    g = Graph()
+    leaves = {k: g.leaf(v, name=k) for k, v in inst.params.items()}
+    enc = encode_step(g, leaves, inst.data, need_weak=mode != "baseline")
+    cfg = dataclasses.replace(TrainConfig(), ablation_mode=mode, **overrides)
+    return assemble_losses(g, leaves, enc, inst.groups, cfg, u_override=u_override)
+
+
+MODE_TERMS = {"baseline": {"itc", "itm"}, "uitc": {"itc", "itm", "uitc"},
+              "uitc_gitm": {"itc", "itm", "uitc", "gitm_txt", "gitm_img"}}
+
+
 class TestTotalLoss:
+    """Each ablation mode's terms, their total and the trainer's report of them."""
+
+    @pytest.mark.parametrize("mode", MODE_TERMS)
+    def test_mode_builds_its_terms_then_the_total(self, mode):
+        nodes, s_w, u_w = assembled(random_instance(np.random.default_rng(3)), mode)
+        assert set(nodes) == MODE_TERMS[mode] | {"total"}
+        assert list(nodes)[-1] == "total"
+        assert (s_w is None, u_w is None) == (mode == "baseline",) * 2
+
     def test_baseline_configuration(self):
-        g = Graph()
-        itc, itm = g.constant(0.7), g.constant(0.3)
-        out = total_loss(g, itc, itm, None, None, None, LossWeights(0.0, 0.0))
-        assert float(out.value) == 1.0
+        """itc + itm, whatever alpha and beta are."""
+        nodes, _, _ = assembled(random_instance(np.random.default_rng(4)), "baseline")
+        assert float(nodes["total"].value) == float(nodes["itc"].value) + float(nodes["itm"].value)
+
+    def test_zero_weights_leave_itc_plus_itm(self):
+        nodes, _, _ = assembled(random_instance(np.random.default_rng(4)), "uitc_gitm",
+                                alpha=0.0, beta=0.0)
+        assert float(nodes["total"].value) == float(nodes["itc"].value) + float(nodes["itm"].value)
 
     def test_paper_default_weights(self):
-        g = Graph()
-        one = g.constant(1.0)
-        out = total_loss(g, one, one, one, one, one, LossWeights(0.5, 0.1))
-        assert abs(float(out.value) - 2.7) <= 1e-12
+        """((itc + itm) + 0.5 * uitc) + 0.1 * (gitm_txt + gitm_img), in that
+        order, to the last bit."""
+        nodes, _, _ = assembled(random_instance(np.random.default_rng(5)), "uitc_gitm")
+        v = {k: float(node.value) for k, node in nodes.items()}
+        assert (TrainConfig().alpha, TrainConfig().beta) == (0.5, 0.1)
+        assert v["total"] == (v["itc"] + v["itm"]) + v["uitc"] * 0.5 \
+            + (v["gitm_txt"] + v["gitm_img"]) * 0.1
 
     def test_report_recomputation(self):
-        report = LossReport(itc=0.9, uitc=0.4, itm=0.7, gitm_txt=0.2,
-                            gitm_img=0.3, total=0.0, mean_s_w=0.0, mean_u_w=0.0)
-        weights = LossWeights(0.5, 0.1)
-        g = Graph()
-        node = total_loss(g, g.constant(0.9), g.constant(0.7), g.constant(0.4),
-                          g.constant(0.2), g.constant(0.3), weights)
-        assert abs(float(node.value) - recomputed_total(report, weights)) <= 1e-9
+        """In every mode the report holds each built term in its field, 0.0
+        for the others, and a total that its terms recompute at cfg's weights."""
+        for mode in MODE_TERMS:
+            cfg = TrainConfig(ablation_mode=mode, alpha=0.7, beta=0.3)
+            nodes, s_w, u_w = assembled(random_instance(np.random.default_rng(6)), mode,
+                                        alpha=cfg.alpha, beta=cfg.beta)
+            report = _loss_report(nodes, s_w, u_w)
+            for name in ("itc", "uitc", "itm", "gitm_txt", "gitm_img", "total"):
+                want = float(nodes[name].value) if name in nodes else 0.0
+                assert getattr(report, name) == want, (mode, name)
+            assert abs(report.total - recomputed_total(report, cfg)) <= 1e-9
+            if mode == "baseline":
+                assert (report.mean_s_w, report.mean_u_w) == (0.0, 0.0)
+            else:
+                assert (report.mean_s_w, report.mean_u_w) == (s_w.mean(), u_w.mean())
 
 
 def test_uitc_rejects_nonpositive_uncertainty():
@@ -544,14 +582,14 @@ def test_matching_losses_score_the_pairs_branch_pairs_names(shape, monkeypatch):
 
 
 def test_random_instance_u_mean_is_the_assembled_one():
-    """random_instance reads u_mean off the uncertainty subgraph alone; it must
-    equal, bit for bit, what the trainer's full loss assembly reports."""
-    from weakpair.training import assemble_losses, encode_step
+    """random_instance reads u_mean off the uncertainty subgraph alone; the
+    trainer's full loss assembly, which estimates it in the step, must give
+    every loss of the assembly frozen at it, bit for bit."""
     for seed in range(8):
         inst = random_instance(np.random.default_rng(seed))
-        g = Graph()
-        leaves = {k: g.leaf(v, name=k) for k, v in inst.params.items()}
-        enc = encode_step(g, leaves, inst.data, need_weak=True)
-        assembled = assemble_losses(g, leaves, enc, inst.groups, "uitc_gitm",
-                                    inst.mapping, inst.weights)
-        assert inst.u_mean == assembled.u_mean
+        estimated, _, _ = assembled(inst, "uitc_gitm")
+        frozen, s_w, u_w = assembled(inst, "uitc_gitm", u_override=inst.u_mean)
+        assert s_w is None and u_w is None
+        assert estimated.keys() == frozen.keys()
+        for name in estimated:
+            assert_bitwise_equal(estimated[name].value, frozen[name].value)

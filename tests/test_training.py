@@ -122,7 +122,7 @@ class TestTrainBasics:
         cfg = small_cfg()
         _, log = train(cfg, d)
         for rec in log.steps:
-            assert abs(rec.report.total - recomputed_total(rec.report, cfg.weights())) <= 1e-9
+            assert abs(rec.report.total - recomputed_total(rec.report, cfg)) <= 1e-9
 
     def test_uncertainty_bounds_exponential(self):
         d = dataset()
@@ -270,6 +270,18 @@ class TestFailureContracts:
             training._check_batches_minable(10, 4, 2, start, end)
         training._check_batches_minable(10, 4, 1, start, end)
 
+    def test_zero_norm_embeddings_abort_at_the_resumed_step(self):
+        """A checkpoint whose image tower ends in zero weights and bias embeds
+        every image as a zero row: the first step after resuming aborts."""
+        d, cfg = dataset(), small_cfg()
+        mid, _ = train(cfg, d, stop_at_step=2)
+        params = {k: v.copy() for k, v in mid.params.items()}
+        params["img.w2"][...] = 0.0
+        params["img.b2"][...] = 0.0
+        with pytest.raises(NumericAbort,
+                           match=r"^step 2: encoder produced zero-norm embeddings$"):
+            train(cfg, d, resume=dataclasses.replace(mid, params=params))
+
     def test_nonfinite_parameters_abort(self):
         d = dataset()
         with np.errstate(over="ignore", invalid="ignore"):
@@ -394,6 +406,34 @@ class TestOptimizer:
             assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
             # Separate arrays, not views into one buffer the trainer may still write.
             assert all(a.flags.owndata for a in arrays)
+
+
+SECTIONS = ("params", "opt_m", "opt_v")
+
+
+def copied(ckpt):
+    """ckpt with every array section copied, so it can be changed alone."""
+    return dataclasses.replace(ckpt, **{s: {k: v.copy() for k, v in getattr(ckpt, s).items()}
+                                        for s in SECTIONS})
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_checkpoints_equal_sees_every_array(section):
+    """One entry one ulp away, or one key dropped, in any array section makes
+    two checkpoints differ; an exact copy does not."""
+    ckpt, _ = train(small_cfg(epochs=1), dataset())
+    assert checkpoints_equal(copied(ckpt), ckpt)
+
+    moved = copied(ckpt)
+    entry = getattr(moved, section)["img.w1"]
+    entry[0, 0] = np.nextafter(entry[0, 0], np.inf)
+    assert not checkpoints_equal(moved, ckpt)
+    assert not checkpoints_equal(ckpt, moved)
+
+    dropped = copied(ckpt)
+    del getattr(dropped, section)["log_gamma"]
+    assert not checkpoints_equal(dropped, ckpt)
+    assert not checkpoints_equal(ckpt, dropped)
 
 
 class TestCheckpointing:

@@ -11,7 +11,7 @@ from weakpair import autograd, verify
 from weakpair.autograd import Evaluator, grad_check, grad_check_losses
 from weakpair.encoders import leaf_group
 from weakpair.losses import itc_loss, matching_losses, uitc_loss, weak_itc_loss
-from weakpair.training import assemble_losses, encode_step
+from weakpair.training import TrainConfig, assemble_losses, encode_step
 from weakpair.verify import (LOSS_NAMES, _op_cases, loss_params, losses_builder,
                              random_instance)
 
@@ -32,8 +32,7 @@ _ORACLE = {
     "gitm": (True, lambda g, p, enc, inst: g.add(*matching_losses(
         g, leaf_group(p, "head"), inst.groups, enc, ("gitm_txt", "gitm_img")).values())),
     "total": (True, lambda g, p, enc, inst: assemble_losses(
-        g, p, enc, inst.groups, "uitc_gitm", inst.mapping, inst.weights,
-        u_override=inst.u_mean).nodes["total"]),
+        g, p, enc, inst.groups, TrainConfig(), u_override=inst.u_mean)[0]["total"]),
 }
 
 # The shared graph scores ITM and both GITM branches in one head pass, so the
